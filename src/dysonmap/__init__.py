@@ -41,13 +41,11 @@ from .propagation import (
     CounterpartSeries,
     DysonTrajectory,
     GeneratorFn,
-    MetricSeries,
     SolverOptions,
     StateTrajectory,
     TimeGrid,
     dyson_relation_residual,
     hermitian_counterpart,
-    metric_of,
     propagate_dyson,
     propagate_state,
     rk4_samples,
@@ -63,7 +61,6 @@ from .model_oscillator import (
     Scenario,
     ValidationReport,
     analytic_evolution,
-    build_hamiltonian,
     closed_form_counterpart,
     counterpart_energy,
     counterpart_fn,
@@ -95,7 +92,6 @@ from .diagnostics import (
     isospectrality_check,
     metric_constancy,
     quasi_hermiticity_residuals,
-    scenario_report,
     scenario_workup,
 )
 

@@ -8,8 +8,22 @@ text.
 from __future__ import annotations
 
 
+def _restore(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class DysonMapError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Pickles with its attributes without calling ``__init__``, so subclasses
+    taking keyword-only arguments survive the trip back from a worker
+    process.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class InvalidDimensionError(DysonMapError):

@@ -49,6 +49,7 @@ from .propagation import (
     GeneratorFn,
     SolverOptions,
     TimeGrid,
+    band_matrix,
     rk4_samples,
 )
 
@@ -233,28 +234,24 @@ class ValidationReport:
         return tuple(k for k, c in self.checks.items() if not c.passed)
 
 
-def build_hamiltonian(s: Scenario, t: float) -> FockOperator:
-    """omega(t) a†a + kappa [alpha(t) a + beta(t) a†] at the scenario dim."""
-    a, ad = ladder_operators(s.dim)
-    n = number_operator(s.dim)
-    return FockOperator(
-        complex(s.omega(t)) * n.mat
-        + s.kappa * (complex(s.alpha(t)) * a.mat + complex(s.beta(t)) * ad.mat)
-    )
-
-
 def hamiltonian_fn(s: Scenario) -> GeneratorFn:
-    """The model Hamiltonian as a generator for the propagation module."""
-    a, ad = ladder_operators(s.dim)
-    nmat = number_operator(s.dim).mat
+    """The model Hamiltonian as a generator for the propagation module.
 
-    def fn(t: float) -> FockOperator:
-        return FockOperator(
-            complex(s.omega(t)) * nmat
-            + s.kappa * (complex(s.alpha(t)) * a.mat + complex(s.beta(t)) * ad.mat)
+    Its ladder bands (omega, kappa alpha, kappa beta) let propagation step
+    it as a tridiagonal update; calling it gives the dense matrix.
+    """
+
+    def bands(ts):
+        return (
+            np.asarray(s.omega(ts)),
+            s.kappa * np.asarray(s.alpha(ts)),
+            s.kappa * np.asarray(s.beta(ts)),
         )
 
-    return GeneratorFn(fn=fn, dim=s.dim, hermitian=False)
+    def fn(t: float) -> FockOperator:
+        return FockOperator(band_matrix(s.dim, *bands(t)))
+
+    return GeneratorFn(fn=fn, dim=s.dim, bands=bands)
 
 
 def initial_map(s: Scenario, gamma0: complex, lambda0: complex) -> FockOperator:
@@ -273,16 +270,11 @@ def _intertwining_residual(
     """
     eta0 = initial_map(s, gamma0, lambda0)
     rho0 = eta0.dagger() @ eta0
-    a, ad = ladder_operators(s.dim)
-    nmat = number_operator(s.dim).mat
     g = s.guard
     worst_num = 0.0
     worst_den = 0.0
-    for t in s.grid.points:
-        h = (
-            complex(s.omega(t)) * nmat
-            + s.kappa * (complex(s.alpha(t)) * a.mat + complex(s.beta(t)) * ad.mat)
-        )
+    for d, u, l in zip(*hamiltonian_fn(s).bands(s.grid.points)):
+        h = band_matrix(s.dim, d, u, l)
         num = np.linalg.norm(low_block(h.conj().T @ rho0.mat - rho0.mat @ h, g))
         den = np.linalg.norm(low_block(rho0.mat @ h, g))
         if num > worst_num:
@@ -579,11 +571,17 @@ def quadrature_observables(
     lr: LRQuantities,
     t: float,
     traj: DysonTrajectory | None = None,
+    *,
+    quads: tuple[FockOperator, FockOperator] | None = None,
 ) -> QuadraturePair:
-    """Closed-form X1, X2 at grid time t, optionally checked against eta."""
+    """Closed-form X1, X2 at grid time t, optionally checked against eta.
+
+    ``quads`` passes in the bare ``quadratures(s.dim)`` for callers that
+    evaluate many times.
+    """
     _require_validated(s)
     k = grid_index(s.grid, t)
-    x1, x2 = quadratures(s.dim)
+    x1, x2 = quadratures(s.dim) if quads is None else quads
     chi = float(lr.chi[k])
     at, bt = complex(lr.alpha_tilde[k]), complex(lr.beta_tilde[k])
     g0, l0 = complex(s.gamma0), complex(s.lambda0)
@@ -655,7 +653,7 @@ def counterpart_fn(s: Scenario, lr: LRQuantities) -> GeneratorFn:
             )
         )
 
-    return GeneratorFn(fn=fn, dim=s.dim, hermitian=True)
+    return GeneratorFn(fn=fn, dim=s.dim)
 
 
 def matrix_elements(s: Scenario, lr: LRQuantities, m: int, n: int, t: float) -> complex:

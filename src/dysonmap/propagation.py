@@ -4,9 +4,13 @@ The central object is the invertible map eta(t) obeying the right-sided
 matrix equation i d/dt eta = eta H(t), integrated as a time-ordered product
 by fixed-step classical RK4 (never by exponentiating an integral: H(t) at
 different times need not commute).  From the sampled trajectory this module
-derives the metric rho = eta† eta, the Hermitian counterpart 2 eta H eta^-1,
-and finite-difference residuals for the defining relation.  A unitary
-variant integrates i d/dt U = U Hh(t) for Hermitian generators.
+derives the Hermitian counterpart 2 eta H eta^-1 and finite-difference
+residuals for the defining relation.  A unitary variant integrates
+i d/dt U = U Hh(t) for Hermitian generators.
+
+Generators that carry ladder bands (H = d a†a + u a + l a†) are sampled
+once per grid and applied as a tridiagonal update; any other generator is
+called at every RK4 stage and multiplied densely.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .errors import (
     DivergenceError,
     IllConditionedError,
-    NonPositiveMetricError,
+    InvalidDimensionError,
     StepSizeError,
     TruncationWarning,
 )
@@ -55,13 +59,22 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
+Bands = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class GeneratorFn:
-    """Generator H(t): a pure callable time -> FockOperator of fixed dim."""
+    """Generator H(t): a pure callable time -> FockOperator of fixed dim.
+
+    ``bands``, when given, is the same generator in ladder form: a
+    vectorised map ts -> (d, u, l) with H(t) = d a†a + u a + l a†.
+    Propagation then samples it once per grid instead of calling ``fn`` at
+    every stage.
+    """
 
     fn: Callable[[float], FockOperator]
     dim: int
-    hermitian: bool = False
+    bands: Bands | None = None
 
     def __call__(self, t: float) -> FockOperator:
         h = self.fn(t)
@@ -150,23 +163,6 @@ class StateTrajectory(Sequence):
         return StateVector(self.amplitudes[k])
 
 
-class MetricSeries(Sequence):
-    """rho(t_k) = eta† eta with attached minimum eigenvalues."""
-
-    def __init__(self, rhos: np.ndarray, min_eigs: np.ndarray, grid: TimeGrid):
-        self.rhos = rhos
-        self.min_eigs = min_eigs
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return self.rhos.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [FockOperator(r) for r in self.rhos[k]]
-        return FockOperator(self.rhos[k])
-
-
 class CounterpartSeries(Sequence):
     """h(t_k) = 2 eta H eta^-1 with per-sample Hermiticity residuals.
 
@@ -214,12 +210,34 @@ def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def _scan_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float) -> np.ndarray:
-    """Refuse too-coarse grids; returns the sampled generator matrices."""
-    mats = np.empty((grid.steps + 1, H.dim, H.dim), dtype=complex)
-    for k, t in enumerate(grid.points):
-        mats[k] = H(t).mat
-    max_norm = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
+def band_matrix(dim: int, d: complex, u: complex, l: complex) -> np.ndarray:
+    """Dense d a†a + u a + l a† on a dim-level truncation."""
+    n = np.arange(dim, dtype=float)
+    root = np.sqrt(n[1:])
+    return np.diag(d * n) + np.diag(u * root, 1) + np.diag(l * root, -1)
+
+
+def _band_table(H: GeneratorFn, ts: np.ndarray) -> np.ndarray:
+    """(3, len(ts)) ladder coefficients d, u, l at ts, checked finite once."""
+    table = np.array(H.bands(ts), dtype=complex)
+    if not np.all(np.isfinite(table)):
+        raise InvalidDimensionError("operator entries must be finite")
+    return table
+
+
+def _band_norms(table: np.ndarray, dim: int) -> np.ndarray:
+    """||H||_F = sqrt(|d|^2 sum n^2 + (|u|^2 + |l|^2) sum n), per column."""
+    n = np.arange(dim, dtype=float)
+    d, u, l = np.abs(table) ** 2
+    return np.sqrt(d * np.sum(n**2) + (u + l) * np.sum(n))
+
+
+def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
+    """Refuse too-coarse grids, naming a workable step count."""
+    if H.bands is None:
+        max_norm = max(float(np.linalg.norm(H(t).mat)) for t in grid.points)
+    else:
+        max_norm = float(np.max(_band_norms(_band_table(H, grid.points), H.dim)))
     if max_norm * grid.dt > limit:
         needed = math.ceil((grid.t1 - grid.t0) * max_norm / limit)
         raise StepSizeError(
@@ -227,7 +245,39 @@ def _scan_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float) -> np.ndarray
             f"{limit}; use at least {needed} steps",
             recommended_steps=needed,
         )
-    return mats
+
+
+def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
+    """deriv(t, y) = -i y H(t) (right) or -i H(t) y for rk4_samples on grid.
+
+    A banded generator is sampled once on the half-step lattice
+    t0 + j dt/2 that the RK4 stages visit, and each stage looks its
+    coefficients up by index; the map's column j is then
+    d j y[:, j] + u sqrt(j) y[:, j-1] + l sqrt(j+1) y[:, j+1], and the
+    state's row i is d i y[i] + u sqrt(i+1) y[i+1] + l sqrt(i) y[i-1].
+    """
+    if H.bands is None:
+        if right:
+            return lambda t, y: -1j * (y @ H(t).mat)
+        return lambda t, y: -1j * (H(t).mat @ y)
+    half = grid.dt / 2.0
+    d, u, l = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
+    n = np.arange(H.dim, dtype=float)
+    root = np.sqrt(n[1:])
+
+    def deriv(t, y):
+        j = int(round((t - grid.t0) / half))
+        if right:
+            out = y * (d[j] * n)
+            out[:, 1:] += (u[j] * root) * y[:, :-1]
+            out[:, :-1] += (l[j] * root) * y[:, 1:]
+        else:
+            out = (d[j] * n) * y
+            out[:-1] += (u[j] * root) * y[1:]
+            out[1:] += (l[j] * root) * y[:-1]
+        return out
+
+    return deriv
 
 
 def _rcond_series(mats: np.ndarray) -> np.ndarray:
@@ -245,11 +295,17 @@ def _rcond_series(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def _convergence_from_ends(deriv, y0, grid: TimeGrid, end_full: np.ndarray) -> ConvergenceProbe | None:
+def _convergence_from_ends(
+    H: GeneratorFn, y0, grid: TimeGrid, end_full: np.ndarray
+) -> ConvergenceProbe | None:
+    """Rerun the map flow on the halved and quartered grids."""
     if grid.steps < 8:
         return None
-    end_half = rk4_samples(deriv, y0, TimeGrid(grid.t0, grid.t1, grid.steps // 2))[-1]
-    end_quarter = rk4_samples(deriv, y0, TimeGrid(grid.t0, grid.t1, grid.steps // 4))[-1]
+    ends = []
+    for steps in (grid.steps // 2, grid.steps // 4):
+        coarse = TimeGrid(grid.t0, grid.t1, steps)
+        ends.append(rk4_samples(_rk4_deriv(H, coarse, right=True), y0, coarse)[-1])
+    end_half, end_quarter = ends
     d_fine = float(np.linalg.norm(end_full - end_half))
     d_coarse = float(np.linalg.norm(end_half - end_quarter))
     order = None
@@ -273,14 +329,11 @@ def propagate_dyson(
     options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    _scan_step_guard(H, grid, options.step_guard)
-
-    def deriv(t, y):
-        return -1j * (y @ H(t).mat)
-
+    deriv = _rk4_deriv(H, grid, right=True)
+    _check_step_guard(H, grid, options.step_guard)
     etas = rk4_samples(deriv, eta0.mat, grid)
     conv = (
-        _convergence_from_ends(deriv, eta0.mat, grid, etas[-1])
+        _convergence_from_ends(H, eta0.mat, grid, etas[-1])
         if options.convergence_probe
         else None
     )
@@ -303,29 +356,10 @@ def propagate_state(
     options = options or SolverOptions()
     if H.dim != psi0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi0.dim}")
-    _scan_step_guard(H, grid, options.step_guard)
-
-    def deriv(t, y):
-        return -1j * (H(t).mat @ y)
-
+    deriv = _rk4_deriv(H, grid, right=False)
+    _check_step_guard(H, grid, options.step_guard)
     amps = rk4_samples(deriv, psi0.vec, grid)
     return StateTrajectory(grid, amps, options)
-
-
-def metric_of(traj: DysonTrajectory) -> MetricSeries:
-    """rho(t_k) = eta(t_k)† eta(t_k), with positivity checked."""
-    rhos = np.einsum("kji,kjl->kil", traj.etas.conj(), traj.etas)
-    herm = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
-    min_eigs = np.linalg.eigvalsh(herm)[:, 0]
-    worst = int(np.argmin(min_eigs))
-    if min_eigs[worst] < -1e-10:
-        raise NonPositiveMetricError(
-            f"metric lost positivity: min eigenvalue {min_eigs[worst]:.3e} "
-            f"at t = {traj.grid.points[worst]:.6g}",
-            t=float(traj.grid.points[worst]),
-            min_eigenvalue=float(min_eigs[worst]),
-        )
-    return MetricSeries(rhos, min_eigs, traj.grid)
 
 
 def _check_conditioning(traj: DysonTrajectory):
@@ -409,10 +443,13 @@ def unitary_transform_propagate(
     options = options or SolverOptions()
     if Hh.dim != U0.dim:
         raise ValueError(f"dimension mismatch: generator {Hh.dim}, U0 {U0.dim}")
-    mats = _scan_step_guard(Hh, grid, options.step_guard)
-    dev = np.linalg.norm(mats - np.conj(np.swapaxes(mats, 1, 2)), axis=(1, 2))
-    scale = np.linalg.norm(mats, axis=(1, 2))
-    rel = dev / np.where(scale > _ABS_FALLBACK, scale, 1.0)
+    deriv = _rk4_deriv(Hh, grid, right=True)
+    _check_step_guard(Hh, grid, options.step_guard)
+    rel = np.empty(grid.steps + 1)
+    for k, t in enumerate(grid.points):
+        m = Hh(t).mat
+        scale = float(np.linalg.norm(m))
+        rel[k] = np.linalg.norm(m - m.conj().T) / (scale if scale > _ABS_FALLBACK else 1.0)
     worst = int(np.argmax(rel))
     if rel[worst] > 1e-10:
         raise ValueError(
@@ -422,13 +459,9 @@ def unitary_transform_propagate(
     uerr = float(np.linalg.norm(U0.mat.conj().T @ U0.mat - np.eye(U0.dim)))
     if uerr > 1e-10:
         raise ValueError(f"U0 not unitary: ||U0†U0 - I|| = {uerr:.3e}")
-
-    def deriv(t, y):
-        return -1j * (y @ Hh(t).mat)
-
     us = rk4_samples(deriv, U0.mat, grid)
     conv = (
-        _convergence_from_ends(deriv, U0.mat, grid, us[-1])
+        _convergence_from_ends(Hh, U0.mat, grid, us[-1])
         if options.convergence_probe
         else None
     )

@@ -272,7 +272,7 @@ def test_criterion_10_unitary_transform():
     def fn(t):
         return FockOperator((1.0 + 0.25 * math.sin(t)) * nmat + drive)
 
-    Hh = GeneratorFn(fn=fn, dim=dim, hermitian=True)
+    Hh = GeneratorFn(fn=fn, dim=dim)
     grid = TimeGrid(0.0, 2 * np.pi, 4000)
     traj = unitary_transform_propagate(
         Hh, identity(dim), grid, options=SolverOptions(guard=4, convergence_probe=False)

@@ -185,6 +185,20 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert (out / "sweep.csv").read_bytes() == (work / "sweep1" / "sweep.csv").read_bytes()
 
+    def test_worker_errors_keep_exit_code(self, work):
+        args = (
+            "sweep", "s1", "--set", "dim=8", "--set", "guard=2", "--set", "grid.steps=10",
+            "--axis", "kappa:0.05:0.1:2",
+        )
+        serial = run_cli(*args, "--out", str(work / "sweep_err1"),
+                         env_extra={"DYSONMAP_WORKERS": "1"})
+        parallel = run_cli(*args, "--out", str(work / "sweep_err2"),
+                           env_extra={"DYSONMAP_WORKERS": "2"})
+        assert serial.returncode == 3, serial.stderr
+        assert parallel.returncode == 3, parallel.stderr
+        assert "numerical failure: step guard" in parallel.stderr
+        assert parallel.stderr == serial.stderr
+
 
 class TestPtPhase:
     def test_drive_phase_scan(self, work):

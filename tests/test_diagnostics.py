@@ -5,6 +5,7 @@ import pytest
 
 from dysonmap import (
     ResidualSeries,
+    TimeGrid,
     Tolerances,
     analytic_vs_numeric,
     basis_state,
@@ -13,8 +14,11 @@ from dysonmap import (
     isospectrality_check,
     metric_constancy,
     quasi_hermiticity_residuals,
+    scenario_workup,
 )
 from dysonmap import StateVector
+
+from conftest import tiny_scenario
 
 S2_FAILING = (
     "(ii)",
@@ -227,3 +231,14 @@ class TestEquivalenceRoutes:
         avn = analytic_vs_numeric(s, lr, traj, psi0=basis_state(1, s.dim))
         assert 0.0313 < avn.terminal < 0.0316
         assert avn.max > avn.terminal  # interior deviation is first order
+
+
+def test_empty_series_are_skipped_not_passed():
+    # one step leaves no interior point for the flow-identity stencil
+    report, _, _, _ = scenario_workup(tiny_scenario(dim=8, grid=TimeGrid(0.0, 1e-4, 1)))
+    for name in ("r2", "r7"):
+        assert report.series[name].samples.size == 0
+        outcome = report.outcome(name)
+        assert outcome.passed is None
+        assert "no samples" in outcome.note
+    assert report.outcome("metric_constancy").passed is True

@@ -12,12 +12,12 @@ from dysonmap import (
     TimeGrid,
     analytic_evolution,
     basis_state,
-    build_hamiltonian,
     counterpart_energy,
     derive_initial_map_params,
     drive_functions,
     eigensystem,
     grid_index,
+    hamiltonian_fn,
     lr_phase,
     lr_pipeline,
     matrix_elements,
@@ -112,7 +112,7 @@ class TestScenarioValidation:
 
 def test_build_hamiltonian_two_level():
     s = tiny_scenario(dim=2, guard=1, grid=TimeGrid(0.0, 1.0, 10))
-    h = build_hamiltonian(s, 0.0).mat
+    h = hamiltonian_fn(s)(0.0).mat
     expect = np.array([[0.0, 0.1j], [0.1j, 1.0]])
     assert np.max(np.abs(h - expect)) < 1e-15
 

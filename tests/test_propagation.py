@@ -29,9 +29,9 @@ from dysonmap import (
 )
 
 
-def const_generator(mat, dim, hermitian=False):
+def const_generator(mat, dim):
     op = FockOperator(np.asarray(mat, dtype=complex))
-    return GeneratorFn(lambda t: op, dim, hermitian=hermitian)
+    return GeneratorFn(lambda t: op, dim)
 
 
 class TestTimeGrid:
@@ -122,7 +122,7 @@ def test_propagate_state_matches_expm():
     dim = 12
     a, ad = ladder_operators(dim)
     hmat = number_operator(dim).mat + 0.3 * (a.mat + ad.mat)
-    H = const_generator(hmat, dim, hermitian=True)
+    H = const_generator(hmat, dim)
     grid = TimeGrid(0.0, 1.0, 1200)
     traj = propagate_state(H, basis_state(0, dim), grid, options=SolverOptions(guard=3))
     assert len(traj) == 1201
@@ -157,7 +157,7 @@ def test_near_singular_map_refused():
     dim = 6
     diag = np.ones(dim, dtype=complex)
     diag[-1] = 1e-13
-    H = GeneratorFn(lambda t: number_operator(dim), dim, hermitian=True)
+    H = GeneratorFn(lambda t: number_operator(dim), dim)
     grid = TimeGrid(0.0, 0.1, 20)
     traj = propagate_dyson(
         H,
