@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import difflib
 import json
 import math
@@ -319,14 +320,7 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
                 for k, item in report.validation.checks.items()
             },
         }
-    tol = {
-        k: getattr(report.tolerances, k)
-        for k in (
-            "algebraic", "sanity", "metric_constancy", "r2_coeff", "r7",
-            "fixed_metric", "perturbative_floor", "envelope_coeff",
-            "isospectral_floor", "min_rcond",
-        )
-    }
+    tol = dataclasses.asdict(report.tolerances)
     return _json_ready(
         {
             "schema": SCHEMA_VERSION,
@@ -396,7 +390,8 @@ def _cmd_run(args) -> int:
     doc, stem = _load_doc(args.scenario)
     _apply_sets(doc, args.set or [])
     s = scenario_from_doc(doc, stem)
-    report, s_run, lr, _ = scenario_workup(s, stride=1)
+    # drop the trajectory before the table is built; only the report is written
+    report, s_run, lr = scenario_workup(s, stride=1)[:3]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cols = _series_columns(report, s_run, lr)

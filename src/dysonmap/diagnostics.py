@@ -21,14 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioInvalidError
-from .fock_algebra import (
-    FockOperator,
-    StateVector,
-    basis_state,
-    displacement,
-    invert_apply,
-    low_block,
-)
+from .fock_algebra import StateVector, basis_state, displacements, low_block
 from .model_oscillator import (
     LRQuantities,
     Scenario,
@@ -39,7 +32,7 @@ from .model_oscillator import (
     initial_map,
     lr_pipeline,
     pt_analysis,
-    quadrature_observables,
+    quadrature_frame,
     quadratures,
     validated_scenario,
 )
@@ -47,8 +40,11 @@ from .propagation import (
     DysonTrajectory,
     GeneratorFn,
     StateTrajectory,
+    apply_generator,
+    check_conditioning,
     propagate_dyson,
     propagate_state,
+    sample_chunks,
 )
 
 _ABS_FLOOR = 1e-14
@@ -59,13 +55,14 @@ class Tolerances:
     """Every pass/fail threshold in one configurable place.
 
     Defaults follow the ledgered calibration at the bundled grids (dim 32,
-    8000 steps over one drive period): algebraic identities at 1e-10,
-    integrator-limited residuals at 1e-6, the static intertwining residual
-    at 1e-7, and perturbative envelopes max(floor, C kappa^order+1) with C
-    a per-family calibration constant.
+    8000 steps over one drive period): integrator-limited residuals at
+    1e-6, the static intertwining residual at 1e-7, and perturbative
+    envelopes max(floor, C kappa^order+1) with C a per-family calibration
+    constant.  ``min_rcond`` is the one floor on eta's reciprocal condition
+    number: the workup refuses a trajectory below it, and the
+    isospectrality solves apply it.
     """
 
-    algebraic: float = 1e-10
     sanity: float = 1e-12
     metric_constancy: float = 1e-6
     r2_coeff: float = 50.0
@@ -152,18 +149,37 @@ def default_stride(steps: int, target: int = 1600) -> int:
     return max(1, steps // target)
 
 
+def _metrics(etas: np.ndarray) -> np.ndarray:
+    """rho = eta† eta for a stack of maps."""
+    return np.conj(np.swapaxes(etas, -1, -2)) @ etas
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[i] @ vecs[i] for stacks of matrices and vectors."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x[i]|y[i]> for stacks of vectors."""
+    return np.sum(np.conj(x) * y, axis=-1)
+
+
+def _block_norms(mats: np.ndarray, k: int) -> np.ndarray:
+    """Frobenius norm of the leading k x k block of each matrix in a stack."""
+    return np.linalg.norm(mats[..., :k, :k], axis=(-2, -1))
+
+
 def metric_constancy(traj: DysonTrajectory, *, guard: int | None = None) -> ResidualSeries:
     """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block."""
     g = traj.options.guard if guard is None else guard
     rho0 = low_block(traj.rho0.mat, g)
     den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
+    k = rho0.shape[0]
     out = np.empty(len(traj.etas))
-    chunk = 512
-    for lo in range(0, len(traj.etas), chunk):
-        es = traj.etas[lo : lo + chunk]
-        rhos = np.conj(np.swapaxes(es, 1, 2)) @ es
-        blocks = rhos[:, : rho0.shape[0], : rho0.shape[1]]
-        out[lo : lo + chunk] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
+    for sl in sample_chunks(len(traj.etas)):
+        # the guard block of eta† eta only needs eta's first k columns
+        blocks = _metrics(traj.etas[sl, :, :k])
+        out[sl] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
     return ResidualSeries(name="metric_constancy", times=traj.grid.points.copy(), samples=out)
 
 
@@ -191,7 +207,8 @@ def quasi_hermiticity_residuals(
     Centers are strided interior grid points.  ``spacing`` widens the
     stencil to k +/- spacing grid samples; doubling it scales the stencil
     term by 4, which isolates that term from the integrator floor without
-    re-propagating.
+    re-propagating.  Centers run in chunks; each chunk forms the metric
+    once per distinct sample it touches and applies H through its bands.
     """
     if spacing < 1:
         raise ValueError("stencil spacing must be >= 1")
@@ -202,18 +219,28 @@ def quasi_hermiticity_residuals(
     ts = grid.t0 + centers * grid.dt
     r2 = np.empty(centers.size)
     r7 = np.empty(centers.size)
-    for i, k in enumerate(centers):
-        em, e0, ep = traj.etas[k - spacing], traj.etas[k], traj.etas[k + spacing]
-        rho_m = em.conj().T @ em
-        rho_0 = e0.conj().T @ e0
-        rho_p = ep.conj().T @ ep
-        drho = (rho_p - rho_m) / (2.0 * spacing * grid.dt)
-        h = H(float(ts[i])).mat
-        comm = h.conj().T @ rho_0 - rho_0 @ h
-        r2[i] = np.linalg.norm(low_block(comm + 1j * drho, g))
-        den = np.linalg.norm(low_block(rho_0 @ h, g))
-        num = np.linalg.norm(low_block(comm, g))
-        r7[i] = num / den if den > _ABS_FLOOR else num
+    # a banded H couples neighbouring levels only, so the guard block of
+    # H† rho - rho H needs rho on one level more than the block itself.
+    # rho is still formed in full: a narrower product rounds differently,
+    # and the stencil amplifies that by 1/(2 spacing dt).
+    levels = traj.dim if H.bands is None else min(traj.dim - g + 1, traj.dim)
+    k = traj.dim - g
+    for sl in sample_chunks(centers.size):
+        cs = centers[sl]
+        touched = np.unique(np.concatenate((cs - spacing, cs, cs + spacing)))
+        rhos = _metrics(traj.etas[touched])[:, :levels, :levels]
+
+        def rho_at(idx):
+            return rhos[np.searchsorted(touched, idx)]
+
+        rho = rho_at(cs)
+        drho = (rho_at(cs + spacing) - rho_at(cs - spacing)) / (2.0 * spacing * grid.dt)
+        rho_h = apply_generator(H, ts[sl], rho, right=True)
+        comm = apply_generator(H, ts[sl], rho, adjoint=True) - rho_h
+        r2[sl] = _block_norms(comm + 1j * drho, k)
+        den = _block_norms(rho_h, k)
+        num = _block_norms(comm, k)
+        r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
     return (
         ResidualSeries(name="r2", times=ts, samples=r2),
         ResidualSeries(name="r7", times=ts, samples=r7),
@@ -252,9 +279,9 @@ def equivalence_checks(
     """
     if pair is None:
         pair = (basis_state(0, s.dim), basis_state(1, s.dim))
-    H = hamiltonian_fn(s)
-    psi = propagate_state(H, pair[0], s.grid, options=traj.options)
-    psit = propagate_state(H, pair[1], s.grid, options=traj.options)
+    psi = propagate_state(hamiltonian_fn(s), pair[0], s.grid, options=traj.options,
+                          companions=pair[1:])
+    (psit,) = psi.companions
     grid = s.grid
     st = default_stride(grid.steps) if stride is None else stride
     ks = np.arange(0, grid.steps + 1, st)
@@ -263,24 +290,29 @@ def equivalence_checks(
     ts = grid.t0 + ks * grid.dt
     rho0 = traj.rho0.mat
     ref = complex(pair[0].vec.conj() @ (rho0 @ pair[1].vec))
-    quads = quadratures(s.dim)
-    x1 = quads[0].mat
+    x1, x2 = (q.mat for q in quadratures(s.dim))
+    if lr is not None:
+        chi, shift1, _ = quadrature_frame(s, lr, ks)
 
     sanity = np.empty(ks.size)
     fixed = np.empty(ks.size)
     obs = np.empty(ks.size) if lr is not None else None
-    for i, k in enumerate(ks):
-        e = traj.etas[k]
-        a, b = psi[k].vec, psit[k].vec
-        ea, eb = e @ a, e @ b
-        rho = e.conj().T @ e
-        sanity[i] = abs(complex(a.conj() @ (rho @ b)) - complex(ea.conj() @ eb))
-        fixed[i] = abs(complex(a.conj() @ (rho0 @ b)) - ref)
+    for sl in sample_chunks(ks.size):
+        es = traj.etas[ks[sl]]
+        a, b = psi.amplitudes[ks[sl]], psit.amplitudes[ks[sl]]
+        ea, eb = _matvec(es, a), _matvec(es, b)
+        rho = _metrics(es)
+        sanity[sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
+        fixed[sl] = np.abs(_inner(a, b @ rho0.T) - ref)
         if obs is not None:
-            X1 = quadrature_observables(s, lr, float(ts[i]), quads=quads).x1.mat
-            lhs = complex(a.conj() @ (rho @ (X1 @ b)))
-            rhs = complex(ea.conj() @ (x1 @ eb))
-            obs[i] = abs(lhs - rhs)
+            # X1 b = cos chi x1 b - sin chi x2 b + shift1 b, without forming X1
+            x1b, x2b = b @ x1.T, b @ x2.T
+            c = chi[sl, None]
+            X1b = np.cos(c) * x1b - np.sin(c) * x2b + shift1[sl, None] * b
+            lhs = _inner(a, _matvec(rho, X1b))
+            rhs = _inner(ea, eb @ x1.T)
+            obs[sl] = np.abs(lhs - rhs)
+
     def mk(name, arr):
         return ResidualSeries(name=name, times=ts.astype(float), samples=arr)
 
@@ -304,7 +336,9 @@ def isospectrality_check(
     """r_m(t) = ||H w - (E_m/2) w|| / ||w|| with w = eta^-1 zeta_m.
 
     The mapped displaced Fock states diagonalize H up to third order in
-    kappa; conditioning failures of eta propagate from invert_apply.
+    kappa.  Each sampled eta is factored once for all of ms, after its
+    reciprocal condition number is checked against the trajectory's
+    rcond_floor.
     """
     if lr.xi is None:
         raise ValueError("drive functions not computed; run drive_functions first")
@@ -314,21 +348,19 @@ def isospectrality_check(
     if ks[-1] != grid.steps:
         ks = np.append(ks, grid.steps)
     ts = grid.t0 + ks * grid.dt
+    check_conditioning(traj, ks)
     H = hamiltonian_fn(s)
-    out = {m: np.empty(ks.size) for m in ms}
-    for i, k in enumerate(ks):
-        d = displacement(-np.conj(complex(lr.xi[k])), s.dim)
-        h = H(float(ts[i])).mat
-        eta_k = traj.etas[k]
-        for m in ms:
-            zeta = d.mat[:, m]
-            w, _ = invert_apply(FockOperator(eta_k), StateVector(zeta))
-            energy = complex(counterpart_energy(s, m, float(ts[i])))
-            defect = h @ w.vec - (energy / 2.0) * w.vec
-            out[m][i] = np.linalg.norm(defect) / np.linalg.norm(w.vec)
+    cols = list(ms)
+    out = np.empty((len(cols), ks.size))
+    for sl in sample_chunks(ks.size):
+        zetas = displacements(-np.conj(lr.xi[ks[sl]]), s.dim)[:, :, cols]
+        w = np.linalg.solve(traj.etas[ks[sl]], zetas)
+        energy = np.stack([counterpart_energy(s, m, ts[sl]) for m in cols], axis=-1)
+        defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)
+        out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
     return {
-        m: ResidualSeries(name=f"isospectrality_m{m}", times=ts.astype(float), samples=arr)
-        for m, arr in out.items()
+        m: ResidualSeries(name=f"isospectrality_m{m}", times=ts.astype(float), samples=out[i])
+        for i, m in enumerate(cols)
     }
 
 
@@ -387,10 +419,9 @@ def analytic_vs_numeric(
     ev = analytic_evolution(s, lr)
     phi0 = traj.eta0.mat @ psi0.vec
     devs = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        u_k = ev.U(int(k)).mat
-        w = np.linalg.solve(traj.etas[k], u_k @ phi0)
-        devs[i] = np.linalg.norm(w - numeric[int(k)].vec)
+    for sl in sample_chunks(ks.size):
+        w = np.linalg.solve(traj.etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
+        devs[sl] = np.linalg.norm(w - numeric.amplitudes[ks[sl]], axis=1)
     ts = grid.t0 + ks * grid.dt
     return AnalyticNumericSummary(
         times=ts.astype(float),
@@ -444,9 +475,9 @@ def scenario_workup(
 
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    traj = propagate_dyson(
-        H, eta0, s_run.grid, options=s_run.solver_options(convergence_probe=False)
-    )
+    options = s_run.solver_options(convergence_probe=False, rcond_floor=tol.min_rcond)
+    traj = propagate_dyson(H, eta0, s_run.grid, options=options)
+    check_conditioning(traj)
 
     series: dict[str, ResidualSeries] = {}
     mc = metric_constancy(traj)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     InvalidDimensionError,
@@ -37,12 +36,12 @@ from .fock_algebra import (
     StateVector,
     basis_state,
     displacement,
+    displacements,
     identity,
     ladder_operators,
     low_block,
     matrix_exponential,
     number_operator,
-    rotation,
 )
 from .propagation import (
     DysonTrajectory,
@@ -51,6 +50,7 @@ from .propagation import (
     TimeGrid,
     band_matrix,
     rk4_samples,
+    sample_chunks,
 )
 
 _FORMS = ("constant", "polynomial", "sinusoid", "exp_ramp")
@@ -267,19 +267,25 @@ def _intertwining_residual(
 
     Guard-excluded Frobenius on both; the truncation corner otherwise
     injects an O(1) artifact unrelated to the constraint being tested.
+    With H = omega a†a + kappa alpha a + kappa beta a† and rho0 fixed, both
+    sides are combinations of three fixed guard blocks each, weighted per
+    sample by the band coefficients.
     """
     eta0 = initial_map(s, gamma0, lambda0)
-    rho0 = eta0.dagger() @ eta0
-    g = s.guard
-    worst_num = 0.0
-    worst_den = 0.0
-    for d, u, l in zip(*hamiltonian_fn(s).bands(s.grid.points)):
-        h = band_matrix(s.dim, d, u, l)
-        num = np.linalg.norm(low_block(h.conj().T @ rho0.mat - rho0.mat @ h, g))
-        den = np.linalg.norm(low_block(rho0.mat @ h, g))
-        if num > worst_num:
-            worst_num, worst_den = float(num), float(den)
-    return worst_num, worst_den
+    rho0 = (eta0.dagger() @ eta0).mat
+    a, ad = ladder_operators(s.dim)
+    ops = (number_operator(s.dim).mat, a.mat, ad.mat)
+    right = np.stack([low_block(rho0 @ op, s.guard).ravel() for op in ops])
+    left = np.stack([low_block(op.conj().T @ rho0, s.guard).ravel() for op in ops])
+    coeffs = np.array(hamiltonian_fn(s).bands(s.grid.points), dtype=complex).T
+    num = np.empty(coeffs.shape[0])
+    den = np.empty(coeffs.shape[0])
+    for sl in sample_chunks(coeffs.shape[0]):
+        rho_h = coeffs[sl] @ right
+        num[sl] = np.linalg.norm(np.conj(coeffs[sl]) @ left - rho_h, axis=1)
+        den[sl] = np.linalg.norm(rho_h, axis=1)
+    worst = int(np.argmax(num))
+    return float(num[worst]), float(den[worst])
 
 
 def derive_initial_map_params(
@@ -369,6 +375,8 @@ def _require_validated(s: Scenario):
 
 def _cumulative_simpson_complex(y: np.ndarray, dx: float) -> np.ndarray:
     """Composite cumulative Simpson, safe for complex integrands."""
+    from scipy.integrate import cumulative_simpson  # 0.26 s to import; only LR needs it
+
     re = cumulative_simpson(np.ascontiguousarray(y.real), dx=dx, initial=0.0)
     if np.iscomplexobj(y):
         im = cumulative_simpson(np.ascontiguousarray(y.imag), dx=dx, initial=0.0)
@@ -498,19 +506,30 @@ class AnalyticEvolution:
     scenario: Scenario
     lr: LRQuantities
 
-    def V(self, k: int) -> FockOperator:
+    def Vs(self, ks) -> np.ndarray:
+        """Stack of V(t_k), one (dim, dim) matrix per grid index in ks.
+
+        R[chi] is diagonal, so D[theta] R[chi] scales D's columns.
+        """
         s, lr = self.scenario, self.lr
-        d = displacement(complex(lr.theta[k]), s.dim)
-        r = rotation(float(lr.chi[k]), s.dim)
-        return FockOperator(complex(lr.upsilon[k]) * (d.mat @ r.mat))
+        ks = np.asarray(ks)
+        phases = np.exp(-2j * lr.chi[ks][:, None] * np.arange(s.dim))
+        return lr.upsilon[ks][:, None, None] * (displacements(lr.theta[ks], s.dim)
+                                                * phases[:, None, :])
+
+    def Us(self, ks) -> np.ndarray:
+        """Stack of U(t_k) = V(t_k) V(t0)† for the grid indices in ks."""
+        s = self.scenario
+        vs = self.Vs(ks)
+        if s.theta0 == 0:
+            return vs
+        return vs @ displacement(complex(s.theta0), s.dim).mat.conj().T
+
+    def V(self, k: int) -> FockOperator:
+        return FockOperator(self.Vs([k])[0])
 
     def U(self, k: int) -> FockOperator:
-        s = self.scenario
-        v = self.V(k)
-        if s.theta0 == 0:
-            return v
-        v0 = displacement(complex(s.theta0), s.dim)
-        return FockOperator(v.mat @ v0.mat.conj().T)
+        return FockOperator(self.Us([k])[0])
 
     def basis_state(self, m: int, k: int) -> StateVector:
         """|phi_m(t_k)> = V(t_k)|m>."""
@@ -566,27 +585,30 @@ class QuadraturePair:
     direct_discrepancy: tuple[float, float] | None = None
 
 
+def quadrature_frame(s: Scenario, lr: LRQuantities, k):
+    """(chi, shift1, shift2) of the closed-form quadratures at grid index k.
+
+    X1 = cos chi x1 - sin chi x2 + shift1 and X2 = sin chi x1 + cos chi x2
+    + shift2; k may be an array of indices.
+    """
+    at, bt = lr.alpha_tilde[k], lr.beta_tilde[k]
+    g0, l0 = complex(s.gamma0), complex(s.lambda0)
+    shift1 = 0.5 * (1j * s.kappa * (at - bt) - g0 + l0)
+    shift2 = 0.5 * (s.kappa * (at + bt) + 1j * (g0 + l0))
+    return lr.chi[k], shift1, shift2
+
+
 def quadrature_observables(
     s: Scenario,
     lr: LRQuantities,
     t: float,
     traj: DysonTrajectory | None = None,
-    *,
-    quads: tuple[FockOperator, FockOperator] | None = None,
 ) -> QuadraturePair:
-    """Closed-form X1, X2 at grid time t, optionally checked against eta.
-
-    ``quads`` passes in the bare ``quadratures(s.dim)`` for callers that
-    evaluate many times.
-    """
+    """Closed-form X1, X2 at grid time t, optionally checked against eta."""
     _require_validated(s)
     k = grid_index(s.grid, t)
-    x1, x2 = quadratures(s.dim) if quads is None else quads
-    chi = float(lr.chi[k])
-    at, bt = complex(lr.alpha_tilde[k]), complex(lr.beta_tilde[k])
-    g0, l0 = complex(s.gamma0), complex(s.lambda0)
-    shift1 = 0.5 * (1j * s.kappa * (at - bt) - g0 + l0)
-    shift2 = 0.5 * (s.kappa * (at + bt) + 1j * (g0 + l0))
+    x1, x2 = quadratures(s.dim)
+    chi, shift1, shift2 = quadrature_frame(s, lr, k)
     eye = identity(s.dim).mat
     c, sn = math.cos(chi), math.sin(chi)
     X1 = FockOperator(c * x1.mat - sn * x2.mat + shift1 * eye)

@@ -10,7 +10,9 @@ i d/dt U = U Hh(t) for Hermitian generators.
 
 Generators that carry ladder bands (H = d a†a + u a + l a†) are sampled
 once per grid and applied as a tridiagonal update; any other generator is
-called at every RK4 stage and multiplied densely.
+called at every RK4 stage and multiplied densely.  The map is stepped as
+eta^T, so the banded update shifts contiguous rows; trajectories expose
+eta through a transposed view of that storage.
 """
 
 from __future__ import annotations
@@ -29,9 +31,20 @@ from .errors import (
     StepSizeError,
     TruncationWarning,
 )
-from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, low_block
+from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, low_block, rcond_1norm
 
 _ABS_FALLBACK = 1e-14  # relative norms switch to absolute below this denominator
+
+# Samples per stacked pass over a trajectory.  32 complex 32 x 32 matrices
+# are 0.5 MB; a pass holds about ten such stacks at once, so its
+# temporaries stay a few MB above the trajectory itself.
+SAMPLE_CHUNK = 32
+
+
+def sample_chunks(n: int):
+    """Consecutive slices of at most SAMPLE_CHUNK covering range(n)."""
+    for lo in range(0, n, SAMPLE_CHUNK):
+        yield slice(lo, min(lo + SAMPLE_CHUNK, n))
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ class ConvergenceProbe:
 @dataclass(frozen=True)
 class DysonTrajectory:
     grid: TimeGrid
-    etas: np.ndarray              # (steps+1, dim, dim)
+    etas: np.ndarray              # (steps+1, dim, dim), a view of the eta^T storage
     rcond: np.ndarray             # (steps+1,)
     options: SolverOptions
     convergence: ConvergenceProbe | None
@@ -135,12 +148,17 @@ class DysonTrajectory:
 
 
 class StateTrajectory(Sequence):
-    """Sequence of StateVector samples with truncation bookkeeping."""
+    """Sequence of StateVector samples with truncation bookkeeping.
+
+    ``companions`` holds the trajectories of states stepped in the same
+    block (see propagate_state).
+    """
 
     def __init__(self, grid: TimeGrid, amplitudes: np.ndarray, options: SolverOptions):
         self.grid = grid
         self.amplitudes = amplitudes
         self.options = options
+        self.companions: tuple[StateTrajectory, ...] = ()
         g = options.guard
         mass = np.abs(amplitudes) ** 2
         tail = mass[:, amplitudes.shape[1] - g :].sum(axis=1)
@@ -217,12 +235,71 @@ def band_matrix(dim: int, d: complex, u: complex, l: complex) -> np.ndarray:
     return np.diag(d * n) + np.diag(u * root, 1) + np.diag(l * root, -1)
 
 
+def ladder_columns(d, u, l, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d n, u sqrt(n+1), l sqrt(n+1)) as columns, the form ladder_rows applies.
+
+    d, u, l are arrays shaped (..., 1, 1); (m, 1, 1) gives (m, dim, 1) and
+    (m, dim - 1, 1) stacks, one H per sample.
+    """
+    n = np.arange(dim, dtype=float)[:, None]
+    root = np.sqrt(n[1:])
+    return d * n, u * root, l * root
+
+
+def ladder_rows(ys: np.ndarray, cols, *, transpose: bool = False) -> np.ndarray:
+    """H ys (or H^T ys) for H = d a†a + u a + l a†, acting on axis -2.
+
+    ys is (..., dim, k) and cols comes from ladder_columns, broadcasting
+    against ys's leading axes.  Row i of H ys is d i y[i] + u sqrt(i+1)
+    y[i+1] + l sqrt(i) y[i-1]; H^T swaps the two shifts.  Complex products
+    are not bitwise commutative, so the operand order and the order of the
+    terms follow the column update of eta (for H^T) and the row update of
+    a state (for H): stepping eta^T repeats the rounding of stepping eta.
+    """
+    dn, ur, lr = cols
+    if transpose:
+        out = ys * dn
+        out[..., 1:, :] += ur * ys[..., :-1, :]
+        out[..., :-1, :] += lr * ys[..., 1:, :]
+    else:
+        out = dn * ys
+        out[..., :-1, :] += ur * ys[..., 1:, :]
+        out[..., 1:, :] += lr * ys[..., :-1, :]
+    return out
+
+
 def _band_table(H: GeneratorFn, ts: np.ndarray) -> np.ndarray:
     """(3, len(ts)) ladder coefficients d, u, l at ts, checked finite once."""
     table = np.array(H.bands(ts), dtype=complex)
     if not np.all(np.isfinite(table)):
         raise InvalidDimensionError("operator entries must be finite")
     return table
+
+
+def apply_generator(
+    H: GeneratorFn, ts, ys: np.ndarray, *, right: bool = False, adjoint: bool = False
+) -> np.ndarray:
+    """Stacked products H(t_i) ys[i], or ys[i] H(t_i) when ``right``.
+
+    ``adjoint`` applies H(t_i)† instead.  A banded generator is sampled
+    once at ts and applied as its tridiagonal update, on the leading
+    levels ys spans (its top row, or column when ``right``, then lacks the
+    couplings to the levels beyond); any other is called at every t and
+    multiplied densely.
+    """
+    if H.bands is None:
+        hs = np.stack([H(float(t)).mat for t in ts])
+        if adjoint:
+            hs = np.conj(np.swapaxes(hs, -1, -2))
+        return ys @ hs if right else hs @ ys
+    d, u, l = _band_table(H, np.asarray(ts, dtype=float))
+    if adjoint:  # H† = d* a†a + l* a + u* a†
+        d, u, l = np.conj(d), np.conj(l), np.conj(u)
+    levels = ys.shape[-1] if right else ys.shape[-2]
+    cols = ladder_columns(d[:, None, None], u[:, None, None], l[:, None, None], levels)
+    if right:  # ys H = (H^T ys^T)^T
+        return np.swapaxes(ladder_rows(np.swapaxes(ys, -1, -2), cols, transpose=True), -1, -2)
+    return ladder_rows(ys, cols)
 
 
 def _band_norms(table: np.ndarray, dim: int) -> np.ndarray:
@@ -248,51 +325,40 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
 
 
 def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
-    """deriv(t, y) = -i y H(t) (right) or -i H(t) y for rk4_samples on grid.
+    """deriv(t, y) for rk4_samples on grid: -i H(t)^T y (right) or -i H(t) y.
 
-    A banded generator is sampled once on the half-step lattice
-    t0 + j dt/2 that the RK4 stages visit, and each stage looks its
-    coefficients up by index; the map's column j is then
-    d j y[:, j] + u sqrt(j) y[:, j-1] + l sqrt(j+1) y[:, j+1], and the
-    state's row i is d i y[i] + u sqrt(i+1) y[i+1] + l sqrt(i) y[i-1].
+    The right-sided map equation i d eta/dt = eta H is stepped as its
+    transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  A
+    banded generator is sampled once on the half-step lattice t0 + j dt/2
+    that the RK4 stages visit, and each stage looks its coefficients up by
+    index.
     """
     if H.bands is None:
         if right:
-            return lambda t, y: -1j * (y @ H(t).mat)
+            return lambda t, y: -1j * (H(t).mat.T @ y)
         return lambda t, y: -1j * (H(t).mat @ y)
     half = grid.dt / 2.0
-    d, u, l = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
-    n = np.arange(H.dim, dtype=float)
-    root = np.sqrt(n[1:])
+    table = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
+    d, u, l = table[:, :, None, None]
 
     def deriv(t, y):
         j = int(round((t - grid.t0) / half))
-        if right:
-            out = y * (d[j] * n)
-            out[:, 1:] += (u[j] * root) * y[:, :-1]
-            out[:, :-1] += (l[j] * root) * y[:, 1:]
-        else:
-            out = (d[j] * n) * y
-            out[:-1] += (u[j] * root) * y[1:]
-            out[1:] += (l[j] * root) * y[:-1]
-        return out
+        return ladder_rows(y, ladder_columns(d[j], u[j], l[j], H.dim), transpose=right)
 
     return deriv
 
 
-def _rcond_series(mats: np.ndarray) -> np.ndarray:
-    from scipy.linalg import lapack
+def _map_samples(H: GeneratorFn, m0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """RK4 samples of i dM/dt = M H(t): the (steps+1, dim, dim) view of M^T."""
+    steps = rk4_samples(_rk4_deriv(H, grid, right=True), np.ascontiguousarray(m0.T), grid)
+    return steps.transpose(0, 2, 1)
 
-    out = np.empty(mats.shape[0])
-    for k, m in enumerate(mats):
-        anorm = float(np.linalg.norm(m, 1))
-        lu, _, info = lapack.zgetrf(m)
-        if info > 0:
-            out[k] = 0.0
-            continue
-        rcond, _ = lapack.zgecon(lu, anorm, norm="1")
-        out[k] = float(rcond)
-    return out
+
+def _rcond_series(mats: np.ndarray) -> np.ndarray:
+    anorms = np.empty(len(mats))
+    for sl in sample_chunks(len(mats)):
+        anorms[sl] = np.abs(mats[sl]).sum(axis=-2).max(axis=-1)
+    return np.array([rcond_1norm(m, a) for m, a in zip(mats, anorms)])
 
 
 def _convergence_from_ends(
@@ -304,7 +370,7 @@ def _convergence_from_ends(
     ends = []
     for steps in (grid.steps // 2, grid.steps // 4):
         coarse = TimeGrid(grid.t0, grid.t1, steps)
-        ends.append(rk4_samples(_rk4_deriv(H, coarse, right=True), y0, coarse)[-1])
+        ends.append(_map_samples(H, y0, coarse)[-1])
     end_half, end_quarter = ends
     d_fine = float(np.linalg.norm(end_full - end_half))
     d_coarse = float(np.linalg.norm(end_half - end_quarter))
@@ -329,9 +395,8 @@ def propagate_dyson(
     options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    deriv = _rk4_deriv(H, grid, right=True)
     _check_step_guard(H, grid, options.step_guard)
-    etas = rk4_samples(deriv, eta0.mat, grid)
+    etas = _map_samples(H, eta0.mat, grid)
     conv = (
         _convergence_from_ends(H, eta0.mat, grid, etas[-1])
         if options.convergence_probe
@@ -351,19 +416,41 @@ def propagate_state(
     psi0: StateVector,
     grid: TimeGrid,
     options: SolverOptions | None = None,
+    *,
+    companions: Sequence[StateVector] = (),
 ) -> StateTrajectory:
-    """Integrate i d/dt psi = H(t) psi on the grid."""
+    """Integrate i d/dt psi = H(t) psi on the grid.
+
+    States in ``companions`` are stepped with psi0 as further columns of
+    one (dim, n) block, each exactly as it would be on its own; the block
+    shares the generator samples and the per-step overhead.  Their
+    trajectories are the result's ``companions``, in order.
+    """
     options = options or SolverOptions()
-    if H.dim != psi0.dim:
-        raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi0.dim}")
+    psis = (psi0, *companions)
+    for psi in psis:
+        if H.dim != psi.dim:
+            raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi.dim}")
     deriv = _rk4_deriv(H, grid, right=False)
     _check_step_guard(H, grid, options.step_guard)
-    amps = rk4_samples(deriv, psi0.vec, grid)
-    return StateTrajectory(grid, amps, options)
+    block = rk4_samples(deriv, np.stack([psi.vec for psi in psis], axis=1), grid)
+    trajectories = []
+    for i in range(len(psis)):  # a plain loop keeps TruncationWarning pointing at the caller
+        trajectories.append(StateTrajectory(grid, block[:, :, i], options))
+    first = trajectories[0]
+    first.companions = tuple(trajectories[1:])
+    return first
 
 
-def _check_conditioning(traj: DysonTrajectory):
-    k = int(np.argmin(traj.rcond))
+def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
+    """Refuse when eta's rcond at samples ks (default all) is below the floor.
+
+    The floor is ``traj.options.rcond_floor``; the error names the worst
+    sample's time.
+    """
+    rcond = traj.rcond if ks is None else traj.rcond[ks]
+    i = int(np.argmin(rcond))
+    k = i if ks is None else int(ks[i])
     if traj.rcond[k] < traj.options.rcond_floor:
         raise IllConditionedError(
             f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
@@ -381,7 +468,7 @@ def _block_rel(diff: np.ndarray, ref: np.ndarray, guard: int) -> float:
 
 def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> CounterpartSeries:
     """h(t_k) = 2 eta H eta^-1 along the trajectory."""
-    _check_conditioning(traj)
+    check_conditioning(traj)
     g = traj.options.guard
     n = len(traj)
     hs = np.empty_like(traj.etas)
@@ -414,7 +501,7 @@ def dyson_relation_residual(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray
     """
     if len(traj) < 3:
         raise ValueError("need at least 3 samples for the derivative stencil")
-    _check_conditioning(traj)
+    check_conditioning(traj)
     g = traj.options.guard
     detas = _time_derivative(traj.etas, traj.grid.dt)
     ts = traj.grid.points
@@ -443,7 +530,6 @@ def unitary_transform_propagate(
     options = options or SolverOptions()
     if Hh.dim != U0.dim:
         raise ValueError(f"dimension mismatch: generator {Hh.dim}, U0 {U0.dim}")
-    deriv = _rk4_deriv(Hh, grid, right=True)
     _check_step_guard(Hh, grid, options.step_guard)
     rel = np.empty(grid.steps + 1)
     for k, t in enumerate(grid.points):
@@ -459,7 +545,7 @@ def unitary_transform_propagate(
     uerr = float(np.linalg.norm(U0.mat.conj().T @ U0.mat - np.eye(U0.dim)))
     if uerr > 1e-10:
         raise ValueError(f"U0 not unitary: ||U0†U0 - I|| = {uerr:.3e}")
-    us = rk4_samples(deriv, U0.mat, grid)
+    us = _map_samples(Hh, U0.mat, grid)
     conv = (
         _convergence_from_ends(Hh, U0.mat, grid, us[-1])
         if options.convergence_probe

@@ -62,8 +62,9 @@ def test_banded_update_matches_dense_product(s, j, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
     hmat = H(t).mat
-    assert rel_diff(_rk4_deriv(H, GRID, right=True)(t, y), -1j * (y @ hmat)) <= 1e-13
-    assert rel_diff(_rk4_deriv(H, GRID, right=False)(t, y[:, 0]), -1j * (hmat @ y[:, 0])) <= 1e-13
+    # the map is stepped as eta^T, states as (dim, n) column blocks
+    assert rel_diff(_rk4_deriv(H, GRID, right=True)(t, y.T).T, -1j * (y @ hmat)) <= 1e-13
+    assert rel_diff(_rk4_deriv(H, GRID, right=False)(t, y[:, :2]), -1j * (hmat @ y[:, :2])) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

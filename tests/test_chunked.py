@@ -1,0 +1,290 @@
+"""Layout and chunking of the trajectory passes against per-sample references.
+
+The map is stepped as eta^T and states as one (dim, n) block; both must
+reproduce the row-layout, one-state-at-a-time stepping bit for bit.  The
+residual passes run chunk by chunk through the ladder bands; they must
+match the per-sample dense formulas they replace.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dysonmap import (
+    CoefficientSpec,
+    FockOperator,
+    GeneratorFn,
+    IllConditionedError,
+    SolverOptions,
+    StateVector,
+    TimeGrid,
+    Tolerances,
+    analytic_evolution,
+    analytic_vs_numeric,
+    basis_state,
+    counterpart_energy,
+    displacement,
+    equivalence_checks,
+    hamiltonian_fn,
+    initial_map,
+    invert_apply,
+    isospectrality_check,
+    lr_pipeline,
+    metric_constancy,
+    propagate_dyson,
+    propagate_state,
+    quadrature_observables,
+    quasi_hermiticity_residuals,
+    rk4_samples,
+    rotation,
+    scenario_workup,
+    validated_scenario,
+)
+from dysonmap.fock_algebra import low_block
+from dysonmap.model_oscillator import _intertwining_residual, quadratures
+from dysonmap.propagation import SAMPLE_CHUNK, _band_table, band_matrix
+
+from conftest import load_bundled, tiny_scenario
+
+amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+rates = st.floats(-1.0, 1.0, allow_nan=False)
+coefficients = st.one_of(
+    st.builds(CoefficientSpec.constant, amplitudes),
+    st.lists(amplitudes, min_size=1, max_size=3).map(lambda cs: CoefficientSpec.polynomial(*cs)),
+    st.builds(CoefficientSpec.sinusoid, amplitudes, amplitudes, rates, amplitudes),
+    st.builds(CoefficientSpec.exp_ramp, amplitudes, rates),
+)
+
+# Chunk boundaries fall inside these sample counts for every stride.
+steps_st = st.integers(3, 3 * SAMPLE_CHUNK + 5)
+
+UNGUARDED = SolverOptions(guard=1, step_guard=np.inf, convergence_probe=False)
+
+
+@st.composite
+def generic_runs(draw):
+    """(scenario, generator, trajectory) for arbitrary bands, banded or dense."""
+    dim = draw(st.integers(3, 9))
+    s = dataclasses.replace(
+        tiny_scenario(),
+        omega=draw(coefficients),
+        alpha=draw(coefficients),
+        beta=draw(coefficients),
+        kappa=draw(st.floats(0.0, 1.0)),
+        grid=TimeGrid(0.0, 0.3, draw(steps_st)),
+        dim=dim,
+        guard=draw(st.integers(0, dim - 2)),
+    )
+    H = hamiltonian_fn(s)
+    if draw(st.booleans()):
+        H = GeneratorFn(H.fn, H.dim)  # no bands: the dense path
+    eta0 = initial_map(s, draw(amplitudes) * 0.3, draw(amplitudes) * 0.3)
+    options = dataclasses.replace(UNGUARDED, guard=s.guard)
+    return s, H, propagate_dyson(H, eta0, s.grid, options=options)
+
+
+def row_layout_deriv(H, grid):
+    """The column update of eta, as eta itself (not eta^T) is stored."""
+    half = grid.dt / 2.0
+    d, u, l = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
+    n = np.arange(H.dim, dtype=float)
+    root = np.sqrt(n[1:])
+
+    def deriv(t, y):
+        j = int(round((t - grid.t0) / half))
+        out = y * (d[j] * n)
+        out[:, 1:] += (u[j] * root) * y[:, :-1]
+        out[:, :-1] += (l[j] * root) * y[:, 1:]
+        return out
+
+    return deriv
+
+
+def single_state_deriv(H, grid):
+    """The row update of one state vector."""
+    half = grid.dt / 2.0
+    d, u, l = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
+    n = np.arange(H.dim, dtype=float)
+    root = np.sqrt(n[1:])
+
+    def deriv(t, y):
+        j = int(round((t - grid.t0) / half))
+        out = (d[j] * n) * y
+        out[:-1] += (u[j] * root) * y[1:]
+        out[1:] += (l[j] * root) * y[:-1]
+        return out
+
+    return deriv
+
+
+def assert_close(got, want, scale):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0))
+
+
+# -- stepping layouts ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=generic_runs(), seed=st.integers(0, 2**32 - 1))
+def test_transposed_map_stepping_is_bit_identical(run, seed):
+    s, H, _ = run
+    H = hamiltonian_fn(s)
+    rng = np.random.default_rng(seed)
+    eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+    reference = rk4_samples(row_layout_deriv(H, s.grid), eta0, s.grid)
+    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
+    assert np.array_equal(traj.etas, reference)
+    # the trajectory exposes a view of the eta^T storage, not a copy
+    assert traj.etas.base is not None and traj.etas.transpose(0, 2, 1).flags.c_contiguous
+
+
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # random states fill the guard
+@settings(max_examples=40, deadline=None)
+@given(run=generic_runs(), seed=st.integers(0, 2**32 - 1))
+def test_block_state_stepping_is_bit_identical(run, seed):
+    s, _, _ = run
+    H = hamiltonian_fn(s)
+    rng = np.random.default_rng(seed)
+    psis = [StateVector(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)) for _ in range(3)]
+    first = propagate_state(H, psis[0], s.grid, options=UNGUARDED, companions=psis[1:])
+    assert len(first.companions) == len(psis) - 1
+    deriv = single_state_deriv(H, s.grid)
+    for psi, traj in zip(psis, (first, *first.companions)):
+        assert np.array_equal(traj.amplitudes, rk4_samples(deriv, psi.vec, s.grid))
+        alone = propagate_state(H, psi, s.grid, options=UNGUARDED)
+        assert np.array_equal(traj.amplitudes, alone.amplitudes)
+
+
+# -- chunked residual passes ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=generic_runs(), stride=st.integers(1, 4), spacing=st.integers(1, 3))
+def test_trajectory_residuals_match_dense_formulas(run, stride, spacing):
+    s, H, traj = run
+    g = s.guard
+    rho0 = low_block(traj.rho0.mat, g)
+    den0 = max(float(np.linalg.norm(rho0)), 1e-14)
+    want = [np.linalg.norm(low_block(e.conj().T @ e, g) - rho0) / den0 for e in traj.etas]
+    assert_close(metric_constancy(traj).samples, want, 1.0)
+
+    r2, r7 = quasi_hermiticity_residuals(traj, H, stride=stride, spacing=spacing)
+    centers = np.arange(max(stride, spacing), s.grid.steps - spacing + 1, stride)
+    assert np.array_equal(r2.times, s.grid.t0 + centers * s.grid.dt)
+    want2, want7, dens, scale = [], [], [], []
+    for k in centers:
+        em, e0, ep = traj.etas[k - spacing], traj.etas[k], traj.etas[k + spacing]
+        rho = e0.conj().T @ e0
+        drho = (ep.conj().T @ ep - em.conj().T @ em) / (2.0 * spacing * s.grid.dt)
+        h = H(s.grid.t0 + k * s.grid.dt).mat
+        comm = h.conj().T @ rho - rho @ h
+        den = np.linalg.norm(low_block(rho @ h, g))
+        num = np.linalg.norm(low_block(comm, g))
+        want2.append(np.linalg.norm(low_block(comm + 1j * drho, g)))
+        want7.append(num / den if den > 1e-14 else num)
+        dens.append(den if den > 1e-14 else 1.0)
+        scale.append(np.linalg.norm(rho) * (np.linalg.norm(h) + 1.0 / s.grid.dt))
+    scale = np.array(scale)
+    assert_close(r2.samples, want2, scale)
+    # r7 divides by ||rho H||, so its rounding is relative to that scale
+    assert_close(r7.samples, want7, scale / np.maximum(np.array(dens), 1e-14))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=generic_runs(), g0=amplitudes, l0=amplitudes)
+def test_intertwining_residual_matches_dense_formula(run, g0, l0):
+    s, _, _ = run
+    num, den = _intertwining_residual(s, g0, l0)
+    eta0 = initial_map(s, g0, l0).mat
+    rho0 = eta0.conj().T @ eta0
+    nums, dens = [], []
+    for d, u, l in zip(*hamiltonian_fn(s).bands(s.grid.points)):
+        h = band_matrix(s.dim, d, u, l)
+        nums.append(np.linalg.norm(low_block(h.conj().T @ rho0 - rho0 @ h, s.guard)))
+        dens.append(np.linalg.norm(low_block(rho0 @ h, s.guard)))
+    worst = int(np.argmax(nums))
+    scale = np.linalg.norm(rho0) * max(np.linalg.norm(band_matrix(s.dim, *c))
+                                       for c in zip(*hamiltonian_fn(s).bands(s.grid.points)))
+    assert_close(num, nums[worst], scale)
+    assert_close(den, dens[worst], scale)
+
+
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
+@settings(max_examples=15, deadline=None)
+@given(steps=st.integers(50, 3 * SAMPLE_CHUNK + 5), stride=st.integers(1, 4),
+       theta0=st.one_of(st.just(0j), amplitudes.map(lambda z: 0.3 * z)))
+def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
+    s, _ = validated_scenario(tiny_scenario(dim=6, guard=2, grid=TimeGrid(0.0, 0.6, steps),
+                                            theta0=theta0))
+    lr = lr_pipeline(s)
+    H = hamiltonian_fn(s)
+    eta0 = initial_map(s, complex(s.gamma0), complex(s.lambda0))
+    traj = propagate_dyson(H, eta0, s.grid, options=s.solver_options(convergence_probe=False))
+    ks = np.arange(0, s.grid.steps + 1, stride)
+    if ks[-1] != s.grid.steps:
+        ks = np.append(ks, s.grid.steps)
+    ts = s.grid.t0 + ks * s.grid.dt
+
+    eq = equivalence_checks(s, traj, lr, stride=stride)
+    psi, psit = eq.states
+    rho0 = traj.rho0.mat
+    ref = complex(psi[0].vec.conj() @ (rho0 @ psit[0].vec))
+    x1 = quadratures(s.dim)[0].mat
+    sanity, fixed, obs, scale = [], [], [], []
+    for k, t in zip(ks, ts):
+        e = traj.etas[k]
+        a, b = psi[int(k)].vec, psit[int(k)].vec
+        ea, eb = e @ a, e @ b
+        rho = e.conj().T @ e
+        X1 = quadrature_observables(s, lr, float(t)).x1.mat
+        sanity.append(abs(complex(a.conj() @ (rho @ b)) - complex(ea.conj() @ eb)))
+        fixed.append(abs(complex(a.conj() @ (rho0 @ b)) - ref))
+        obs.append(abs(complex(a.conj() @ (rho @ (X1 @ b))) - complex(ea.conj() @ (x1 @ eb))))
+        scale.append(np.linalg.norm(rho) * (1.0 + np.linalg.norm(X1)))
+    assert_close(eq.sanity.samples, sanity, np.array(scale))
+    assert_close(eq.fixed_metric.samples, fixed, np.array(scale))
+    assert_close(eq.observable.samples, obs, np.array(scale))
+
+    iso = isospectrality_check(s, lr, traj, stride=stride)
+    for m, ser in iso.items():
+        want = []
+        for k, t in zip(ks, ts):
+            zeta = displacement(-np.conj(complex(lr.xi[k])), s.dim).mat[:, m]
+            w, _ = invert_apply(traj.eta(int(k)), StateVector(zeta))
+            energy = complex(counterpart_energy(s, m, float(t)))
+            defect = H(float(t)).mat @ w.vec - (energy / 2.0) * w.vec
+            want.append(np.linalg.norm(defect) / np.linalg.norm(w.vec))
+        assert_close(ser.samples, want, 1.0)
+
+    avn = analytic_vs_numeric(s, lr, traj, stride=stride, numeric=psi)
+    ev = analytic_evolution(s, lr)
+    phi0 = traj.eta0.mat @ basis_state(0, s.dim).vec
+    v0 = displacement(complex(s.theta0), s.dim).mat
+    want = []
+    for k in ks:
+        # U(t_k) = upsilon D[theta] R[chi] D[theta0]†, as dense products
+        v = lr.upsilon[k] * (displacement(complex(lr.theta[k]), s.dim).mat
+                             @ rotation(float(lr.chi[k]), s.dim).mat)
+        u = v @ v0.conj().T
+        assert np.max(np.abs(ev.U(int(k)).mat - u)) <= 1e-13
+        want.append(np.linalg.norm(np.linalg.solve(traj.etas[k], u @ phi0) - psi[int(k)].vec))
+    assert_close(avn.deviations, want, 1.0)
+
+
+# -- the conditioning floor ----------------------------------------------------
+
+
+def test_min_rcond_is_the_applied_floor(s1_workup):
+    _, _, _, traj = s1_workup
+    assert traj.options.rcond_floor == Tolerances().min_rcond
+    worst = float(np.min(traj.rcond))
+    assert 0.01 < worst < 0.5
+    with pytest.raises(IllConditionedError) as ei:
+        scenario_workup(load_bundled("s1"), tol=Tolerances(min_rcond=0.5))
+    assert ei.value.t is not None
+    assert ei.value.rcond == pytest.approx(worst)

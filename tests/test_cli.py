@@ -237,3 +237,19 @@ def test_diagnose_prints_check_table(work):
     assert "PASS pt_label=UNBROKEN" in proc.stdout
     assert "metric_constancy" in proc.stdout
     assert (out / "summary.json").exists()
+
+
+def test_outputs_do_not_depend_on_blas_threads(work):
+    # at dim 12 the LU solves of the isospectrality check used to move the
+    # summary in its last digits between one and two BLAS threads
+    outs = []
+    for threads in ("1", "2"):
+        out = work / f"threads{threads}"
+        proc = run_cli(
+            "run", "s1", "--set", "dim=12", "--set", "grid.steps=2000", "--out", str(out),
+            env_extra={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("summary.json", "series.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

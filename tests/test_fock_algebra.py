@@ -20,6 +20,7 @@ from dysonmap import (
     rotation,
     tail_mass,
 )
+from dysonmap.fock_algebra import displacements
 
 DIM = 16
 
@@ -77,6 +78,18 @@ def test_matrix_exponential_matches_scipy(scale):
     ref = scipy.linalg.expm(raw)
     rel = np.linalg.norm(ours - ref) / np.linalg.norm(ref)
     assert rel < 1e-12
+
+
+def test_stacked_displacements_match_scipy():
+    # amplitudes spanning several squaring counts, plus exp(0), which is exact
+    thetas = np.array([0.0, 0.05j, 0.7 - 0.2j, 3.0 + 1.0j, 12.0j])
+    stacked = displacements(thetas, DIM)
+    assert np.array_equal(stacked[0], np.eye(DIM))
+    assert np.array_equal(matrix_exponential(FockOperator(np.zeros((DIM, DIM)))).mat, np.eye(DIM))
+    a, ad = ladder_operators(DIM)
+    for theta, d in zip(thetas, stacked):
+        ref = scipy.linalg.expm(theta * ad.mat - np.conj(theta) * a.mat)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 _amplitudes = st.builds(
