@@ -37,7 +37,6 @@ from .fock_algebra import (
     tail_mass,
 )
 from .propagation import (
-    ConvergenceProbe,
     CounterpartSeries,
     DysonTrajectory,
     GeneratorFn,
@@ -63,7 +62,6 @@ from .model_oscillator import (
     analytic_evolution,
     closed_form_counterpart,
     counterpart_energy,
-    counterpart_fn,
     derive_initial_map_params,
     drive_functions,
     eigensystem,

@@ -31,13 +31,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .diagnostics import DiagnosticsReport, Tolerances, scenario_workup
+from .diagnostics import DiagnosticsReport, scenario_workup
 from .errors import (
     ConfigError,
     DivergenceError,
     DysonMapError,
     ExponentialRangeError,
     IllConditionedError,
+    InvalidDimensionError,
     NonPositiveMetricError,
     ScenarioInvalidError,
     SingularityError,
@@ -68,6 +69,7 @@ _COEFF_KEYS = {
 }
 
 _NUMERICAL_ERRORS = (
+    InvalidDimensionError,
     StepSizeError,
     DivergenceError,
     IllConditionedError,
@@ -468,7 +470,11 @@ def _cmd_sweep(args) -> int:
     _apply_sets(doc, args.set or [])
     key, values = _parse_axis(args.axis)
     payloads = [(doc, stem, key, float(v)) for v in values]
-    workers = int(os.environ.get("DYSONMAP_WORKERS", "1"))
+    raw = os.environ.get("DYSONMAP_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"DYSONMAP_WORKERS: expected an integer, got {raw!r}") from None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))

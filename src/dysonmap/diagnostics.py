@@ -223,7 +223,7 @@ def quasi_hermiticity_residuals(
     # H† rho - rho H needs rho on one level more than the block itself.
     # rho is still formed in full: a narrower product rounds differently,
     # and the stencil amplifies that by 1/(2 spacing dt).
-    levels = traj.dim if H.bands is None else min(traj.dim - g + 1, traj.dim)
+    levels = min(traj.dim - g + 1, traj.dim)
     k = traj.dim - g
     for sl in sample_chunks(centers.size):
         cs = centers[sl]
@@ -404,7 +404,7 @@ def analytic_vs_numeric(
         lr = lr_pipeline(s)
     if traj is None:
         traj = propagate_dyson(hamiltonian_fn(s), initial_map(s, s.gamma0, s.lambda0), s.grid,
-                               options=s.solver_options(convergence_probe=False))
+                               options=s.solver_options())
     if psi0 is None:
         psi0 = basis_state(0, s.dim)
     grid = s.grid
@@ -475,7 +475,7 @@ def scenario_workup(
 
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    options = s_run.solver_options(convergence_probe=False, rcond_floor=tol.min_rcond)
+    options = s_run.solver_options(rcond_floor=tol.min_rcond)
     traj = propagate_dyson(H, eta0, s_run.grid, options=options)
     check_conditioning(traj)
 

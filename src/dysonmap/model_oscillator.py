@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .propagation import (
     GeneratorFn,
     SolverOptions,
     TimeGrid,
-    band_matrix,
     rk4_samples,
     sample_chunks,
 )
@@ -168,8 +166,8 @@ class Scenario:
     validated: bool = False
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.dim < 2:
             raise InvalidDimensionError(f"dim must be >= 2, got {self.dim}")
         if not 0 <= self.guard < self.dim:
@@ -237,8 +235,7 @@ class ValidationReport:
 def hamiltonian_fn(s: Scenario) -> GeneratorFn:
     """The model Hamiltonian as a generator for the propagation module.
 
-    Its ladder bands (omega, kappa alpha, kappa beta) let propagation step
-    it as a tridiagonal update; calling it gives the dense matrix.
+    Its ladder bands are (omega, kappa alpha, kappa beta).
     """
 
     def bands(ts):
@@ -248,10 +245,7 @@ def hamiltonian_fn(s: Scenario) -> GeneratorFn:
             s.kappa * np.asarray(s.beta(ts)),
         )
 
-    def fn(t: float) -> FockOperator:
-        return FockOperator(band_matrix(s.dim, *bands(t)))
-
-    return GeneratorFn(fn=fn, dim=s.dim, bands=bands)
+    return GeneratorFn(dim=s.dim, bands=bands)
 
 
 def initial_map(s: Scenario, gamma0: complex, lambda0: complex) -> FockOperator:
@@ -641,41 +635,6 @@ def closed_form_counterpart(s: Scenario, lr: LRQuantities, k: int) -> FockOperat
     return FockOperator(
         2.0 * (om * nmat + u * a.mat + np.conj(u) * ad.mat + f * np.eye(s.dim))
     )
-
-
-def counterpart_fn(s: Scenario, lr: LRQuantities) -> GeneratorFn:
-    """h(t) as a generator, Hermitian by construction.
-
-    Reads u and f from the doubled-grid table so the stepper gets exact
-    values at half-step stage times; times off that lattice are refused by
-    the rounding guard below.
-    """
-    if lr.u is None:
-        raise ValueError("drive functions not computed; run drive_functions first")
-    a, ad = ladder_operators(s.dim)
-    nmat = number_operator(s.dim).mat
-    eye = np.eye(s.dim)
-    u_fine = lr.fine["u"]
-    f_fine = lr.fine["f"]
-    half_dt = s.grid.dt / 2.0
-
-    def fn(t: float) -> FockOperator:
-        x = (t - s.grid.t0) / half_dt
-        j = int(round(x))
-        if not 0 <= j < u_fine.size or abs(x - j) > 1e-6:
-            raise ValueError(f"t = {t} is not on the half-step lattice of {s.grid}")
-        u = complex(u_fine[j])
-        return FockOperator(
-            2.0
-            * (
-                complex(s.omega(t)) * nmat
-                + u * a.mat
-                + np.conj(u) * ad.mat
-                + float(f_fine[j].real) * eye
-            )
-        )
-
-    return GeneratorFn(fn=fn, dim=s.dim)
 
 
 def matrix_elements(s: Scenario, lr: LRQuantities, m: int, n: int, t: float) -> complex:

@@ -8,11 +8,10 @@ derives the Hermitian counterpart 2 eta H eta^-1 and finite-difference
 residuals for the defining relation.  A unitary variant integrates
 i d/dt U = U Hh(t) for Hermitian generators.
 
-Generators that carry ladder bands (H = d a†a + u a + l a†) are sampled
-once per grid and applied as a tridiagonal update; any other generator is
-called at every RK4 stage and multiplied densely.  The map is stepped as
-eta^T, so the banded update shifts contiguous rows; trajectories expose
-eta through a transposed view of that storage.
+A generator is its ladder bands (H = d a†a + u a + l a†): they are
+sampled once per grid and applied as a tridiagonal update.  The map is
+stepped as eta^T, so the banded update shifts contiguous rows;
+trajectories expose eta through a transposed view of that storage.
 """
 
 from __future__ import annotations
@@ -77,23 +76,17 @@ Bands = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True)
 class GeneratorFn:
-    """Generator H(t): a pure callable time -> FockOperator of fixed dim.
+    """Generator H(t) = d a†a + u a + l a† on a dim-level truncation.
 
-    ``bands``, when given, is the same generator in ladder form: a
-    vectorised map ts -> (d, u, l) with H(t) = d a†a + u a + l a†.
-    Propagation then samples it once per grid instead of calling ``fn`` at
-    every stage.
+    ``bands`` is a vectorised map ts -> (d, u, l); propagation samples it
+    once per grid.  Calling the generator gives the dense matrix at one t.
     """
 
-    fn: Callable[[float], FockOperator]
     dim: int
-    bands: Bands | None = None
+    bands: Bands
 
     def __call__(self, t: float) -> FockOperator:
-        h = self.fn(t)
-        if h.dim != self.dim:
-            raise ValueError(f"generator produced dim {h.dim}, declared {self.dim}")
-        return h
+        return FockOperator(band_matrix(self.dim, *self.bands(t)))
 
 
 @dataclass(frozen=True)
@@ -102,21 +95,6 @@ class SolverOptions:
     step_guard: float = 0.1        # refuse when max_t ||H(t)||_F * dt exceeds this
     rcond_floor: float = 1e-12
     tail_warn: float = 1e-8
-    convergence_probe: bool = True
-
-
-@dataclass(frozen=True)
-class ConvergenceProbe:
-    """Endpoint self-differences from coarsened reruns.
-
-    delta_fine = ||y_N(t1) - y_{N/2}(t1)||, delta_coarse the next halving;
-    observed_order = log2(delta_coarse/delta_fine), about 4 for RK4, None
-    when the differences sit at the floating-point floor.
-    """
-
-    delta_fine: float
-    delta_coarse: float
-    observed_order: float | None
 
 
 @dataclass(frozen=True)
@@ -125,7 +103,6 @@ class DysonTrajectory:
     etas: np.ndarray              # (steps+1, dim, dim), a view of the eta^T storage
     rcond: np.ndarray             # (steps+1,)
     options: SolverOptions
-    convergence: ConvergenceProbe | None
     rho0: FockOperator = field(init=False)
 
     def __post_init__(self):
@@ -281,17 +258,11 @@ def apply_generator(
 ) -> np.ndarray:
     """Stacked products H(t_i) ys[i], or ys[i] H(t_i) when ``right``.
 
-    ``adjoint`` applies H(t_i)† instead.  A banded generator is sampled
-    once at ts and applied as its tridiagonal update, on the leading
-    levels ys spans (its top row, or column when ``right``, then lacks the
-    couplings to the levels beyond); any other is called at every t and
-    multiplied densely.
+    ``adjoint`` applies H(t_i)† instead.  The generator is sampled once at
+    ts and applied as its tridiagonal update, on the leading levels ys
+    spans (its top row, or column when ``right``, then lacks the couplings
+    to the levels beyond).
     """
-    if H.bands is None:
-        hs = np.stack([H(float(t)).mat for t in ts])
-        if adjoint:
-            hs = np.conj(np.swapaxes(hs, -1, -2))
-        return ys @ hs if right else hs @ ys
     d, u, l = _band_table(H, np.asarray(ts, dtype=float))
     if adjoint:  # H† = d* a†a + l* a + u* a†
         d, u, l = np.conj(d), np.conj(l), np.conj(u)
@@ -309,12 +280,17 @@ def _band_norms(table: np.ndarray, dim: int) -> np.ndarray:
     return np.sqrt(d * np.sum(n**2) + (u + l) * np.sum(n))
 
 
+def _hermiticity_residuals(table: np.ndarray, dim: int) -> np.ndarray:
+    """||H - H†||_F / ||H||_F per column; H - H† has bands (d - d*, u - l*, l - u*)."""
+    d, u, l = table
+    scale = _band_norms(table, dim)
+    skew = _band_norms(np.array([d - np.conj(d), u - np.conj(l), l - np.conj(u)]), dim)
+    return skew / np.where(scale > _ABS_FALLBACK, scale, 1.0)
+
+
 def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
     """Refuse too-coarse grids, naming a workable step count."""
-    if H.bands is None:
-        max_norm = max(float(np.linalg.norm(H(t).mat)) for t in grid.points)
-    else:
-        max_norm = float(np.max(_band_norms(_band_table(H, grid.points), H.dim)))
+    max_norm = float(np.max(_band_norms(_band_table(H, grid.points), H.dim)))
     if max_norm * grid.dt > limit:
         needed = math.ceil((grid.t1 - grid.t0) * max_norm / limit)
         raise StepSizeError(
@@ -328,15 +304,10 @@ def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
     """deriv(t, y) for rk4_samples on grid: -i H(t)^T y (right) or -i H(t) y.
 
     The right-sided map equation i d eta/dt = eta H is stepped as its
-    transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  A
-    banded generator is sampled once on the half-step lattice t0 + j dt/2
-    that the RK4 stages visit, and each stage looks its coefficients up by
-    index.
+    transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  The
+    generator is sampled once on the half-step lattice t0 + j dt/2 that the
+    RK4 stages visit, and each stage looks its coefficients up by index.
     """
-    if H.bands is None:
-        if right:
-            return lambda t, y: -1j * (H(t).mat.T @ y)
-        return lambda t, y: -1j * (H(t).mat @ y)
     half = grid.dt / 2.0
     table = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
     d, u, l = table[:, :, None, None]
@@ -361,25 +332,6 @@ def _rcond_series(mats: np.ndarray) -> np.ndarray:
     return np.array([rcond_1norm(m, a) for m, a in zip(mats, anorms)])
 
 
-def _convergence_from_ends(
-    H: GeneratorFn, y0, grid: TimeGrid, end_full: np.ndarray
-) -> ConvergenceProbe | None:
-    """Rerun the map flow on the halved and quartered grids."""
-    if grid.steps < 8:
-        return None
-    ends = []
-    for steps in (grid.steps // 2, grid.steps // 4):
-        coarse = TimeGrid(grid.t0, grid.t1, steps)
-        ends.append(_map_samples(H, y0, coarse)[-1])
-    end_half, end_quarter = ends
-    d_fine = float(np.linalg.norm(end_full - end_half))
-    d_coarse = float(np.linalg.norm(end_half - end_quarter))
-    order = None
-    if d_fine > 1e-14 and d_coarse > 1e-14:
-        order = float(np.log2(d_coarse / d_fine))
-    return ConvergenceProbe(d_fine, d_coarse, order)
-
-
 def propagate_dyson(
     H: GeneratorFn,
     eta0: FockOperator,
@@ -389,26 +341,14 @@ def propagate_dyson(
     """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
 
     Refuses grids violating the step guard (with a workable step count in
-    the error); attaches per-sample reciprocal-condition estimates and, by
-    default, an order-4 convergence probe from coarsened reruns.
+    the error); attaches per-sample reciprocal-condition estimates.
     """
     options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
     _check_step_guard(H, grid, options.step_guard)
     etas = _map_samples(H, eta0.mat, grid)
-    conv = (
-        _convergence_from_ends(H, eta0.mat, grid, etas[-1])
-        if options.convergence_probe
-        else None
-    )
-    return DysonTrajectory(
-        grid=grid,
-        etas=etas,
-        rcond=_rcond_series(etas),
-        options=options,
-        convergence=conv,
-    )
+    return DysonTrajectory(grid=grid, etas=etas, rcond=_rcond_series(etas), options=options)
 
 
 def propagate_state(
@@ -531,11 +471,7 @@ def unitary_transform_propagate(
     if Hh.dim != U0.dim:
         raise ValueError(f"dimension mismatch: generator {Hh.dim}, U0 {U0.dim}")
     _check_step_guard(Hh, grid, options.step_guard)
-    rel = np.empty(grid.steps + 1)
-    for k, t in enumerate(grid.points):
-        m = Hh(t).mat
-        scale = float(np.linalg.norm(m))
-        rel[k] = np.linalg.norm(m - m.conj().T) / (scale if scale > _ABS_FALLBACK else 1.0)
+    rel = _hermiticity_residuals(_band_table(Hh, grid.points), Hh.dim)
     worst = int(np.argmax(rel))
     if rel[worst] > 1e-10:
         raise ValueError(
@@ -546,11 +482,4 @@ def unitary_transform_propagate(
     if uerr > 1e-10:
         raise ValueError(f"U0 not unitary: ||U0†U0 - I|| = {uerr:.3e}")
     us = _map_samples(Hh, U0.mat, grid)
-    conv = (
-        _convergence_from_ends(Hh, U0.mat, grid, us[-1])
-        if options.convergence_probe
-        else None
-    )
-    return DysonTrajectory(
-        grid=grid, etas=us, rcond=_rcond_series(us), options=options, convergence=conv
-    )
+    return DysonTrajectory(grid=grid, etas=us, rcond=_rcond_series(us), options=options)

@@ -12,6 +12,7 @@ import pytest
 
 from dysonmap import (
     CoefficientSpec,
+    GeneratorFn,
     Scenario,
     TimeGrid,
     hamiltonian_fn,
@@ -30,6 +31,15 @@ def load_bundled(name):
 
 def rebuild(s, **overrides):
     return dataclasses.replace(s, **overrides)
+
+
+def ladder_generator(dim, d, u=0.0, l=0.0):
+    """GeneratorFn for d a†a + u a + l a†; each coefficient a constant or a function of t."""
+
+    def sample(c, ts):
+        return np.broadcast_to(c(ts) if callable(c) else c, np.shape(ts)).astype(complex)
+
+    return GeneratorFn(dim=dim, bands=lambda ts: tuple(sample(c, ts) for c in (d, u, l)))
 
 
 def tiny_scenario(**overrides):
@@ -74,7 +84,7 @@ def time_independent_workup():
 
 @pytest.fixture(scope="session")
 def tiny_run():
-    """(s_run, H, traj) for the tiny scenario, convergence probe on."""
+    """(s_run, H, traj) for the tiny scenario."""
     s_run, _ = validated_scenario(tiny_scenario())
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))

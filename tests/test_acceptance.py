@@ -14,7 +14,6 @@ import scipy.linalg
 from dysonmap import (
     CoefficientSpec,
     FockOperator,
-    GeneratorFn,
     SolverOptions,
     TimeGrid,
     Tolerances,
@@ -28,10 +27,8 @@ from dysonmap import (
     identity,
     initial_map,
     invert_apply,
-    ladder_operators,
     low_block,
     lr_pipeline,
-    number_operator,
     phase_integrals,
     propagate_dyson,
     pt_analysis,
@@ -41,7 +38,7 @@ from dysonmap import (
     validated_scenario,
 )
 
-from conftest import load_bundled, rebuild
+from conftest import ladder_generator, load_bundled, rebuild
 
 TOL = Tolerances()
 SWEEP_KAPPAS = (0.1, 0.05, 0.025)
@@ -67,9 +64,7 @@ def r2_halving(s1_workup, s2_workup):
         fine = rebuild(s, grid=TimeGrid(s.grid.t0, s.grid.t1, 2 * s.grid.steps))
         H = hamiltonian_fn(fine)
         eta0 = initial_map(fine, complex(fine.gamma0), complex(fine.lambda0))
-        traj = propagate_dyson(
-            H, eta0, fine.grid, options=fine.solver_options(convergence_probe=False)
-        )
+        traj = propagate_dyson(H, eta0, fine.grid, options=fine.solver_options())
         r2_fine, _ = quasi_hermiticity_residuals(traj, H)
         out[name] = (report.series["r2"].max, r2_fine.max)
         del traj
@@ -85,9 +80,7 @@ def kappa_sweep(s1_workup):
         s_run, _ = validated_scenario(rebuild(load_bundled("s1"), kappa=kappa))
         H = hamiltonian_fn(s_run)
         eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-        traj = propagate_dyson(
-            H, eta0, s_run.grid, options=s_run.solver_options(convergence_probe=False)
-        )
+        traj = propagate_dyson(H, eta0, s_run.grid, options=s_run.solver_options())
         points[kappa] = (s_run, lr_pipeline(s_run), traj)
     return points
 
@@ -265,18 +258,9 @@ def test_criterion_09_time_independent_recovery(time_independent_workup):
 
 def test_criterion_10_unitary_transform():
     dim = 16
-    a, ad = ladder_operators(dim)
-    nmat = number_operator(dim).mat
-    drive = 0.3 * (a.mat + ad.mat)
-
-    def fn(t):
-        return FockOperator((1.0 + 0.25 * math.sin(t)) * nmat + drive)
-
-    Hh = GeneratorFn(fn=fn, dim=dim)
+    Hh = ladder_generator(dim, lambda t: 1.0 + 0.25 * np.sin(t), 0.3, 0.3)
     grid = TimeGrid(0.0, 2 * np.pi, 4000)
-    traj = unitary_transform_propagate(
-        Hh, identity(dim), grid, options=SolverOptions(guard=4, convergence_probe=False)
-    )
+    traj = unitary_transform_propagate(Hh, identity(dim), grid, options=SolverOptions(guard=4))
     dev = max(
         float(np.linalg.norm(u @ u.conj().T - np.eye(dim))) for u in traj.etas[::50]
     )

@@ -1,5 +1,7 @@
 """The banded model generator against its dense matrices (property tests)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from dysonmap import (
     CoefficientSpec,
-    GeneratorFn,
     InvalidDimensionError,
     Scenario,
     StepSizeError,
@@ -17,8 +18,9 @@ from dysonmap import (
     initial_map,
     propagate_dyson,
     propagate_state,
+    rk4_samples,
 )
-from dysonmap.propagation import _band_norms, _band_table, _rk4_deriv
+from dysonmap.propagation import _band_norms, _band_table, _hermiticity_residuals, _rk4_deriv
 
 GRID = TimeGrid(0.0, 1.5, 12)
 
@@ -44,11 +46,6 @@ scenarios = st.builds(
 )
 
 
-def dense_twin(H):
-    """The same generator without its bands, so propagation goes dense."""
-    return GeneratorFn(H.fn, H.dim)
-
-
 def rel_diff(a, b):
     scale = np.linalg.norm(b)
     return np.linalg.norm(a - b) / scale if scale > 0 else np.linalg.norm(a)
@@ -71,21 +68,27 @@ def test_banded_update_matches_dense_product(s, j, seed):
 @given(s=scenarios)
 def test_closed_form_norm_matches_dense(s):
     H = hamiltonian_fn(s)
-    closed = float(np.max(_band_norms(_band_table(H, GRID.points), s.dim)))
+    table = _band_table(H, GRID.points)
+    closed = float(np.max(_band_norms(table, s.dim)))
     dense = max(float(np.linalg.norm(H(t).mat)) for t in GRID.points)
     assert abs(closed - dense) <= 1e-12 * max(dense, 1e-300)
+    for t, rel in zip(GRID.points, _hermiticity_residuals(table, s.dim)):
+        m = H(t).mat
+        scale = np.linalg.norm(m)
+        want = np.linalg.norm(m - m.conj().T) / (scale if scale > 1e-14 else 1.0)
+        assert abs(rel - want) <= 1e-12
 
 
 def test_step_guard_recommendation_matches_dense(tiny_run):
     s_run, H, _ = tiny_run
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     coarse = TimeGrid(s_run.grid.t0, s_run.grid.t1, 50)
-    recommended = []
-    for gen in (H, dense_twin(H)):
-        with pytest.raises(StepSizeError) as ei:
-            propagate_dyson(gen, eta0, coarse, options=s_run.solver_options())
-        recommended.append(ei.value.recommended_steps)
-    assert recommended[0] == recommended[1]
+    options = s_run.solver_options()
+    with pytest.raises(StepSizeError) as ei:
+        propagate_dyson(H, eta0, coarse, options=options)
+    dense_max = max(float(np.linalg.norm(H(t).mat)) for t in coarse.points)
+    span = coarse.t1 - coarse.t0
+    assert ei.value.recommended_steps == math.ceil(span * dense_max / options.step_guard)
 
 
 def test_banded_trajectories_match_dense():
@@ -102,12 +105,11 @@ def test_banded_trajectories_match_dense():
     eta0 = initial_map(s, 0.1j, 0j)
     opts = s.solver_options()
     banded = propagate_dyson(H, eta0, s.grid, options=opts)
-    dense = propagate_dyson(dense_twin(H), eta0, s.grid, options=opts)
-    assert np.max(np.abs(banded.etas - dense.etas)) < 1e-12
-    assert banded.convergence.delta_fine == pytest.approx(dense.convergence.delta_fine, rel=1e-6)
+    dense = rk4_samples(lambda t, y: -1j * (y @ H(t).mat), eta0.mat, s.grid)
+    assert np.max(np.abs(banded.etas - dense)) < 1e-12
     psi0 = basis_state(1, s.dim)
     a = propagate_state(H, psi0, s.grid, options=opts).amplitudes
-    b = propagate_state(dense_twin(H), psi0, s.grid, options=opts).amplitudes
+    b = rk4_samples(lambda t, y: -1j * (H(t).mat @ y), psi0.vec, s.grid)
     assert np.max(np.abs(a - b)) < 1e-12
 
 

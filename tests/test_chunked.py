@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from dysonmap import (
     CoefficientSpec,
     FockOperator,
-    GeneratorFn,
     IllConditionedError,
     SolverOptions,
     StateVector,
@@ -61,12 +60,12 @@ coefficients = st.one_of(
 # Chunk boundaries fall inside these sample counts for every stride.
 steps_st = st.integers(3, 3 * SAMPLE_CHUNK + 5)
 
-UNGUARDED = SolverOptions(guard=1, step_guard=np.inf, convergence_probe=False)
+UNGUARDED = SolverOptions(guard=1, step_guard=np.inf)
 
 
 @st.composite
 def generic_runs(draw):
-    """(scenario, generator, trajectory) for arbitrary bands, banded or dense."""
+    """(scenario, generator, trajectory) for arbitrary bands."""
     dim = draw(st.integers(3, 9))
     s = dataclasses.replace(
         tiny_scenario(),
@@ -79,8 +78,6 @@ def generic_runs(draw):
         guard=draw(st.integers(0, dim - 2)),
     )
     H = hamiltonian_fn(s)
-    if draw(st.booleans()):
-        H = GeneratorFn(H.fn, H.dim)  # no bands: the dense path
     eta0 = initial_map(s, draw(amplitudes) * 0.3, draw(amplitudes) * 0.3)
     options = dataclasses.replace(UNGUARDED, guard=s.guard)
     return s, H, propagate_dyson(H, eta0, s.grid, options=options)
@@ -224,7 +221,7 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     lr = lr_pipeline(s)
     H = hamiltonian_fn(s)
     eta0 = initial_map(s, complex(s.gamma0), complex(s.lambda0))
-    traj = propagate_dyson(H, eta0, s.grid, options=s.solver_options(convergence_probe=False))
+    traj = propagate_dyson(H, eta0, s.grid, options=s.solver_options())
     ks = np.arange(0, s.grid.steps + 1, stride)
     if ks[-1] != s.grid.steps:
         ks = np.append(ks, s.grid.steps)

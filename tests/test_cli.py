@@ -136,10 +136,11 @@ class TestRun:
 
 
 class TestConfigErrors:
-    def test_negative_kappa(self, work):
-        proc = run_cli("run", str(work / "tiny.yaml"), "--set", "kappa=-0.2")
-        assert proc.returncode == 2
-        assert "configuration error" in proc.stderr
+    @pytest.mark.parametrize("kappa", ["-0.2", ".nan", ".inf"])
+    def test_negative_kappa(self, work, kappa):
+        proc = run_cli("run", str(work / "tiny.yaml"), "--set", f"kappa={kappa}")
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: kappa must be >= 0 and finite" in proc.stderr
 
     def test_unknown_key_suggests_nearest(self, work):
         proc = run_cli("run", str(work / "tiny.yaml"), "--set", "omga=2.0")
@@ -160,6 +161,14 @@ class TestConfigErrors:
         proc = run_cli("run", str(work / "tiny.yaml"), "--set", "grid.steps=50")
         assert proc.returncode == 3
         assert "1416" in proc.stderr
+
+    def test_non_finite_coefficient_maps_to_exit_3(self):
+        proc = run_cli(
+            "diagnose", "s1", "--set", "dim=8", "--set", "guard=2", "--set", "grid.steps=400",
+            "--set", "alpha={form: exp_ramp, c: 1.0, sigma: 800.0}",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure: operator entries must be finite" in proc.stderr
 
 
 class TestSweep:
@@ -198,6 +207,14 @@ class TestSweep:
         assert parallel.returncode == 3, parallel.stderr
         assert "numerical failure: step guard" in parallel.stderr
         assert parallel.stderr == serial.stderr
+
+    def test_workers_must_be_an_integer(self, work):
+        proc = run_cli(
+            "sweep", str(work / "tiny.yaml"), "--axis", "kappa:0.05:0.1:2",
+            "--out", str(work / "sweep_bad_workers"), env_extra={"DYSONMAP_WORKERS": "abc"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error: DYSONMAP_WORKERS: expected an integer" in proc.stderr
 
 
 class TestPtPhase:

@@ -7,7 +7,6 @@ import scipy.linalg
 from dysonmap import (
     DivergenceError,
     FockOperator,
-    GeneratorFn,
     IllConditionedError,
     SolverOptions,
     StateVector,
@@ -16,7 +15,6 @@ from dysonmap import (
     basis_state,
     dyson_relation_residual,
     grid_index,
-    hamiltonian_fn,
     hermitian_counterpart,
     identity,
     initial_map,
@@ -26,12 +24,10 @@ from dysonmap import (
     propagate_dyson,
     propagate_state,
     rk4_samples,
+    unitary_transform_propagate,
 )
 
-
-def const_generator(mat, dim):
-    op = FockOperator(np.asarray(mat, dtype=complex))
-    return GeneratorFn(lambda t: op, dim)
+from conftest import ladder_generator
 
 
 class TestTimeGrid:
@@ -73,20 +69,25 @@ def test_rk4_scalar_exponential_decay():
 )
 def test_diagonal_map_matches_closed_form(drift, phase):
     dim = 12
-    n = number_operator(dim).mat
-    H = GeneratorFn(lambda t: FockOperator(drift(t) * n), dim)
+    H = ladder_generator(dim, drift)
     grid = TimeGrid(0.0, 1.0, 1200)
-    traj = propagate_dyson(H, identity(dim), grid, options=SolverOptions(guard=4, convergence_probe=False))
+    traj = propagate_dyson(H, identity(dim), grid, options=SolverOptions(guard=4))
     closed = np.diag(np.exp(-1j * phase * np.arange(dim)))
     assert np.max(np.abs(traj.etas[-1] - closed)) < 1e-8
 
 
 def test_convergence_probe_reports_fourth_order(tiny_run):
-    _, _, traj = tiny_run
-    probe = traj.convergence
-    assert probe is not None
-    assert 3.9 < probe.observed_order < 4.1
-    assert probe.delta_fine < probe.delta_coarse
+    s_run, H, _ = tiny_run
+    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
+    grid = s_run.grid
+    coarse_ok = s_run.solver_options(step_guard=np.inf)  # N/4 steps is past the step guard
+    ends = [
+        propagate_dyson(H, eta0, TimeGrid(grid.t0, grid.t1, steps), options=coarse_ok).etas[-1]
+        for steps in (grid.steps, grid.steps // 2, grid.steps // 4)
+    ]
+    delta_fine = np.linalg.norm(ends[0] - ends[1])
+    delta_coarse = np.linalg.norm(ends[1] - ends[2])
+    assert 3.9 < np.log2(delta_coarse / delta_fine) < 4.1
 
 
 def test_step_guard_recommends_workable_count(tiny_run):
@@ -98,22 +99,17 @@ def test_step_guard_recommends_workable_count(tiny_run):
     rec = ei.value.recommended_steps
     assert 1000 < rec < 2000
     ok = TimeGrid(s_run.grid.t0, s_run.grid.t1, rec)
-    traj = propagate_dyson(
-        H, eta0, ok, options=s_run.solver_options(convergence_probe=False)
-    )
+    traj = propagate_dyson(H, eta0, ok, options=s_run.solver_options())
     assert len(traj.etas) == rec + 1
 
 
 def test_divergence_reports_first_bad_time():
     dim = 6
-    n = number_operator(dim).mat
-    H = GeneratorFn(lambda t: FockOperator(150j * n), dim)
+    H = ladder_generator(dim, 150j)
     grid = TimeGrid(0.0, 1.0, 12000)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as ei:
-            propagate_dyson(
-                H, identity(dim), grid, options=SolverOptions(guard=2, convergence_probe=False)
-            )
+            propagate_dyson(H, identity(dim), grid, options=SolverOptions(guard=2))
     assert "t =" in str(ei.value)
     assert 0.0 < ei.value.t <= 1.0
 
@@ -122,7 +118,7 @@ def test_propagate_state_matches_expm():
     dim = 12
     a, ad = ladder_operators(dim)
     hmat = number_operator(dim).mat + 0.3 * (a.mat + ad.mat)
-    H = const_generator(hmat, dim)
+    H = ladder_generator(dim, 1.0, 0.3, 0.3)
     grid = TimeGrid(0.0, 1.0, 1200)
     traj = propagate_state(H, basis_state(0, dim), grid, options=SolverOptions(guard=3))
     assert len(traj) == 1201
@@ -157,13 +153,21 @@ def test_near_singular_map_refused():
     dim = 6
     diag = np.ones(dim, dtype=complex)
     diag[-1] = 1e-13
-    H = GeneratorFn(lambda t: number_operator(dim), dim)
+    H = ladder_generator(dim, 1.0)
     grid = TimeGrid(0.0, 0.1, 20)
-    traj = propagate_dyson(
-        H,
-        FockOperator(np.diag(diag)),
-        grid,
-        options=SolverOptions(guard=2, convergence_probe=False),
-    )
+    traj = propagate_dyson(H, FockOperator(np.diag(diag)), grid, options=SolverOptions(guard=2))
     with pytest.raises(IllConditionedError):
         hermitian_counterpart(traj, H)
+
+
+def test_unitary_transform_refuses_non_hermitian_generator():
+    # u = 0.3 against l* = 0.3 - 0.1i t: Hermitian at t = 0 only, worst at t = 1
+    H = ladder_generator(8, 1.0, 0.3, lambda t: 0.3 + 0.1j * t)
+    with pytest.raises(ValueError, match=r"not Hermitian: residual \S+ at t = 1$"):
+        unitary_transform_propagate(H, identity(8), TimeGrid(0.0, 1.0, 200))
+
+
+def test_unitary_transform_refuses_non_unitary_start():
+    H = ladder_generator(8, 1.0, 0.3, 0.3)
+    with pytest.raises(ValueError, match="U0 not unitary"):
+        unitary_transform_propagate(H, FockOperator(2.0 * np.eye(8)), TimeGrid(0.0, 1.0, 200))
