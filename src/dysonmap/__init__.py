@@ -59,11 +59,9 @@ from .model_oscillator import (
     QuadraturePair,
     Scenario,
     ValidationReport,
-    analytic_evolution,
     closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
-    drive_functions,
     eigensystem,
     grid_index,
     hamiltonian_fn,
@@ -72,14 +70,11 @@ from .model_oscillator import (
     lr_pipeline,
     matrix_elements,
     matrix_elements_direct,
-    phase_integrals,
     pt_analysis,
     quadrature_observables,
-    solve_theta,
     validated_scenario,
 )
 from .diagnostics import (
-    AnalyticNumericSummary,
     CheckOutcome,
     DiagnosticsReport,
     EquivalenceSeries,

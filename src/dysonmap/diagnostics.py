@@ -23,10 +23,10 @@ import numpy as np
 from .errors import ScenarioInvalidError
 from .fock_algebra import StateVector, basis_state, displacements, low_block
 from .model_oscillator import (
+    AnalyticEvolution,
     LRQuantities,
     Scenario,
     ValidationReport,
-    analytic_evolution,
     counterpart_energy,
     hamiltonian_fn,
     initial_map,
@@ -147,6 +147,15 @@ class DiagnosticsReport:
 
 def default_stride(steps: int, target: int = 1600) -> int:
     return max(1, steps // target)
+
+
+def _strided_indices(steps: int, stride: int | None, target: int) -> np.ndarray:
+    """Every stride-th grid index (default from target), ending on the last."""
+    st = default_stride(steps, target) if stride is None else stride
+    ks = np.arange(0, steps + 1, st)
+    if ks[-1] != steps:
+        ks = np.append(ks, steps)
+    return ks
 
 
 def _metrics(etas: np.ndarray) -> np.ndarray:
@@ -283,10 +292,7 @@ def equivalence_checks(
                           companions=pair[1:])
     (psit,) = psi.companions
     grid = s.grid
-    st = default_stride(grid.steps) if stride is None else stride
-    ks = np.arange(0, grid.steps + 1, st)
-    if ks[-1] != grid.steps:
-        ks = np.append(ks, grid.steps)
+    ks = _strided_indices(grid.steps, stride, target=1600)
     ts = grid.t0 + ks * grid.dt
     rho0 = traj.rho0.mat
     ref = complex(pair[0].vec.conj() @ (rho0 @ pair[1].vec))
@@ -340,13 +346,8 @@ def isospectrality_check(
     reciprocal condition number is checked against the trajectory's
     rcond_floor.
     """
-    if lr.xi is None:
-        raise ValueError("drive functions not computed; run drive_functions first")
     grid = s.grid
-    st = default_stride(grid.steps, target=400) if stride is None else stride
-    ks = np.arange(0, grid.steps + 1, st)
-    if ks[-1] != grid.steps:
-        ks = np.append(ks, grid.steps)
+    ks = _strided_indices(grid.steps, stride, target=400)
     ts = grid.t0 + ks * grid.dt
     check_conditioning(traj, ks)
     H = hamiltonian_fn(s)
@@ -364,71 +365,45 @@ def isospectrality_check(
     }
 
 
-@dataclass(frozen=True)
-class AnalyticNumericSummary:
-    """Deviation of the closed-form propagator route from direct stepping.
-
-    The deviation is first order in the drive strength at generic interior
-    times and second order at times where the accumulated drive phase
-    closes (the bundled grids end at such a time); both numbers are
-    exposed, and the terminal value is the figure of merit for scaling
-    checks.
-    """
-
-    times: np.ndarray
-    deviations: np.ndarray
-    terminal: float
-    max: float
-
-
 def analytic_vs_numeric(
     s: Scenario,
-    lr: LRQuantities | None = None,
-    traj: DysonTrajectory | None = None,
+    lr: LRQuantities,
+    traj: DysonTrajectory,
     psi0: StateVector | None = None,
     *,
     stride: int | None = None,
     numeric: StateTrajectory | None = None,
-) -> AnalyticNumericSummary:
-    """Compare eta^-1(t) U(t) eta(t0) |psi0> against stepping under H.
+) -> ResidualSeries:
+    """||eta^-1(t) U(t) eta(t0) |psi0> - psi(t)|| against stepping under H.
 
-    ``numeric`` reuses an existing stepping of |psi0> on the scenario grid
-    instead of propagating it again.
+    The deviation is first order in the drive strength at generic interior
+    times and second order at times where the accumulated drive phase
+    closes (the bundled grids end at such a time); the series' terminal
+    value is the figure of merit for scaling checks.  ``numeric`` reuses an
+    existing stepping of |psi0> on the scenario grid instead of
+    propagating it again.
     """
     if not s.validated:
         raise ScenarioInvalidError(
             "analytic route needs a validated scenario",
             failed_checks=("not_validated",),
         )
-    if lr is None:
-        lr = lr_pipeline(s)
-    if traj is None:
-        traj = propagate_dyson(hamiltonian_fn(s), initial_map(s, s.gamma0, s.lambda0), s.grid,
-                               options=s.solver_options())
     if psi0 is None:
         psi0 = basis_state(0, s.dim)
     grid = s.grid
-    st = default_stride(grid.steps, target=800) if stride is None else stride
-    ks = np.arange(0, grid.steps + 1, st)
-    if ks[-1] != grid.steps:
-        ks = np.append(ks, grid.steps)
+    ks = _strided_indices(grid.steps, stride, target=800)
     if numeric is None:
         numeric = propagate_state(hamiltonian_fn(s), psi0, grid, options=traj.options)
     elif numeric.grid != grid or not np.array_equal(numeric.amplitudes[0], psi0.vec):
         raise ValueError("numeric trajectory does not start from psi0 on the scenario grid")
-    ev = analytic_evolution(s, lr)
+    ev = AnalyticEvolution(s, lr)
     phi0 = traj.eta0.mat @ psi0.vec
     devs = np.empty(ks.size)
     for sl in sample_chunks(ks.size):
         w = np.linalg.solve(traj.etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
         devs[sl] = np.linalg.norm(w - numeric.amplitudes[ks[sl]], axis=1)
     ts = grid.t0 + ks * grid.dt
-    return AnalyticNumericSummary(
-        times=ts.astype(float),
-        deviations=devs,
-        terminal=float(devs[-1]),
-        max=float(np.max(devs)),
-    )
+    return ResidualSeries(name="analytic_vs_numeric", times=ts.astype(float), samples=devs)
 
 
 def _bounded(
@@ -520,12 +495,11 @@ def scenario_workup(
 
     if lr is not None:
         avn = analytic_vs_numeric(s_run, lr, traj, numeric=eq.states[0])
-        ser = ResidualSeries(name="analytic_vs_numeric", times=avn.times, samples=avn.deviations)
-        series[ser.name] = ser
+        series[avn.name] = avn
         checks.append(
             _bounded(
                 "analytic_vs_numeric",
-                ser,
+                avn,
                 env2,
                 f"terminal deviation; interior max {avn.max:.3e}",
                 value=avn.terminal,

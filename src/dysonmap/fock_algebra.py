@@ -75,36 +75,12 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         return FockOperator(self.mat.conj().T)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
-    def low_block(self, guard: int = DEFAULT_GUARD) -> np.ndarray:
-        """Restriction to the bottom (dim - guard) levels; see `low_block`."""
-        return low_block(self.mat, guard)
-
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
             return FockOperator(self.mat @ other.mat)
         if isinstance(other, StateVector):
             return StateVector(self.mat @ other.vec)
         return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.mat + other.mat)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.mat - other.mat)
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
-            return FockOperator(self.mat * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"FockOperator(dim={self.dim})"
@@ -129,9 +105,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.vec.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
 
     def __repr__(self):
         return f"StateVector(dim={self.dim})"

@@ -20,7 +20,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -183,29 +183,28 @@ class Scenario:
         return SolverOptions(guard=self.guard, **overrides)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LRQuantities:
     """Sampled closed-form quantities of the displaced-number solution.
 
-    Filled progressively: phase_integrals -> chi, alpha_tilde, beta_tilde;
-    drive_functions -> u, f, xi; solve_theta -> theta; lr_phase -> phase
-    base, upsilon and the per-m phases.  Public arrays live on the scenario
-    grid; `fine` holds doubled-grid samples so the scalar stepper sees
-    exact midpoint values.
+    Built whole by lr_pipeline; every array holds one sample per point of
+    `grid` and is read-only.
     """
 
     grid: TimeGrid
     chi: np.ndarray
     alpha_tilde: np.ndarray
     beta_tilde: np.ndarray
-    u: np.ndarray | None = None
-    f: np.ndarray | None = None
-    xi: np.ndarray | None = None
-    theta: np.ndarray | None = None
-    phase_base: np.ndarray | None = None
-    upsilon: np.ndarray | None = None
-    Phi: dict[int, np.ndarray] = field(default_factory=dict)
-    fine: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    u: np.ndarray
+    f: np.ndarray
+    xi: np.ndarray
+    theta: np.ndarray
+    phase_base: np.ndarray
+    upsilon: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -378,100 +377,6 @@ def _cumulative_simpson_complex(y: np.ndarray, dx: float) -> np.ndarray:
     return re + 0j
 
 
-def phase_integrals(s: Scenario) -> LRQuantities:
-    """chi, alpha_tilde, beta_tilde cumulative from t0.
-
-    chi comes from the exact antiderivative of omega (all coefficient forms
-    have one); the drive integrals use composite Simpson, evaluated on a
-    doubled grid so later ODE stages can read exact midpoint samples.
-    """
-    _require_validated(s)
-    grid = s.grid
-    ts_fine = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
-    dx = grid.dt / 2.0
-
-    chi_c = np.asarray(s.omega.integral(ts_fine, grid.t0))
-    if np.max(np.abs(chi_c.imag)) > _REAL_TOL:
-        raise ScenarioInvalidError(
-            "accumulated frequency phase has an imaginary part",
-            failed_checks=("i",),
-        )
-    chi_fine = chi_c.real
-    al_fine = np.asarray(s.alpha(ts_fine))
-    be_fine = np.asarray(s.beta(ts_fine))
-    at_fine = _cumulative_simpson_complex(al_fine * np.exp(1j * chi_fine), dx)
-    bt_fine = _cumulative_simpson_complex(be_fine * np.exp(-1j * chi_fine), dx)
-
-    lr = LRQuantities(
-        grid=grid,
-        chi=chi_fine[::2].copy(),
-        alpha_tilde=at_fine[::2].copy(),
-        beta_tilde=bt_fine[::2].copy(),
-    )
-    lr.fine.update(
-        ts=ts_fine, chi=chi_fine, alpha_tilde=at_fine, beta_tilde=bt_fine,
-        alpha=al_fine, beta=be_fine, omega=np.asarray(s.omega(ts_fine)),
-    )
-    return lr
-
-
-def drive_functions(s: Scenario, lr: LRQuantities) -> LRQuantities:
-    """u, f, xi from the accumulated drive integrals.
-
-    u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi};
-    f = |u|^2/omega at first order, [|u|^2 - kappa^2 alpha beta]/omega at
-    second order; xi = u/omega.
-    """
-    _require_validated(s)
-    om_fine = lr.fine["omega"]
-    if np.min(np.abs(om_fine)) < _OMEGA_FLOOR:
-        raise SingularityError("omega(t) vanishes on the grid; drive functions divide by it")
-    g0 = complex(s.gamma0)
-    u_fine = om_fine * (g0 - 1j * s.kappa * lr.fine["alpha_tilde"]) + s.kappa * lr.fine[
-        "alpha"
-    ] * np.exp(1j * lr.fine["chi"])
-    if s.perturbation_order == 1:
-        f_fine = (np.abs(u_fine) ** 2) / om_fine
-    else:
-        f_fine = (np.abs(u_fine) ** 2 - s.kappa**2 * lr.fine["alpha"] * lr.fine["beta"]) / om_fine
-    lr.fine.update(u=u_fine, f=f_fine)
-    lr.u = u_fine[::2].copy()
-    lr.f = f_fine[::2].real.copy()
-    lr.xi = (u_fine[::2] / om_fine[::2]).copy()
-    return lr
-
-
-def solve_theta(s: Scenario, lr: LRQuantities) -> LRQuantities:
-    """Displacement amplitude from i theta' = 2 omega theta + u*.
-
-    Same RK4 stepper as every other equation in the package; the doubled
-    drive table supplies exact u samples at the half-step stage times.
-    """
-    if lr.u is None:
-        raise ValueError("drive functions not computed; run drive_functions first")
-    grid = s.grid
-    u_fine = lr.fine["u"]
-    half_dt = grid.dt / 2.0
-
-    def deriv(t, y):
-        j = int(round((t - grid.t0) / half_dt))
-        return -1j * (2.0 * complex(s.omega(t)) * y + np.conj(u_fine[j]))
-
-    samples = rk4_samples(deriv, np.asarray(complex(s.theta0)), grid)
-    lr.theta = samples.astype(complex)
-    return lr
-
-
-def _ensure_phase_base(s: Scenario, lr: LRQuantities):
-    if lr.phase_base is not None:
-        return
-    if lr.theta is None:
-        raise ValueError("theta not computed; run solve_theta first")
-    integrand = lr.f + (lr.u * lr.theta).real
-    lr.phase_base = _cumulative_simpson_complex(integrand, s.grid.dt).real
-    lr.upsilon = np.exp(-1j * lr.phase_base)
-
-
 def lr_phase(s: Scenario, lr: LRQuantities, m: int) -> np.ndarray:
     """Phase Phi_m(t) = -int [2 omega m + f + Re(u theta)].
 
@@ -483,10 +388,7 @@ def lr_phase(s: Scenario, lr: LRQuantities, m: int) -> np.ndarray:
         raise InvalidDimensionError(
             f"phase index m={m} inside the guard band of dim {s.dim}"
         )
-    _ensure_phase_base(s, lr)
-    phi = -(lr.phase_base + 2.0 * m * lr.chi)
-    lr.Phi[m] = phi
-    return phi
+    return -(lr.phase_base + 2.0 * m * lr.chi)
 
 
 @dataclass(frozen=True)
@@ -524,22 +426,6 @@ class AnalyticEvolution:
 
     def U(self, k: int) -> FockOperator:
         return FockOperator(self.Us([k])[0])
-
-    def basis_state(self, m: int, k: int) -> StateVector:
-        """|phi_m(t_k)> = V(t_k)|m>."""
-        if not 0 <= m < self.scenario.dim - self.scenario.guard:
-            raise InvalidDimensionError(
-                f"basis index m={m} inside the guard band of dim {self.scenario.dim}"
-            )
-        return StateVector(self.V(k).mat[:, m])
-
-
-def analytic_evolution(s: Scenario, lr: LRQuantities) -> AnalyticEvolution:
-    """Bundle the closed-form evolution operators; requires a full pipeline."""
-    if lr.theta is None:
-        raise ValueError("theta not computed; run solve_theta first")
-    _ensure_phase_base(s, lr)
-    return AnalyticEvolution(scenario=s, lr=lr)
 
 
 def grid_index(grid: TimeGrid, t: float) -> int:
@@ -625,8 +511,6 @@ def quadrature_observables(
 
 def closed_form_counterpart(s: Scenario, lr: LRQuantities, k: int) -> FockOperator:
     """h(t_k) = 2 [omega a†a + u a + u* a† + f] from the drive functions."""
-    if lr.u is None:
-        raise ValueError("drive functions not computed; run drive_functions first")
     a, ad = ladder_operators(s.dim)
     nmat = number_operator(s.dim).mat
     u = complex(lr.u[k])
@@ -650,8 +534,6 @@ def matrix_elements(s: Scenario, lr: LRQuantities, m: int, n: int, t: float) -> 
         raise InvalidDimensionError(f"indices ({m},{n}) inside the guard band of dim {s.dim}")
     if abs(m - n) > 1:
         return 0j
-    if lr.theta is None:
-        raise ValueError("theta not computed; run solve_theta first")
     k = grid_index(s.grid, t)
     om = complex(s.omega(t))
     th = complex(lr.theta[k])
@@ -672,8 +554,7 @@ def matrix_elements_direct(
 ) -> complex:
     """Cross-check: <m| V†(t) (h(t)/2) V(t) |n> by dense matrix products."""
     k = grid_index(s.grid, t)
-    ev = analytic_evolution(s, lr)
-    v = ev.V(k).mat
+    v = AnalyticEvolution(s, lr).V(k).mat
     half_h = closed_form_counterpart(s, lr, k).mat / 2.0
     return complex(v[:, m].conj() @ (half_h @ v[:, n]))
 
@@ -702,8 +583,6 @@ def eigensystem(s: Scenario, lr: LRQuantities, m: int, t: float) -> EigenPair:
         raise InvalidDimensionError(
             f"eigenindex m={m} too close to the truncation edge (dim {s.dim}, guard {s.guard})"
         )
-    if lr.xi is None:
-        raise ValueError("drive functions not computed; run drive_functions first")
     k = grid_index(s.grid, t)
     om = complex(s.omega(t))
     if abs(om) < _OMEGA_FLOOR:
@@ -778,9 +657,64 @@ def pt_analysis(s: Scenario, *, symmetry_samples: int = 513) -> PTReport:
 
 
 def lr_pipeline(s: Scenario) -> LRQuantities:
-    """phase_integrals + drive_functions + solve_theta + phase base, chained."""
-    lr = phase_integrals(s)
-    lr = drive_functions(s, lr)
-    lr = solve_theta(s, lr)
-    _ensure_phase_base(s, lr)
-    return lr
+    """The displaced-number solution on the scenario grid, built whole.
+
+    omega, alpha and beta are sampled once on the doubled grid t0 + j dt/2,
+    so the theta stepper reads exact values at the RK4 half-step stage
+    times.  chi comes from the exact antiderivative of omega (all
+    coefficient forms have one); the drive integrals alpha_tilde,
+    beta_tilde use composite Simpson.  Then
+
+        u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi},
+        f = [|u|^2 - kappa^2 alpha beta]/omega (|u|^2/omega at first order),
+        xi = u/omega,  i theta' = 2 omega theta + u*,
+
+    with theta on the same RK4 stepper as every other equation in the
+    package, and the phase base int [f + Re(u theta)] with upsilon =
+    exp(-i phase base).
+    """
+    _require_validated(s)
+    grid = s.grid
+    ts = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
+    half_dt = grid.dt / 2.0
+
+    chi_c = np.asarray(s.omega.integral(ts, grid.t0))
+    if np.max(np.abs(chi_c.imag)) > _REAL_TOL:
+        raise ScenarioInvalidError(
+            "accumulated frequency phase has an imaginary part",
+            failed_checks=("i",),
+        )
+    chi = chi_c.real
+    om = np.asarray(s.omega(ts))
+    al = np.asarray(s.alpha(ts))
+    be = np.asarray(s.beta(ts))
+    at = _cumulative_simpson_complex(al * np.exp(1j * chi), half_dt)
+    bt = _cumulative_simpson_complex(be * np.exp(-1j * chi), half_dt)
+
+    if np.min(np.abs(om)) < _OMEGA_FLOOR:
+        raise SingularityError("omega(t) vanishes on the grid; drive functions divide by it")
+    u = om * (complex(s.gamma0) - 1j * s.kappa * at) + s.kappa * al * np.exp(1j * chi)
+    if s.perturbation_order == 1:
+        f = (np.abs(u) ** 2) / om
+    else:
+        f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
+
+    def deriv(t, y):
+        j = int(round((t - grid.t0) / half_dt))
+        return -1j * (2.0 * om[j] * y + np.conj(u[j]))
+
+    theta = rk4_samples(deriv, np.asarray(complex(s.theta0)), grid)
+    u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
+    phase_base = _cumulative_simpson_complex(f_grid + (u_grid * theta).real, grid.dt).real
+    return LRQuantities(
+        grid=grid,
+        chi=chi[::2].copy(),
+        alpha_tilde=at[::2].copy(),
+        beta_tilde=bt[::2].copy(),
+        u=u_grid,
+        f=f_grid,
+        xi=u[::2] / om[::2],
+        theta=theta,
+        phase_base=phase_base,
+        upsilon=np.exp(-1j * phase_base),
+    )

@@ -33,6 +33,7 @@ from .errors import (
 from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, low_block, rcond_1norm
 
 _ABS_FALLBACK = 1e-14  # relative norms switch to absolute below this denominator
+_TAIL_WARN = 1e-8      # guard-band population fraction above which a state warns
 
 # Samples per stacked pass over a trajectory.  32 complex 32 x 32 matrices
 # are 0.5 MB; a pass holds about ten such stacks at once, so its
@@ -94,7 +95,6 @@ class SolverOptions:
     guard: int = DEFAULT_GUARD
     step_guard: float = 0.1        # refuse when max_t ||H(t)||_F * dt exceeds this
     rcond_floor: float = 1e-12
-    tail_warn: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class StateTrajectory(Sequence):
         tail = mass[:, amplitudes.shape[1] - g :].sum(axis=1)
         total = mass.sum(axis=1)
         self.tail_mass_max = float(np.max(tail / np.where(total > 0, total, 1.0)))
-        if self.tail_mass_max > options.tail_warn:
+        if self.tail_mass_max > _TAIL_WARN:
             warnings.warn(
                 f"guard-band mass reached {self.tail_mass_max:.3e}; "
                 "truncation dimension may be too small",

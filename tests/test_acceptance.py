@@ -20,7 +20,6 @@ from dysonmap import (
     analytic_vs_numeric,
     basis_state,
     closed_form_counterpart,
-    drive_functions,
     eigensystem,
     hamiltonian_fn,
     hermitian_counterpart,
@@ -29,7 +28,6 @@ from dysonmap import (
     invert_apply,
     low_block,
     lr_pipeline,
-    phase_integrals,
     propagate_dyson,
     pt_analysis,
     quadrature_observables,
@@ -151,7 +149,7 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
     _, s1, lr1, _ = s1_workup
     u_err = float(np.max(np.abs(lr1.u - (-0.1j))))
     s_o1 = rebuild(s1, perturbation_order=1)
-    lr_o1 = drive_functions(s_o1, phase_integrals(s_o1))
+    lr_o1 = lr_pipeline(s_o1)
     f_err = float(np.max(np.abs(lr_o1.f - 0.01)))
     theta_closed = -0.05j * (1.0 - np.exp(-2j * s1.grid.points))
     th_err = float(np.max(np.abs(lr1.theta - theta_closed)))

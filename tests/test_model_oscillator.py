@@ -1,20 +1,22 @@
 """Scenario validation and the closed-form solution pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from dysonmap import (
+    AnalyticEvolution,
     CoefficientSpec,
     InvalidDimensionError,
+    LRQuantities,
     ScenarioInvalidError,
     SingularityError,
     TimeGrid,
-    analytic_evolution,
     basis_state,
     counterpart_energy,
     derive_initial_map_params,
-    drive_functions,
     eigensystem,
     grid_index,
     hamiltonian_fn,
@@ -22,10 +24,8 @@ from dysonmap import (
     lr_pipeline,
     matrix_elements,
     matrix_elements_direct,
-    phase_integrals,
     pt_analysis,
     quadrature_observables,
-    solve_theta,
     validated_scenario,
 )
 
@@ -106,7 +106,7 @@ class TestScenarioValidation:
     def test_closed_forms_gated_on_validation(self):
         s = load_bundled("s2")
         with pytest.raises(ScenarioInvalidError) as ei:
-            phase_integrals(s)
+            lr_pipeline(s)
         assert "not_validated" in ei.value.failed_checks
 
 
@@ -119,6 +119,19 @@ def test_build_hamiltonian_two_level():
 
 class TestClosedFormPipeline:
     """Constant-drive scenario, where every stage has a hand answer."""
+
+    def test_pipeline_is_complete_and_frozen(self):
+        s_run, _ = validated_scenario(tiny_scenario())
+        lr = lr_pipeline(s_run)
+        fields = [f.name for f in dataclasses.fields(LRQuantities)]
+        assert fields[0] == "grid" and lr.grid == s_run.grid
+        assert len(lr.grid.points) == s_run.grid.steps + 1
+        for name in fields[1:]:
+            assert getattr(lr, name).shape == (s_run.grid.steps + 1,), name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lr.theta = None
+        with pytest.raises(ValueError, match="read-only"):
+            lr.theta[0] = 0j
 
     def test_phase_integrals(self, s1_workup):
         _, s, lr, _ = s1_workup
@@ -140,7 +153,7 @@ class TestClosedFormPipeline:
     def test_drive_shift_halves_at_first_order(self, s1_workup):
         _, s, _, _ = s1_workup
         s1o = rebuild(s, perturbation_order=1)
-        lr = drive_functions(s1o, phase_integrals(s1o))
+        lr = lr_pipeline(s1o)
         assert np.max(np.abs(lr.f - 0.01)) < 1e-10
 
     def test_theta_reaches_steady_spiral(self, s1_workup):
@@ -151,11 +164,10 @@ class TestClosedFormPipeline:
 
     def test_phase_linearity_in_m(self, s1_workup):
         _, s, lr, _ = s1_workup
-        for m in (0, 1, 2, 3):
-            lr_phase(s, lr, m)
-        for m, phi in lr.Phi.items():
+        phis = {m: lr_phase(s, lr, m) for m in (0, 1, 2, 3)}
+        for m, phi in phis.items():
             assert phi[0] == 0.0
-            assert np.max(np.abs(phi - lr.Phi[0] + 2.0 * m * lr.chi)) < 1e-10
+            assert np.max(np.abs(phi - phis[0] + 2.0 * m * lr.chi)) < 1e-10
         assert np.max(np.abs(np.abs(lr.upsilon) - 1.0)) < 1e-12
         band = s.dim - s.guard
         with pytest.raises(InvalidDimensionError):
@@ -163,13 +175,11 @@ class TestClosedFormPipeline:
 
     def test_analytic_evolution_unitary(self, s1_workup):
         _, s, lr, _ = s1_workup
-        ev = analytic_evolution(s, lr)
+        ev = AnalyticEvolution(s, lr)
         for k in (0, s.grid.steps // 2, s.grid.steps):
             v = ev.V(k).mat
             assert np.linalg.norm(v @ v.conj().T - np.eye(s.dim)) < 1e-9
             assert np.max(np.abs(ev.U(k).mat - v)) == 0.0  # theta0 = 0
-        with pytest.raises(InvalidDimensionError):
-            ev.basis_state(s.dim - s.guard, 0)
 
 
 class TestConvergenceOrders:
@@ -194,7 +204,7 @@ class TestConvergenceOrders:
                 grid=TimeGrid(0.0, 2 * np.pi, steps),
             )
             s_run, _ = validated_scenario(s)
-            lr = phase_integrals(s_run)
+            lr = lr_pipeline(s_run)
             return abs(lr.alpha_tilde[steps // 4] - target)
 
         e_coarse, e_fine = drive_error(200), drive_error(400)
@@ -205,7 +215,7 @@ class TestConvergenceOrders:
         def theta_error(steps):
             s = tiny_scenario(grid=TimeGrid(0.0, 2 * np.pi, steps))
             s_run, _ = validated_scenario(s)
-            lr = solve_theta(s_run, drive_functions(s_run, phase_integrals(s_run)))
+            lr = lr_pipeline(s_run)
             t = s_run.grid.points[steps // 4]
             closed = -0.05j * (1.0 - np.exp(-2j * t))
             return abs(lr.theta[steps // 4] - closed)
@@ -221,7 +231,7 @@ def test_singular_frequency_refused():
     )
     stamped = rebuild(s, validated=True, gamma0=0j)
     with pytest.raises(SingularityError):
-        drive_functions(stamped, phase_integrals(stamped))
+        lr_pipeline(stamped)
     with pytest.raises(SingularityError):
         counterpart_energy(stamped, 0, 2.0)
 

@@ -1,5 +1,7 @@
 """Grid, steppers, and the map/counterpart propagation layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from dysonmap import (
     StateVector,
     StepSizeError,
     TimeGrid,
+    TruncationWarning,
     basis_state,
     dyson_relation_residual,
     grid_index,
@@ -127,6 +130,19 @@ def test_propagate_state_matches_expm():
     assert np.max(np.abs(traj.amplitudes[-1] - ref)) < 1e-8
     norms = np.linalg.norm(traj.amplitudes, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+def test_guard_band_population_warns():
+    dim, guard = 8, 3
+    H = ladder_generator(dim, 1.0, 0.01, 0.01)
+    grid = TimeGrid(0.0, 1.0, 400)
+    options = SolverOptions(guard=guard)
+    with pytest.warns(TruncationWarning, match="guard-band mass"):
+        propagate_state(H, basis_state(dim - guard, dim), grid, options=options)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        traj = propagate_state(H, basis_state(0, dim), grid, options=options)
+    assert traj.tail_mass_max < 1e-8
 
 
 def test_hermitian_counterpart_on_constant_metric_run(tiny_run):
