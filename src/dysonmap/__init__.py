@@ -14,7 +14,6 @@ from .errors import (
     ExponentialRangeError,
     IllConditionedError,
     InvalidDimensionError,
-    NonPositiveMetricError,
     ScenarioInvalidError,
     SingularityError,
     StepSizeError,
@@ -37,13 +36,11 @@ from .fock_algebra import (
     tail_mass,
 )
 from .propagation import (
-    CounterpartSeries,
     DysonTrajectory,
     GeneratorFn,
     SolverOptions,
     StateTrajectory,
     TimeGrid,
-    dyson_relation_residual,
     hermitian_counterpart,
     propagate_dyson,
     propagate_state,
@@ -69,7 +66,6 @@ from .model_oscillator import (
     lr_phase,
     lr_pipeline,
     matrix_elements,
-    matrix_elements_direct,
     pt_analysis,
     quadrature_observables,
     validated_scenario,

@@ -39,7 +39,6 @@ from .errors import (
     ExponentialRangeError,
     IllConditionedError,
     InvalidDimensionError,
-    NonPositiveMetricError,
     ScenarioInvalidError,
     SingularityError,
     StepSizeError,
@@ -73,7 +72,6 @@ _NUMERICAL_ERRORS = (
     StepSizeError,
     DivergenceError,
     IllConditionedError,
-    NonPositiveMetricError,
     ExponentialRangeError,
     SingularityError,
 )
@@ -330,7 +328,7 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
             "scenario": report.scenario_name,
             "passed": report.passed,
             "failing": list(report.failing()),
-            "pt_label": report.pt_label,
+            "pt_label": report.pt.label,
             "tail_mass_max": report.tail_mass_max,
             "condition_max": report.condition_max,
             "checks": checks,
@@ -427,9 +425,9 @@ def _cmd_diagnose(args) -> int:
 
 def _print_verdict(report: DiagnosticsReport):
     if report.passed:
-        print(f"PASS pt_label={report.pt_label}")
+        print(f"PASS pt_label={report.pt.label}")
     else:
-        print(f"FAIL failing={','.join(report.failing())} pt_label={report.pt_label}")
+        print(f"FAIL failing={','.join(report.failing())} pt_label={report.pt.label}")
 
 
 def _parse_axis(axis: str) -> tuple[str, np.ndarray]:
@@ -452,13 +450,12 @@ def _sweep_point(payload) -> tuple[str, str, str, str, str, bool]:
     _assign(d, key, value)
     s = scenario_from_doc(d, stem)
     report, _, _, _ = scenario_workup(s)
-    pt = pt_analysis(s)
     iso = report.outcome("isospectrality")
     iso_cell = "" if iso.passed is None else _fmt(iso.value)
     return (
         _fmt(value),
-        report.pt_label,
-        _fmt(max(pt.im_energy_max)),
+        report.pt.label,
+        _fmt(max(report.pt.im_energy_max)),
         _fmt(report.outcome("metric_constancy").value),
         iso_cell,
         report.passed,

@@ -25,6 +25,7 @@ from .fock_algebra import StateVector, basis_state, displacements, low_block
 from .model_oscillator import (
     AnalyticEvolution,
     LRQuantities,
+    PTReport,
     Scenario,
     ValidationReport,
     counterpart_energy,
@@ -122,7 +123,7 @@ class DiagnosticsReport:
     checks: tuple[CheckOutcome, ...]
     tolerances: Tolerances
     validation: ValidationReport | None
-    pt_label: str
+    pt: PTReport
     tail_mass_max: float
     condition_max: float
 
@@ -516,7 +517,7 @@ def scenario_workup(
         checks=tuple(checks),
         tolerances=tol,
         validation=validation,
-        pt_label=pt.label,
+        pt=pt,
         tail_mass_max=eq.tail_mass_max,
         condition_max=1.0 / max(rc_min, 1e-300),
     )

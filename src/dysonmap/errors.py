@@ -71,15 +71,6 @@ class DivergenceError(DysonMapError):
         self.t = t
 
 
-class NonPositiveMetricError(DysonMapError):
-    """Metric lost positive-definiteness beyond tolerance."""
-
-    def __init__(self, message: str, *, t: float, min_eigenvalue: float):
-        super().__init__(message)
-        self.t = t
-        self.min_eigenvalue = min_eigenvalue
-
-
 class ScenarioInvalidError(DysonMapError):
     """Scenario violates the constraints required for a constant metric.
 

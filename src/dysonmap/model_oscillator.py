@@ -395,7 +395,7 @@ def lr_phase(s: Scenario, lr: LRQuantities, m: int) -> np.ndarray:
 class AnalyticEvolution:
     """Evolution operators assembled from the closed-form pipeline.
 
-    V(k) = upsilon(t_k) D[theta(t_k)] R[chi(t_k)]; U(k) = V(k) V(t0)†.
+    V(t_k) = upsilon(t_k) D[theta(t_k)] R[chi(t_k)]; U(t_k) = V(t_k) V(t0)†.
     With theta0 = 0 (the default) V(t0) is the identity and U = V.
     """
 
@@ -420,12 +420,6 @@ class AnalyticEvolution:
         if s.theta0 == 0:
             return vs
         return vs @ displacement(complex(s.theta0), s.dim).mat.conj().T
-
-    def V(self, k: int) -> FockOperator:
-        return FockOperator(self.Vs([k])[0])
-
-    def U(self, k: int) -> FockOperator:
-        return FockOperator(self.Us([k])[0])
 
 
 def grid_index(grid: TimeGrid, t: float) -> int:
@@ -547,16 +541,6 @@ def matrix_elements(s: Scenario, lr: LRQuantities, m: int, n: int, t: float) -> 
     else:
         val = math.sqrt(n) * np.conj(om * th + np.conj(u))
     return complex(val * phase)
-
-
-def matrix_elements_direct(
-    s: Scenario, lr: LRQuantities, m: int, n: int, t: float
-) -> complex:
-    """Cross-check: <m| V†(t) (h(t)/2) V(t) |n> by dense matrix products."""
-    k = grid_index(s.grid, t)
-    v = AnalyticEvolution(s, lr).V(k).mat
-    half_h = closed_form_counterpart(s, lr, k).mat / 2.0
-    return complex(v[:, m].conj() @ (half_h @ v[:, n]))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ The central object is the invertible map eta(t) obeying the right-sided
 matrix equation i d/dt eta = eta H(t), integrated as a time-ordered product
 by fixed-step classical RK4 (never by exponentiating an integral: H(t) at
 different times need not commute).  From the sampled trajectory this module
-derives the Hermitian counterpart 2 eta H eta^-1 and finite-difference
-residuals for the defining relation.  A unitary variant integrates
-i d/dt U = U Hh(t) for Hermitian generators.
+derives the Hermitian counterpart 2 eta H eta^-1.  A unitary variant
+integrates i d/dt U = U Hh(t) for Hermitian generators.
 
 A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
@@ -30,7 +29,7 @@ from .errors import (
     StepSizeError,
     TruncationWarning,
 )
-from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, low_block, rcond_1norm
+from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, rcond_1norm
 
 _ABS_FALLBACK = 1e-14  # relative norms switch to absolute below this denominator
 _TAIL_WARN = 1e-8      # guard-band population fraction above which a state warns
@@ -117,15 +116,9 @@ class DysonTrajectory:
     def eta0(self) -> FockOperator:
         return FockOperator(self.etas[0])
 
-    def eta(self, k: int) -> FockOperator:
-        return FockOperator(self.etas[k])
 
-    def __len__(self) -> int:
-        return self.etas.shape[0]
-
-
-class StateTrajectory(Sequence):
-    """Sequence of StateVector samples with truncation bookkeeping.
+class StateTrajectory:
+    """Stepped state amplitudes, (steps+1, dim), with truncation bookkeeping.
 
     ``companions`` holds the trajectories of states stepped in the same
     block (see propagate_state).
@@ -148,36 +141,6 @@ class StateTrajectory(Sequence):
                 TruncationWarning,
                 stacklevel=3,
             )
-
-    def __len__(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [StateVector(v) for v in self.amplitudes[k]]
-        return StateVector(self.amplitudes[k])
-
-
-class CounterpartSeries(Sequence):
-    """h(t_k) = 2 eta H eta^-1 with per-sample Hermiticity residuals.
-
-    Residuals are relative Frobenius on the guard-excluded block; the full
-    matrix carries an O(1) truncation-corner artifact that says nothing
-    about the dynamics.
-    """
-
-    def __init__(self, hs: np.ndarray, herm_residual: np.ndarray, grid: TimeGrid):
-        self.hs = hs
-        self.herm_residual = herm_residual
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return self.hs.shape[0]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [FockOperator(h) for h in self.hs[k]]
-        return FockOperator(self.hs[k])
 
 
 def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -400,58 +363,21 @@ def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
         )
 
 
-def _block_rel(diff: np.ndarray, ref: np.ndarray, guard: int) -> float:
-    num = float(np.linalg.norm(low_block(diff, guard)))
-    den = float(np.linalg.norm(low_block(ref, guard)))
-    return num / den if den > _ABS_FALLBACK else num
+def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray:
+    """h(t_k) = 2 eta H eta^-1 at every sample, as a (steps+1, dim, dim) array.
 
-
-def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> CounterpartSeries:
-    """h(t_k) = 2 eta H eta^-1 along the trajectory."""
-    check_conditioning(traj)
-    g = traj.options.guard
-    n = len(traj)
-    hs = np.empty_like(traj.etas)
-    res = np.empty(n)
-    ts = traj.grid.points
-    for k in range(n):
-        e = traj.etas[k]
-        eh = e @ H(ts[k]).mat
-        # h/2 = (eta H) eta^-1 via a transposed solve: eta^T X^T = (eta H)^T
-        hs[k] = 2.0 * np.linalg.solve(e.T, eh.T).T
-        res[k] = _block_rel(hs[k] - hs[k].conj().T, hs[k], g)
-    return CounterpartSeries(hs, res, traj.grid)
-
-
-def _time_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order stencils: central inside, one-sided at the endpoints."""
-    d = np.empty_like(samples)
-    d[1:-1] = (samples[2:] - samples[:-2]) / (2 * dt)
-    d[0] = (-3 * samples[0] + 4 * samples[1] - samples[2]) / (2 * dt)
-    d[-1] = (3 * samples[-1] - 4 * samples[-2] + samples[-3]) / (2 * dt)
-    return d
-
-
-def dyson_relation_residual(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray:
-    """r(t_k) = ||i (d/dt eta) eta^-1 - eta H eta^-1|| / ||eta H eta^-1||.
-
-    Frobenius on the guard-excluded block, absolute when the denominator
-    vanishes; the finite-difference stencil puts an O(dt^2) floor under the
-    result.
+    Each chunk forms eta H through H's bands and solves the transposed
+    system eta^T (h/2)^T = (eta H)^T for all of its samples at once.
     """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 samples for the derivative stencil")
     check_conditioning(traj)
-    g = traj.options.guard
-    detas = _time_derivative(traj.etas, traj.grid.dt)
     ts = traj.grid.points
-    out = np.empty(len(traj))
-    for k in range(len(traj)):
-        e = traj.etas[k]
-        gauge = 1j * np.linalg.solve(e.T, detas[k].T).T
-        simil = np.linalg.solve(e.T, (e @ H(ts[k]).mat).T).T
-        out[k] = _block_rel(gauge - simil, simil, g)
-    return out
+    hs = np.empty(traj.etas.shape, dtype=complex)
+    for sl in sample_chunks(len(ts)):
+        es = traj.etas[sl]
+        eh = apply_generator(H, ts[sl], es, right=True)
+        half = np.linalg.solve(np.swapaxes(es, -1, -2), np.swapaxes(eh, -1, -2))
+        hs[sl] = 2.0 * np.swapaxes(half, -1, -2)
+    return hs
 
 
 def unitary_transform_propagate(

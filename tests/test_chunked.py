@@ -2,8 +2,9 @@
 
 The map is stepped as eta^T and states as one (dim, n) block; both must
 reproduce the row-layout, one-state-at-a-time stepping bit for bit.  The
-residual passes run chunk by chunk through the ladder bands; they must
-match the per-sample dense formulas they replace.
+residual passes and the Hermitian counterpart run chunk by chunk through
+the ladder bands; they must match the per-sample dense formulas they
+replace.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from dysonmap import (
     displacement,
     equivalence_checks,
     hamiltonian_fn,
+    hermitian_counterpart,
     initial_map,
     invert_apply,
     isospectrality_check,
@@ -211,6 +213,23 @@ def test_intertwining_residual_matches_dense_formula(run, g0, l0):
     assert_close(den, dens[worst], scale)
 
 
+@settings(max_examples=40, deadline=None)
+@given(run=generic_runs(), seed=st.integers(0, 2**32 - 1))
+def test_hermitian_counterpart_matches_dense_formula(run, seed):
+    s, H, _ = run
+    # a random start: eta commutes with no H, so a left-acting H shows
+    rng = np.random.default_rng(seed)
+    eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
+    want, scale = [], []
+    for e, t in zip(traj.etas, s.grid.points):
+        inv = np.linalg.inv(e)
+        want.append(2.0 * e @ H(t).mat @ inv)
+        # solve and inverse both err by about eps cond(eta) ||h||
+        scale.append(np.linalg.norm(e) * np.linalg.norm(inv) * np.linalg.norm(want[-1]))
+    assert_close(hermitian_counterpart(traj, H), want, np.array(scale)[:, None, None])
+
+
 @pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
 @settings(max_examples=15, deadline=None)
 @given(steps=st.integers(50, 3 * SAMPLE_CHUNK + 5), stride=st.integers(1, 4),
@@ -230,18 +249,18 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     eq = equivalence_checks(s, traj, lr, stride=stride)
     psi, psit = eq.states
     rho0 = traj.rho0.mat
-    ref = complex(psi[0].vec.conj() @ (rho0 @ psit[0].vec))
+    a, b = psi.amplitudes, psit.amplitudes
+    ref = complex(a[0].conj() @ (rho0 @ b[0]))
     x1 = quadratures(s.dim)[0].mat
     sanity, fixed, obs, scale = [], [], [], []
     for k, t in zip(ks, ts):
         e = traj.etas[k]
-        a, b = psi[int(k)].vec, psit[int(k)].vec
-        ea, eb = e @ a, e @ b
+        ea, eb = e @ a[k], e @ b[k]
         rho = e.conj().T @ e
         X1 = quadrature_observables(s, lr, float(t)).x1.mat
-        sanity.append(abs(complex(a.conj() @ (rho @ b)) - complex(ea.conj() @ eb)))
-        fixed.append(abs(complex(a.conj() @ (rho0 @ b)) - ref))
-        obs.append(abs(complex(a.conj() @ (rho @ (X1 @ b))) - complex(ea.conj() @ (x1 @ eb))))
+        sanity.append(abs(complex(a[k].conj() @ (rho @ b[k])) - complex(ea.conj() @ eb)))
+        fixed.append(abs(complex(a[k].conj() @ (rho0 @ b[k])) - ref))
+        obs.append(abs(complex(a[k].conj() @ (rho @ (X1 @ b[k]))) - complex(ea.conj() @ (x1 @ eb))))
         scale.append(np.linalg.norm(rho) * (1.0 + np.linalg.norm(X1)))
     assert_close(eq.sanity.samples, sanity, np.array(scale))
     assert_close(eq.fixed_metric.samples, fixed, np.array(scale))
@@ -252,7 +271,7 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
         want = []
         for k, t in zip(ks, ts):
             zeta = displacement(-np.conj(complex(lr.xi[k])), s.dim).mat[:, m]
-            w, _ = invert_apply(traj.eta(int(k)), StateVector(zeta))
+            w, _ = invert_apply(FockOperator(traj.etas[k]), StateVector(zeta))
             energy = complex(counterpart_energy(s, m, float(t)))
             defect = H(float(t)).mat @ w.vec - (energy / 2.0) * w.vec
             want.append(np.linalg.norm(defect) / np.linalg.norm(w.vec))
@@ -263,13 +282,13 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     phi0 = traj.eta0.mat @ basis_state(0, s.dim).vec
     v0 = displacement(complex(s.theta0), s.dim).mat
     want = []
-    for k in ks:
+    for k, stacked in zip(ks, ev.Us(ks)):
         # U(t_k) = upsilon D[theta] R[chi] D[theta0]†, as dense products
         v = lr.upsilon[k] * (displacement(complex(lr.theta[k]), s.dim).mat
                              @ rotation(float(lr.chi[k]), s.dim).mat)
         u = v @ v0.conj().T
-        assert np.max(np.abs(ev.U(int(k)).mat - u)) <= 1e-13
-        want.append(np.linalg.norm(np.linalg.solve(traj.etas[k], u @ phi0) - psi[int(k)].vec))
+        assert np.max(np.abs(stacked - u)) <= 1e-13
+        want.append(np.linalg.norm(np.linalg.solve(traj.etas[k], u @ phi0) - a[k]))
     assert_close(avn.samples, want, 1.0)
 
 

@@ -94,7 +94,7 @@ class TestConstantDriveWorkup:
         report, _, _, _ = s1_workup
         assert report.failing() == ()
         assert report.passed
-        assert report.pt_label == "UNBROKEN"
+        assert report.pt.label == "UNBROKEN"
         assert abs(report.validation.gamma0 - (-0.2j)) < 1e-12
 
     def test_residual_levels(self, s1_workup):
@@ -121,7 +121,7 @@ class TestMixedPhaseControl:
         report, _, _, _ = s2_workup
         assert report.failing() == S2_FAILING
         assert not report.passed
-        assert report.pt_label == "BROKEN"
+        assert report.pt.label == "BROKEN"
 
     def test_residual_levels(self, s2_workup):
         report, _, _, _ = s2_workup
@@ -141,7 +141,7 @@ class TestDriftingRatioControl:
     def test_failing_set_exact(self, gamma_drift_workup):
         report, _, _, _ = gamma_drift_workup
         assert report.failing() == GAMMA_DRIFT_FAILING
-        assert report.pt_label == "UNBROKEN"
+        assert report.pt.label == "UNBROKEN"
 
     def test_residual_levels(self, gamma_drift_workup):
         report, _, lr, _ = gamma_drift_workup

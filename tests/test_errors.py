@@ -7,7 +7,6 @@ import pytest
 from dysonmap import (
     DivergenceError,
     IllConditionedError,
-    NonPositiveMetricError,
     ScenarioInvalidError,
     StepSizeError,
 )
@@ -27,10 +26,6 @@ REPORT = ValidationReport(
         (StepSizeError("step guard", recommended_steps=1416), {"recommended_steps": 1416}),
         (IllConditionedError("rcond", rcond=1e-14, t=0.5), {"rcond": 1e-14, "t": 0.5}),
         (DivergenceError("non-finite", t=2.5), {"t": 2.5}),
-        (
-            NonPositiveMetricError("metric", t=0.1, min_eigenvalue=-1e-3),
-            {"t": 0.1, "min_eigenvalue": -1e-3},
-        ),
         (
             ScenarioInvalidError("constraints", failed_checks=("iii",), report=REPORT),
             {"failed_checks": ("iii",), "report": REPORT},

@@ -15,6 +15,7 @@ from dysonmap import (
     SingularityError,
     TimeGrid,
     basis_state,
+    closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
     eigensystem,
@@ -23,7 +24,6 @@ from dysonmap import (
     lr_phase,
     lr_pipeline,
     matrix_elements,
-    matrix_elements_direct,
     pt_analysis,
     quadrature_observables,
     validated_scenario,
@@ -176,10 +176,10 @@ class TestClosedFormPipeline:
     def test_analytic_evolution_unitary(self, s1_workup):
         _, s, lr, _ = s1_workup
         ev = AnalyticEvolution(s, lr)
-        for k in (0, s.grid.steps // 2, s.grid.steps):
-            v = ev.V(k).mat
+        ks = (0, s.grid.steps // 2, s.grid.steps)
+        for v, u in zip(ev.Vs(ks), ev.Us(ks)):
             assert np.linalg.norm(v @ v.conj().T - np.eye(s.dim)) < 1e-9
-            assert np.max(np.abs(ev.U(k).mat - v)) == 0.0  # theta0 = 0
+            assert np.max(np.abs(u - v)) == 0.0  # theta0 = 0
 
 
 class TestConvergenceOrders:
@@ -239,12 +239,16 @@ def test_singular_frequency_refused():
 class TestSpectralQuantities:
     def test_matrix_elements_tridiagonal(self, s1_workup):
         _, s, lr, _ = s1_workup
-        t = s.grid.points[s.grid.steps // 4]
+        k = s.grid.steps // 4
+        t = s.grid.points[k]
         assert matrix_elements(s, lr, 0, 2, t) == 0j
         assert matrix_elements(s, lr, 3, 1, t) == 0j
+        # dense reference <m| V†(t) (h(t)/2) V(t) |n>
+        v = AnalyticEvolution(s, lr).Vs([k])[0]
+        half_h = closed_form_counterpart(s, lr, k).mat / 2.0
         for m, n in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3)):
             closed = matrix_elements(s, lr, m, n, t)
-            direct = matrix_elements_direct(s, lr, m, n, t)
+            direct = complex(v[:, m].conj() @ (half_h @ v[:, n]))
             assert abs(closed - direct) < 1e-12
         with pytest.raises(InvalidDimensionError):
             matrix_elements(s, lr, s.dim - s.guard, 0, t)

@@ -11,18 +11,17 @@ from dysonmap import (
     FockOperator,
     IllConditionedError,
     SolverOptions,
-    StateVector,
     StepSizeError,
     TimeGrid,
     TruncationWarning,
     basis_state,
-    dyson_relation_residual,
     grid_index,
     hermitian_counterpart,
     identity,
     initial_map,
     invert_apply,
     ladder_operators,
+    low_block,
     number_operator,
     propagate_dyson,
     propagate_state,
@@ -124,8 +123,7 @@ def test_propagate_state_matches_expm():
     H = ladder_generator(dim, 1.0, 0.3, 0.3)
     grid = TimeGrid(0.0, 1.0, 1200)
     traj = propagate_state(H, basis_state(0, dim), grid, options=SolverOptions(guard=3))
-    assert len(traj) == 1201
-    assert isinstance(traj[5], StateVector)
+    assert traj.amplitudes.shape == (1201, dim)
     ref = scipy.linalg.expm(-1j * hmat) @ np.eye(dim)[:, 0]
     assert np.max(np.abs(traj.amplitudes[-1] - ref)) < 1e-8
     norms = np.linalg.norm(traj.amplitudes, axis=1)
@@ -147,22 +145,17 @@ def test_guard_band_population_warns():
 
 def test_hermitian_counterpart_on_constant_metric_run(tiny_run):
     s_run, H, traj = tiny_run
-    cs = hermitian_counterpart(traj, H)
-    assert len(cs) == len(traj.etas)
-    assert np.max(cs.herm_residual) < 1e-12
+    hs = hermitian_counterpart(traj, H)
+    assert hs.shape == traj.etas.shape
+    g = s_run.guard
+    herm = [np.linalg.norm(low_block(h - h.conj().T, g)) / np.linalg.norm(low_block(h, g))
+            for h in hs]
+    assert np.max(herm) < 1e-12
     # first sample equals the defining transform applied by hand
     e0 = FockOperator(traj.etas[0])
     inv0, _ = invert_apply(e0, identity(s_run.dim))
     by_hand = 2.0 * traj.etas[0] @ H(float(traj.grid.points[0])).mat @ inv0.mat
-    assert np.max(np.abs(cs.hs[0] - by_hand)) < 1e-10
-
-
-def test_dyson_relation_residual_small(tiny_run):
-    _, H, traj = tiny_run
-    res = dyson_relation_residual(traj, H)
-    assert res.shape[0] > 10
-    assert np.all(res >= 0)
-    assert np.max(res) < 1e-3
+    assert np.max(np.abs(hs[0] - by_hand)) < 1e-10
 
 
 def test_near_singular_map_refused():

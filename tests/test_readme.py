@@ -19,3 +19,4 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     assert namespace["report"].passed
     assert namespace["lr"].theta.shape == (namespace["s_run"].grid.steps + 1,)
+    assert namespace["hs"].shape == namespace["traj"].etas.shape
