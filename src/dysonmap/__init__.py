@@ -49,6 +49,7 @@ from .propagation import (
 )
 from .model_oscillator import (
     AnalyticEvolution,
+    CheckOutcome,
     CoefficientSpec,
     EigenPair,
     LRQuantities,
@@ -71,9 +72,7 @@ from .model_oscillator import (
     validated_scenario,
 )
 from .diagnostics import (
-    CheckOutcome,
     DiagnosticsReport,
-    EquivalenceSeries,
     ResidualSeries,
     Tolerances,
     analytic_vs_numeric,

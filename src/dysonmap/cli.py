@@ -206,7 +206,7 @@ def scenario_from_doc(doc, default_name: str = "") -> Scenario:
 
 def _resolve_scenario_path(ref: str) -> Path:
     p = Path(ref)
-    if p.exists():
+    if p.is_file():
         return p
     stem = ref if ref.endswith(".yaml") else ref + ".yaml"
     bundled = resources.files("dysonmap").joinpath("scenarios", stem)
@@ -309,17 +309,15 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
         }
         for c in report.checks
     }
-    validation = None
-    if report.validation is not None:
-        validation = {
-            "gamma0": complex(report.validation.gamma0),
-            "lambda0": complex(report.validation.lambda0),
-            "sign_flipped": report.validation.sign_flipped,
-            "checks": {
-                k: {"passed": item.passed, "value": item.value, "detail": item.detail}
-                for k, item in report.validation.checks.items()
-            },
-        }
+    validation = {
+        "gamma0": complex(report.validation.gamma0),
+        "lambda0": complex(report.validation.lambda0),
+        "sign_flipped": report.validation.sign_flipped,
+        "checks": {
+            k: {"passed": c.passed, "value": c.value, "detail": c.note}
+            for k, c in report.validation.checks.items()
+        },
+    }
     tol = dataclasses.asdict(report.tolerances)
     return _json_ready(
         {

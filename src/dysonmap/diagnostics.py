@@ -5,7 +5,9 @@ a Tolerances configuration; scenario_workup orchestrates all of them into
 one DiagnosticsReport, skipping the stages whose preconditions a scenario
 cannot meet (an invalid scenario still gets trajectory-level residuals, so
 negative controls show exactly which claims break) and the checks whose
-series took no sample.
+series took no sample.  The checks are functions of the trajectories they
+are given: scenario_workup steps the |0>, |1> pair once and passes both
+state trajectories to equivalence_checks and analytic_vs_numeric.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -21,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioInvalidError
-from .fock_algebra import StateVector, basis_state, displacements, low_block
+from .fock_algebra import basis_state, displacements, low_block
 from .model_oscillator import (
     AnalyticEvolution,
+    CheckOutcome,
     LRQuantities,
     PTReport,
     Scenario,
@@ -86,7 +89,6 @@ class ResidualSeries:
     name: str
     times: np.ndarray
     samples: np.ndarray
-    norm: str = "frobenius"
 
     def __post_init__(self):
         if self.times.shape != self.samples.shape:
@@ -104,17 +106,6 @@ class ResidualSeries:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    """Pass/fail of one named check; passed is None when skipped."""
-
-    name: str
-    passed: bool | None
-    value: float
-    tolerance: float | None
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class DiagnosticsReport:
     """All residual series and check outcomes for one scenario run."""
 
@@ -122,7 +113,7 @@ class DiagnosticsReport:
     series: dict[str, ResidualSeries]
     checks: tuple[CheckOutcome, ...]
     tolerances: Tolerances
-    validation: ValidationReport | None
+    validation: ValidationReport
     pt: PTReport
     tail_mass_max: float
     condition_max: float
@@ -179,10 +170,9 @@ def _block_norms(mats: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.norm(mats[..., :k, :k], axis=(-2, -1))
 
 
-def metric_constancy(traj: DysonTrajectory, *, guard: int | None = None) -> ResidualSeries:
+def metric_constancy(traj: DysonTrajectory) -> ResidualSeries:
     """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block."""
-    g = traj.options.guard if guard is None else guard
-    rho0 = low_block(traj.rho0.mat, g)
+    rho0 = low_block(traj.rho0.mat, traj.options.guard)
     den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
     k = rho0.shape[0]
     out = np.empty(len(traj.etas))
@@ -197,7 +187,6 @@ def quasi_hermiticity_residuals(
     traj: DysonTrajectory,
     H: GeneratorFn,
     *,
-    guard: int | None = None,
     stride: int | None = None,
     spacing: int = 1,
 ) -> tuple[ResidualSeries, ResidualSeries]:
@@ -222,7 +211,7 @@ def quasi_hermiticity_residuals(
     """
     if spacing < 1:
         raise ValueError("stencil spacing must be >= 1")
-    g = traj.options.guard if guard is None else guard
+    g = traj.options.guard
     grid = traj.grid
     st = default_stride(grid.steps) if stride is None else stride
     centers = np.arange(max(st, spacing), grid.steps - spacing + 1, st)
@@ -257,46 +246,30 @@ def quasi_hermiticity_residuals(
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceSeries:
-    """The three pairing residuals for one pair of initial states.
-
-    ``states`` holds the two propagated state trajectories, in pair order.
-    """
-
-    sanity: ResidualSeries
-    fixed_metric: ResidualSeries
-    observable: ResidualSeries | None
-    tail_mass_max: float = 0.0
-    states: tuple[StateTrajectory, ...] = ()
-
-
 def equivalence_checks(
     s: Scenario,
     traj: DysonTrajectory,
+    states: tuple[StateTrajectory, StateTrajectory],
     lr: LRQuantities | None = None,
-    pair: tuple[StateVector, StateVector] | None = None,
     *,
     stride: int | None = None,
-) -> EquivalenceSeries:
-    """Pairing identities between the two descriptions.
+) -> tuple[ResidualSeries, ResidualSeries, ResidualSeries | None]:
+    """Pairing identities between the two descriptions, as series.
 
+    ``states`` holds psi and psi~ stepped under H on the scenario grid.
     sanity: <psi|rho(t)|psi~> equals <eta psi|eta psi~> (same algebra, two
     evaluation orders); fixed_metric: <psi(t)|rho0|psi~(t)> stays at its
     initial value when the metric is constant; observable: rho-weighted
     matrix elements of the closed-form X1 against bare x1 between the
-    mapped states, expected to agree to second order in kappa (needs lr).
+    mapped states, expected to agree to second order in kappa (needs lr,
+    else None).
     """
-    if pair is None:
-        pair = (basis_state(0, s.dim), basis_state(1, s.dim))
-    psi = propagate_state(hamiltonian_fn(s), pair[0], s.grid, options=traj.options,
-                          companions=pair[1:])
-    (psit,) = psi.companions
+    psi, psit = states
     grid = s.grid
     ks = _strided_indices(grid.steps, stride, target=1600)
     ts = grid.t0 + ks * grid.dt
     rho0 = traj.rho0.mat
-    ref = complex(pair[0].vec.conj() @ (rho0 @ pair[1].vec))
+    ref = complex(psi.amplitudes[0].conj() @ (rho0 @ psit.amplitudes[0]))
     x1, x2 = (q.mat for q in quadratures(s.dim))
     if lr is not None:
         chi, shift1, _ = quadrature_frame(s, lr, ks)
@@ -323,12 +296,10 @@ def equivalence_checks(
     def mk(name, arr):
         return ResidualSeries(name=name, times=ts.astype(float), samples=arr)
 
-    return EquivalenceSeries(
-        sanity=mk("equivalence_sanity", sanity),
-        fixed_metric=mk("equivalence_fixed_metric", fixed),
-        observable=mk("equivalence_observable", obs) if obs is not None else None,
-        tail_mass_max=max(psi.tail_mass_max, psit.tail_mass_max),
-        states=(psi, psit),
+    return (
+        mk("equivalence_sanity", sanity),
+        mk("equivalence_fixed_metric", fixed),
+        mk("equivalence_observable", obs) if obs is not None else None,
     )
 
 
@@ -370,35 +341,29 @@ def analytic_vs_numeric(
     s: Scenario,
     lr: LRQuantities,
     traj: DysonTrajectory,
-    psi0: StateVector | None = None,
+    numeric: StateTrajectory,
     *,
     stride: int | None = None,
-    numeric: StateTrajectory | None = None,
 ) -> ResidualSeries:
-    """||eta^-1(t) U(t) eta(t0) |psi0> - psi(t)|| against stepping under H.
+    """||eta^-1(t) U(t) eta(t0) |psi0> - psi(t)|| for psi stepped under H.
 
-    The deviation is first order in the drive strength at generic interior
-    times and second order at times where the accumulated drive phase
-    closes (the bundled grids end at such a time); the series' terminal
-    value is the figure of merit for scaling checks.  ``numeric`` reuses an
-    existing stepping of |psi0> on the scenario grid instead of
-    propagating it again.
+    ``numeric`` is psi stepped on the scenario grid; psi0 is its first
+    sample.  The deviation is first order in the drive strength at generic
+    interior times and second order at times where the accumulated drive
+    phase closes (the bundled grids end at such a time); the series'
+    terminal value is the figure of merit for scaling checks.
     """
     if not s.validated:
         raise ScenarioInvalidError(
             "analytic route needs a validated scenario",
             failed_checks=("not_validated",),
         )
-    if psi0 is None:
-        psi0 = basis_state(0, s.dim)
     grid = s.grid
+    if numeric.grid != grid:
+        raise ValueError("numeric trajectory is not on the scenario grid")
     ks = _strided_indices(grid.steps, stride, target=800)
-    if numeric is None:
-        numeric = propagate_state(hamiltonian_fn(s), psi0, grid, options=traj.options)
-    elif numeric.grid != grid or not np.array_equal(numeric.amplitudes[0], psi0.vec):
-        raise ValueError("numeric trajectory does not start from psi0 on the scenario grid")
     ev = AnalyticEvolution(s, lr)
-    phi0 = traj.eta0.mat @ psi0.vec
+    phi0 = traj.eta0.mat @ numeric.amplitudes[0]
     devs = np.empty(ks.size)
     for sl in sample_chunks(ks.size):
         w = np.linalg.solve(traj.etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
@@ -428,26 +393,13 @@ def scenario_workup(
     or whose series took no sample are recorded as skipped.
     """
     tol = tol or Tolerances()
-    validation: ValidationReport | None = None
     try:
         s_run, validation = validated_scenario(s)
     except ScenarioInvalidError as exc:
         validation = exc.report
-        g0 = validation.gamma0 if validation is not None else 0j
-        s_run = replace(s, gamma0=g0, validated=False)
+        s_run = replace(s, gamma0=validation.gamma0, validated=False)
 
-    checks: list[CheckOutcome] = []
-    if validation is not None:
-        for key, item in validation.checks.items():
-            checks.append(
-                CheckOutcome(
-                    name=f"({key})",
-                    passed=item.passed,
-                    value=item.value,
-                    tolerance=None,
-                    note=item.detail,
-                )
-            )
+    checks = list(validation.checks.values())
 
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
@@ -471,15 +423,18 @@ def scenario_workup(
     lr = None
     if s_run.validated:
         lr = lr_pipeline(s_run)
-    eq = equivalence_checks(s_run, traj, lr, stride=stride)
-    series[eq.sanity.name] = eq.sanity
-    series[eq.fixed_metric.name] = eq.fixed_metric
-    checks.append(_bounded("equivalence_sanity", eq.sanity, tol.sanity))
-    checks.append(_bounded("equivalence_fixed_metric", eq.fixed_metric, tol.fixed_metric))
+    psi = propagate_state(H, basis_state(0, s_run.dim), s_run.grid, options=options,
+                          companions=(basis_state(1, s_run.dim),))
+    states = (psi, *psi.companions)
+    sanity, fixed, observable = equivalence_checks(s_run, traj, states, lr, stride=stride)
+    series[sanity.name] = sanity
+    series[fixed.name] = fixed
+    checks.append(_bounded("equivalence_sanity", sanity, tol.sanity))
+    checks.append(_bounded("equivalence_fixed_metric", fixed, tol.fixed_metric))
     env2 = tol.envelope(s_run.kappa, 1)
-    if eq.observable is not None:
-        series[eq.observable.name] = eq.observable
-        checks.append(_bounded("equivalence_observable", eq.observable, env2))
+    if observable is not None:
+        series[observable.name] = observable
+        checks.append(_bounded("equivalence_observable", observable, env2))
     else:
         checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
 
@@ -495,7 +450,7 @@ def scenario_workup(
         checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
 
     if lr is not None:
-        avn = analytic_vs_numeric(s_run, lr, traj, numeric=eq.states[0])
+        avn = analytic_vs_numeric(s_run, lr, traj, psi)
         series[avn.name] = avn
         checks.append(
             _bounded(
@@ -510,7 +465,7 @@ def scenario_workup(
         checks.append(CheckOutcome("analytic_vs_numeric", None, float("nan"), None, "skipped"))
 
     pt = pt_analysis(s_run)
-    rc_min = float(np.min(traj.rcond)) if traj.rcond.size else 1.0
+    rc_min = float(np.min(traj.rcond))
     report = DiagnosticsReport(
         scenario_name=s_run.name,
         series=series,
@@ -518,7 +473,7 @@ def scenario_workup(
         tolerances=tol,
         validation=validation,
         pt=pt,
-        tail_mass_max=eq.tail_mass_max,
+        tail_mass_max=max(st.tail_mass_max for st in states),
         condition_max=1.0 / max(rc_min, 1e-300),
     )
     return report, s_run, lr, traj

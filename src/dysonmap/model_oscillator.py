@@ -208,17 +208,21 @@ class LRQuantities:
 
 
 @dataclass(frozen=True)
-class CheckItem:
-    passed: bool
+class CheckOutcome:
+    """Pass/fail of one named check; passed is None when skipped."""
+
+    name: str
+    passed: bool | None
     value: float
-    detail: str
+    tolerance: float | None
+    note: str = ""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the initial-map constraint checks (i)-(v)."""
+    """Outcome of the initial-map constraint checks (i)-(v), keyed "i".."v"."""
 
-    checks: dict[str, CheckItem]
+    checks: dict[str, CheckOutcome]
     gamma0: complex
     lambda0: complex
     sign_flipped: bool
@@ -307,24 +311,26 @@ def derive_initial_map_params(
     ratio = s.kappa * (np.conj(be) - al) / om
     primary = complex(s.gamma0) if s.gamma0 is not None else complex(ratio[0])
 
-    checks: dict[str, CheckItem] = {}
+    checks: dict[str, CheckOutcome] = {}
     v = float(np.max(np.abs(om.imag)))
-    checks["i"] = CheckItem(v <= _REAL_TOL, v, "omega(t) real")
+    checks["i"] = CheckOutcome("(i)", v <= _REAL_TOL, v, None, "omega(t) real")
     v = float(np.max(np.abs((al * be).imag)))
-    checks["ii"] = CheckItem(v <= _REAL_TOL, v, "alpha(t) beta(t) real")
+    checks["ii"] = CheckOutcome("(ii)", v <= _REAL_TOL, v, None, "alpha(t) beta(t) real")
     v = float(np.max(np.abs(ratio - ratio[0])))
-    checks["iii"] = CheckItem(
-        v <= _REAL_TOL, v, "kappa [beta* - alpha]/omega time-independent"
+    checks["iii"] = CheckOutcome(
+        "(iii)", v <= _REAL_TOL, v, None, "kappa [beta* - alpha]/omega time-independent"
     )
 
-    def gauge_check(g0: complex) -> CheckItem:
+    def gauge_check(g0: complex) -> CheckOutcome:
         v = float(np.max(np.abs(((np.conj(g0) + lambda0) * al).imag)))
-        return CheckItem(v <= _REAL_TOL, v, "[gamma0* + lambda0] alpha(t) real")
+        return CheckOutcome("(iv)", v <= _REAL_TOL, v, None, "[gamma0* + lambda0] alpha(t) real")
 
-    def residual_check(g0: complex) -> CheckItem:
+    def residual_check(g0: complex) -> CheckOutcome:
         num, den = _intertwining_residual(s, g0, lambda0)
         tol = _INTERTWINING_RTOL * max(den, 1e-300)
-        return CheckItem(num <= tol, num, "||H† rho0 - rho0 H|| intertwining residual")
+        return CheckOutcome(
+            "(v)", num <= tol, num, None, "||H† rho0 - rho0 H|| intertwining residual"
+        )
 
     checks["iv"] = gauge_check(primary)
     checks["v"] = residual_check(primary)
@@ -568,11 +574,7 @@ def eigensystem(s: Scenario, lr: LRQuantities, m: int, t: float) -> EigenPair:
             f"eigenindex m={m} too close to the truncation edge (dim {s.dim}, guard {s.guard})"
         )
     k = grid_index(s.grid, t)
-    om = complex(s.omega(t))
-    if abs(om) < _OMEGA_FLOOR:
-        raise SingularityError("omega(t) vanishes; eigenvalue formula divides by it")
-    al, be = complex(s.alpha(t)), complex(s.beta(t))
-    energy = 2.0 * om * m - 2.0 * s.kappa**2 * al * be / om
+    energy = counterpart_energy(s, m, t)
     zeta = displacement(-np.conj(complex(lr.xi[k])), s.dim) @ basis_state(m, s.dim)
     h = closed_form_counterpart(s, lr, k)
     defect = h.mat @ zeta.vec - energy * zeta.vec

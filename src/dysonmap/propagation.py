@@ -282,12 +282,6 @@ def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
     return deriv
 
 
-def _map_samples(H: GeneratorFn, m0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """RK4 samples of i dM/dt = M H(t): the (steps+1, dim, dim) view of M^T."""
-    steps = rk4_samples(_rk4_deriv(H, grid, right=True), np.ascontiguousarray(m0.T), grid)
-    return steps.transpose(0, 2, 1)
-
-
 def _rcond_series(mats: np.ndarray) -> np.ndarray:
     anorms = np.empty(len(mats))
     for sl in sample_chunks(len(mats)):
@@ -310,7 +304,8 @@ def propagate_dyson(
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
     _check_step_guard(H, grid, options.step_guard)
-    etas = _map_samples(H, eta0.mat, grid)
+    deriv = _rk4_deriv(H, grid, right=True)
+    etas = rk4_samples(deriv, np.ascontiguousarray(eta0.mat.T), grid).transpose(0, 2, 1)
     return DysonTrajectory(grid=grid, etas=etas, rcond=_rcond_series(etas), options=options)
 
 
@@ -393,10 +388,6 @@ def unitary_transform_propagate(
     integrator error, which makes this the Hermitian-to-Hermitian special
     case of the map equation.
     """
-    options = options or SolverOptions()
-    if Hh.dim != U0.dim:
-        raise ValueError(f"dimension mismatch: generator {Hh.dim}, U0 {U0.dim}")
-    _check_step_guard(Hh, grid, options.step_guard)
     rel = _hermiticity_residuals(_band_table(Hh, grid.points), Hh.dim)
     worst = int(np.argmax(rel))
     if rel[worst] > 1e-10:
@@ -407,5 +398,4 @@ def unitary_transform_propagate(
     uerr = float(np.linalg.norm(U0.mat.conj().T @ U0.mat - np.eye(U0.dim)))
     if uerr > 1e-10:
         raise ValueError(f"U0 not unitary: ||U0†U0 - I|| = {uerr:.3e}")
-    us = _map_samples(Hh, U0.mat, grid)
-    return DysonTrajectory(grid=grid, etas=us, rcond=_rcond_series(us), options=options)
+    return propagate_dyson(Hh, U0, grid, options)

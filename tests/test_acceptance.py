@@ -29,6 +29,7 @@ from dysonmap import (
     low_block,
     lr_pipeline,
     propagate_dyson,
+    propagate_state,
     pt_analysis,
     quadrature_observables,
     quasi_hermiticity_residuals,
@@ -141,7 +142,9 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
         s, lr, traj = kappa_sweep[kappa]
         bound = max(1e-6, TOL.envelope_coeff * kappa**2)
         for m in (0, 1, 2):
-            term = analytic_vs_numeric(s, lr, traj, psi0=basis_state(m, s.dim)).terminal
+            psi = propagate_state(hamiltonian_fn(s), basis_state(m, s.dim), s.grid,
+                                  options=traj.options)
+            term = analytic_vs_numeric(s, lr, traj, psi).terminal
             ok = ok and term <= bound
             worst = max(worst, term / bound)
             cs.append(term / kappa**2)

@@ -5,8 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 TINY = """\
 schema: 1
@@ -41,8 +44,10 @@ SERIES_HEADER = (
 )
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
+    # absolute, so the uninstalled package imports from any working directory
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -50,6 +55,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -245,6 +251,18 @@ class TestPtPhase:
         assert "label: UNBROKEN" in proc.stdout
         lines = (out / "pt_phase.csv").read_text().rstrip("\n").split("\n")
         assert len(lines) == 2
+
+    def test_directory_does_not_shadow_bundled_name(self, tmp_path):
+        (tmp_path / "s1").mkdir()  # e.g. left by `dysonmap run s1 --out s1`
+        proc = run_cli("pt-phase", "s1", "--out", "pt", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "label: UNBROKEN" in proc.stdout
+
+    def test_directory_path_is_a_config_error(self, tmp_path):
+        (tmp_path / "s1").mkdir()
+        proc = run_cli("pt-phase", str(tmp_path / "s1"), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
 
 
 def test_diagnose_prints_check_table(work):

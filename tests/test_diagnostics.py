@@ -1,5 +1,7 @@
 """Residual series, per-scenario checks, and the workup report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dysonmap import (
     hamiltonian_fn,
     isospectrality_check,
     metric_constancy,
+    propagate_state,
     quasi_hermiticity_residuals,
     scenario_workup,
 )
@@ -201,10 +204,11 @@ class TestStencilSpacing:
 class TestGuardBand:
     def test_guard_exclusion_is_load_bearing(self, tiny_run):
         _, H, traj = tiny_run
+        unguarded = dataclasses.replace(traj, options=dataclasses.replace(traj.options, guard=0))
         assert metric_constancy(traj).max < 1e-6
-        assert metric_constancy(traj, guard=0).max > 1e-3
+        assert metric_constancy(unguarded).max > 1e-3
         _, r7_blocked = quasi_hermiticity_residuals(traj, H)
-        _, r7_full = quasi_hermiticity_residuals(traj, H, guard=0)
+        _, r7_full = quasi_hermiticity_residuals(unguarded, H)
         assert r7_blocked.max < 1e-7
         assert r7_full.max > 1e-4
 
@@ -214,10 +218,12 @@ class TestEquivalenceRoutes:
         _, s, lr, traj = s1_workup
         b0, b1 = basis_state(0, s.dim), basis_state(1, s.dim)
         mix = StateVector((b0.vec + b1.vec) / np.sqrt(2.0))
-        eq = equivalence_checks(s, traj, lr, pair=(b0, mix))
-        assert eq.sanity.max < 1e-12
-        assert eq.fixed_metric.max < 1e-6
-        assert eq.observable is not None
+        psi = propagate_state(hamiltonian_fn(s), b0, s.grid, options=traj.options,
+                              companions=(mix,))
+        sanity, fixed, observable = equivalence_checks(s, traj, (psi, *psi.companions), lr)
+        assert sanity.max < 1e-12
+        assert fixed.max < 1e-6
+        assert observable is not None
 
     def test_isospectrality_subset(self, s1_workup):
         _, s, lr, traj = s1_workup
@@ -228,7 +234,9 @@ class TestEquivalenceRoutes:
 
     def test_deviation_from_excited_start(self, s1_workup):
         _, s, lr, traj = s1_workup
-        avn = analytic_vs_numeric(s, lr, traj, psi0=basis_state(1, s.dim))
+        psi = propagate_state(hamiltonian_fn(s), basis_state(1, s.dim), s.grid,
+                              options=traj.options)
+        avn = analytic_vs_numeric(s, lr, traj, psi)
         assert 0.0313 < avn.terminal < 0.0316
         assert avn.max > avn.terminal  # interior deviation is first order
 

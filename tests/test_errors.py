@@ -10,10 +10,10 @@ from dysonmap import (
     ScenarioInvalidError,
     StepSizeError,
 )
-from dysonmap.model_oscillator import CheckItem, ValidationReport
+from dysonmap import CheckOutcome, ValidationReport
 
 REPORT = ValidationReport(
-    checks={"iii": CheckItem(False, 0.25, "ratio time-independent")},
+    checks={"iii": CheckOutcome("(iii)", False, 0.25, None, "ratio time-independent")},
     gamma0=-0.2j,
     lambda0=0j,
     sign_flipped=False,
