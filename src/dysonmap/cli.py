@@ -23,6 +23,7 @@ import difflib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -74,6 +75,17 @@ _NUMERICAL_ERRORS = (
     IllConditionedError,
     ExponentialRangeError,
     SingularityError,
+)
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e-3 as a float (YAML 1.1 wants 1.0e-3)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
 )
 
 
@@ -222,7 +234,7 @@ def _resolve_scenario_path(ref: str) -> Path:
 def _load_doc(ref: str) -> tuple[dict, str]:
     path = _resolve_scenario_path(ref)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1} column {mark.column + 1}" if mark else ""
@@ -234,7 +246,7 @@ def _load_doc(ref: str) -> tuple[dict, str]:
 
 def _parse_cli_value(raw: str):
     try:
-        return yaml.safe_load(raw)
+        return yaml.load(raw, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}") from exc
 
@@ -467,7 +479,7 @@ def _cmd_sweep(args) -> int:
     payloads = [(doc, stem, key, float(v)) for v in values]
     raw = os.environ.get("DYSONMAP_WORKERS", "1")
     try:
-        workers = int(raw)
+        workers = min(int(raw), len(payloads))
     except ValueError:
         raise ConfigError(f"DYSONMAP_WORKERS: expected an integer, got {raw!r}") from None
     if workers > 1:

@@ -31,7 +31,7 @@ class InvalidDimensionError(DysonMapError):
 
 
 class ExponentialRangeError(DysonMapError):
-    """Matrix exponential argument too large to scale safely."""
+    """Matrix exponential result overflows."""
 
 
 class SingularityError(DysonMapError):

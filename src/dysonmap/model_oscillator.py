@@ -372,17 +372,6 @@ def _require_validated(s: Scenario):
         )
 
 
-def _cumulative_simpson_complex(y: np.ndarray, dx: float) -> np.ndarray:
-    """Composite cumulative Simpson, safe for complex integrands."""
-    from scipy.integrate import cumulative_simpson  # 0.26 s to import; only LR needs it
-
-    re = cumulative_simpson(np.ascontiguousarray(y.real), dx=dx, initial=0.0)
-    if np.iscomplexobj(y):
-        im = cumulative_simpson(np.ascontiguousarray(y.imag), dx=dx, initial=0.0)
-        return re + 1j * im
-    return re + 0j
-
-
 def lr_phase(s: Scenario, lr: LRQuantities, m: int) -> np.ndarray:
     """Phase Phi_m(t) = -int [2 omega m + f + Re(u theta)].
 
@@ -659,6 +648,8 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     package, and the phase base int [f + Re(u theta)] with upsilon =
     exp(-i phase base).
     """
+    from scipy.integrate import cumulative_simpson  # 0.26 s to import; only LR needs it
+
     _require_validated(s)
     grid = s.grid
     ts = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
@@ -674,8 +665,8 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     om = np.asarray(s.omega(ts))
     al = np.asarray(s.alpha(ts))
     be = np.asarray(s.beta(ts))
-    at = _cumulative_simpson_complex(al * np.exp(1j * chi), half_dt)
-    bt = _cumulative_simpson_complex(be * np.exp(-1j * chi), half_dt)
+    at = cumulative_simpson(al * np.exp(1j * chi), dx=half_dt, initial=0.0)
+    bt = cumulative_simpson(be * np.exp(-1j * chi), dx=half_dt, initial=0.0)
 
     if np.min(np.abs(om)) < _OMEGA_FLOOR:
         raise SingularityError("omega(t) vanishes on the grid; drive functions divide by it")
@@ -691,7 +682,7 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
 
     theta = rk4_samples(deriv, np.asarray(complex(s.theta0)), grid)
     u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
-    phase_base = _cumulative_simpson_complex(f_grid + (u_grid * theta).real, grid.dt).real
+    phase_base = cumulative_simpson(f_grid + (u_grid * theta).real, dx=grid.dt, initial=0.0)
     return LRQuantities(
         grid=grid,
         chi=chi[::2].copy(),

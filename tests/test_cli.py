@@ -1,4 +1,4 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks, via subprocess except where a test must start no process."""
 
 import json
 import math
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dysonmap import cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -140,6 +142,24 @@ class TestRun:
             math.pi * 0.05**2, rel=2e-3
         )
 
+    def test_exponent_notation_in_set(self, work):
+        out = work / "kappa_exp_set"
+        proc = run_cli(
+            "diagnose", str(work / "tiny.yaml"), "--set", "kappa=1e-3", "--out", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["validation"]["gamma0"] == [0.0, -0.002]
+
+    def test_exponent_notation_in_scenario_file(self, work):
+        path = work / "kappa_exp.yaml"
+        path.write_text(TINY.replace("kappa: 0.1", "kappa: 1e-1"))
+        out = work / "kappa_exp_file"
+        proc = run_cli("diagnose", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["validation"]["gamma0"] == [0.0, -0.2]
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("kappa", ["-0.2", ".nan", ".inf"])
@@ -221,6 +241,29 @@ class TestSweep:
         )
         assert proc.returncode == 2, proc.stderr
         assert "configuration error: DYSONMAP_WORKERS: expected an integer" in proc.stderr
+
+    def test_pool_is_no_larger_than_the_axis(self, work, monkeypatch):
+        seen = []
+
+        class SerialPool:  # starts no process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("DYSONMAP_WORKERS", "64")
+        out = work / "sweep_short_axis"
+        args = ["sweep", str(work / "tiny.yaml"), "--axis", "kappa:0.05:0.1:2", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert seen == [2]
 
 
 class TestPtPhase:

@@ -6,12 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from dysonmap import (
+    ExponentialRangeError,
     FockOperator,
     IllConditionedError,
     InvalidDimensionError,
     basis_state,
     displacement,
     identity,
+    initial_map,
     invert_apply,
     ladder_operators,
     low_block,
@@ -21,6 +23,8 @@ from dysonmap import (
     tail_mass,
 )
 from dysonmap.fock_algebra import displacements
+
+from conftest import tiny_scenario
 
 DIM = 16
 
@@ -90,6 +94,16 @@ def test_stacked_displacements_match_scipy():
     for theta, d in zip(thetas, stacked):
         ref = scipy.linalg.expm(theta * ad.mat - np.conj(theta) * a.mat)
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_only_an_overflowing_exponential_is_refused():
+    a, _ = ladder_operators(8)
+    with pytest.raises(ExponentialRangeError, match="1-norm 2.646e\\+300"):
+        matrix_exponential(FockOperator(1.0e300 * a.mat))
+    # gamma0 a is nilpotent, so exp is a finite polynomial in gamma0 however large its norm
+    eta0 = initial_map(tiny_scenario(dim=8, guard=2), 1.0e20, 0j).mat
+    assert np.all(np.isfinite(eta0))
+    assert eta0[0, 7] == pytest.approx(1.0e140 * np.sqrt(5040.0) / 5040.0, rel=1e-12)
 
 
 _amplitudes = st.builds(

@@ -1,4 +1,4 @@
-"""Every module-level import in the package modules is used.
+"""Imports of the package: every module-level one is used, and scipy stays lazy.
 
 Deleting code can leave an import behind that nothing reads; this finds it
 with the standard library's ast, so it needs no linter.  ``__init__.py``
@@ -7,11 +7,15 @@ imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dysonmap"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "dysonmap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +39,18 @@ def test_module_level_imports_are_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def test_pt_phase_never_imports_scipy(tmp_path):
+    # scipy.linalg and scipy.integrate take about 0.6 s to import, which pt-phase never needs
+    code = (
+        "import sys\n"
+        "from dysonmap.cli import main\n"
+        f"main(['pt-phase', 's1', '--axis', 'alpha.c.arg:0:3.14:5', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
