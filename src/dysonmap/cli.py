@@ -17,7 +17,6 @@ same configuration.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import difflib
 import json
@@ -241,6 +240,8 @@ def _load_doc(ref: str) -> tuple[dict, str]:
         raise ConfigError(f"parse error in {path}{where}: {exc}") from exc
     if doc is None:
         raise ConfigError(f"{path}: empty scenario file")
+    if not isinstance(doc, dict):  # overrides walk the tree as nested mappings
+        raise ConfigError(f"{path}: scenario file must contain a mapping at top level")
     return doc, path.stem
 
 
@@ -280,6 +281,23 @@ def _assign(doc: dict, dotted: str, value):
     else:
         z = abs(z) * np.exp(1j * v)
     node[leaf] = [float(z.real), float(z.imag)]
+
+
+def _overridden(doc: dict, dotted: str, value) -> dict:
+    """doc with one override applied, copying only the sections on its path.
+
+    The base doc is left untouched, so every axis point starts from it.
+    """
+    out = dict(doc)
+    node = out
+    for seg in dotted.split(".")[:-1]:
+        nxt = node.get(seg)
+        if not isinstance(nxt, dict):
+            break
+        node[seg] = dict(nxt)
+        node = node[seg]
+    _assign(out, dotted, value)
+    return out
 
 
 def _apply_sets(doc: dict, sets: list[str]):
@@ -456,9 +474,7 @@ def _parse_axis(axis: str) -> tuple[str, np.ndarray]:
 
 def _sweep_point(payload) -> tuple[str, str, str, str, str, bool]:
     doc, stem, key, value = payload
-    d = copy.deepcopy(doc)
-    _assign(d, key, value)
-    s = scenario_from_doc(d, stem)
+    s = scenario_from_doc(_overridden(doc, key, value), stem)
     report, _, _, _ = scenario_workup(s)
     iso = report.outcome("isospectrality")
     iso_cell = "" if iso.passed is None else _fmt(iso.value)
@@ -504,9 +520,7 @@ def _cmd_pt_phase(args) -> int:
         rows = []
         labels = []
         for v in values:
-            d = copy.deepcopy(doc)
-            _assign(d, key, float(v))
-            s = scenario_from_doc(d, stem)
+            s = scenario_from_doc(_overridden(doc, key, float(v)), stem)
             pt = pt_analysis(s)
             labels.append(pt.label)
             rows.append(

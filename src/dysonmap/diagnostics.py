@@ -328,7 +328,7 @@ def isospectrality_check(
     for sl in sample_chunks(ks.size):
         zetas = displacements(-np.conj(lr.xi[ks[sl]]), s.dim)[:, :, cols]
         w = np.linalg.solve(traj.etas[ks[sl]], zetas)
-        energy = np.stack([counterpart_energy(s, m, ts[sl]) for m in cols], axis=-1)
+        energy = counterpart_energy(s, cols, ts[sl])
         defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)
         out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
     return {

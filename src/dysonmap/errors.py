@@ -56,9 +56,13 @@ class IllConditionedError(DysonMapError):
 
 
 class StepSizeError(DysonMapError):
-    """Step-size guard refused the grid; carries a workable step count."""
+    """Step-size guard refused the grid; carries a workable step count.
 
-    def __init__(self, message: str, *, recommended_steps: int):
+    The count is None when H's norm is beyond floating-point range, where no
+    step count satisfies the guard.
+    """
+
+    def __init__(self, message: str, *, recommended_steps: int | None):
         super().__init__(message)
         self.recommended_steps = recommended_steps
 

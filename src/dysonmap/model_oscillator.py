@@ -55,6 +55,7 @@ _FORMS = ("constant", "polynomial", "sinusoid", "exp_ramp")
 _REAL_TOL = 1e-10          # reality/symmetry checks on sampled coefficients
 _INTERTWINING_RTOL = 1e-8  # check (v), the authoritative residual
 _OMEGA_FLOOR = 1e-12       # |omega| below this counts as a division singularity
+_SYMMETRY_SAMPLES = 513    # points of the symmetric window [-T, T] in pt_analysis
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class CoefficientSpec:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.form == "constant":
-            return np.broadcast_to(np.asarray(self.c), t.shape).copy() if t.shape else self.c
+            return np.full(t.shape, self.c) if t.shape else self.c
         if self.form == "polynomial":
             out = np.zeros_like(t, dtype=complex)
             for p, cp in enumerate(self.coeffs):
@@ -571,12 +572,31 @@ def eigensystem(s: Scenario, lr: LRQuantities, m: int, t: float) -> EigenPair:
     return EigenPair(energy=complex(energy), zeta=zeta, residual=residual)
 
 
-def counterpart_energy(s: Scenario, m: int, t) -> np.ndarray | complex:
-    """E_m(t) by direct formula; needs no pipeline, works on arrays of t."""
-    om = np.asarray(s.omega(t))
+def _level_energies(kappa: float, om, al, be, m):
+    """E_m = 2 omega m - 2 kappa^2 alpha beta / omega from sampled coefficients.
+
+    m is one level or a 1-d array of levels; an array adds a trailing level
+    axis.  The levels are evaluated along a leading axis, so the arithmetic
+    runs over whole sample rows, and returned as a view with that axis moved
+    last.
+    """
     if np.min(np.abs(om)) < _OMEGA_FLOOR:
         raise SingularityError("omega(t) vanishes; eigenvalue formula divides by it")
-    val = 2.0 * om * m - 2.0 * s.kappa**2 * np.asarray(s.alpha(t)) * np.asarray(s.beta(t)) / om
+    shift = 2.0 * kappa**2 * al * be / om
+    if np.ndim(m):
+        levels = np.reshape(m, (-1,) + (1,) * np.ndim(om))
+        return np.moveaxis(2.0 * om * levels - shift, 0, -1)
+    return 2.0 * om * m - shift
+
+
+def counterpart_energy(s: Scenario, m, t) -> np.ndarray | complex:
+    """E_m(t) by direct formula; needs no pipeline, works on arrays of t.
+
+    A sequence of levels m returns E with a trailing level axis.
+    """
+    val = _level_energies(
+        s.kappa, np.asarray(s.omega(t)), np.asarray(s.alpha(t)), np.asarray(s.beta(t)), m
+    )
     return val if val.shape else complex(val)
 
 
@@ -594,7 +614,7 @@ class PTReport:
         return all(ok for ok, _ in self.symmetry.values())
 
 
-def pt_analysis(s: Scenario, *, symmetry_samples: int = 513) -> PTReport:
+def pt_analysis(s: Scenario) -> PTReport:
     """Classify the PT phase of a scenario.
 
     Symmetry flags sample omega*(-t) = omega(t) and alpha*(-t) = -alpha(t)
@@ -602,9 +622,10 @@ def pt_analysis(s: Scenario, *, symmetry_samples: int = 513) -> PTReport:
     UNBROKEN exactly when omega(t) and alpha(t) beta(t) stay real on the
     scenario grid, which is the condition for the counterpart spectrum to
     stay real; the evidence column reports max_t |Im E_m| for m = 0..3.
+    Each coefficient is sampled once per sample set.
     """
     big_t = max(abs(s.grid.t0), abs(s.grid.t1))
-    ts_sym = np.linspace(-big_t, big_t, symmetry_samples)
+    ts_sym = np.linspace(-big_t, big_t, _SYMMETRY_SAMPLES)
     symmetry: dict[str, tuple[bool, float]] = {}
     v = float(np.max(np.abs(np.conj(np.asarray(s.omega(-ts_sym))) - np.asarray(s.omega(ts_sym)))))
     symmetry["omega_conjugate_even"] = (v <= _REAL_TOL, v)
@@ -616,17 +637,15 @@ def pt_analysis(s: Scenario, *, symmetry_samples: int = 513) -> PTReport:
     step = max(1, s.grid.steps // 1024)
     samples = ts[::step] if ts.size > 2 else ts
     om = np.asarray(s.omega(samples))
-    prod = np.asarray(s.alpha(samples)) * np.asarray(s.beta(samples))
-    boundary = float(np.max(np.abs(prod.imag)))
+    al = np.asarray(s.alpha(samples))
+    be = np.asarray(s.beta(samples))
+    boundary = float(np.max(np.abs((al * be).imag)))
     unbroken = float(np.max(np.abs(om.imag))) <= _REAL_TOL and boundary <= _REAL_TOL
-    im_max = tuple(
-        float(np.max(np.abs(np.asarray(counterpart_energy(s, m, samples)).imag)))
-        for m in range(4)
-    )
+    energy = _level_energies(s.kappa, om, al, be, np.arange(4))
     return PTReport(
         symmetry=symmetry,
         label="UNBROKEN" if unbroken else "BROKEN",
-        im_energy_max=im_max,
+        im_energy_max=tuple(float(v) for v in np.max(np.abs(energy.imag), axis=0)),
         boundary_quantity=boundary,
     )
 

@@ -237,10 +237,14 @@ def apply_generator(
 
 
 def _band_norms(table: np.ndarray, dim: int) -> np.ndarray:
-    """||H||_F = sqrt(|d|^2 sum n^2 + (|u|^2 + |l|^2) sum n), per column."""
+    """||H||_F = sqrt(|d|^2 sum n^2 + (|u|^2 + |l|^2) sum n), per column.
+
+    Evaluated with hypot, so no entry is squared: the norm stays exact where
+    the squares would underflow or overflow.
+    """
     n = np.arange(dim, dtype=float)
-    d, u, l = np.abs(table) ** 2
-    return np.sqrt(d * np.sum(n**2) + (u + l) * np.sum(n))
+    d, u, l = np.abs(table)
+    return np.hypot(d * np.sqrt(np.sum(n**2)), np.hypot(u, l) * np.sqrt(np.sum(n)))
 
 
 def _hermiticity_residuals(table: np.ndarray, dim: int) -> np.ndarray:
@@ -252,14 +256,21 @@ def _hermiticity_residuals(table: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
-    """Refuse too-coarse grids, naming a workable step count."""
+    """Refuse too-coarse grids, naming a workable step count when one exists."""
     max_norm = float(np.max(_band_norms(_band_table(H, grid.points), H.dim)))
     if max_norm * grid.dt > limit:
-        needed = math.ceil((grid.t1 - grid.t0) * max_norm / limit)
+        needed = (grid.t1 - grid.t0) * max_norm / limit
+        if not math.isfinite(needed):
+            raise StepSizeError(
+                f"step guard: max ||H||_F = {max_norm:.3g}; the step count it needs "
+                "is beyond floating-point range",
+                recommended_steps=None,
+            )
+        steps = math.ceil(needed)
         raise StepSizeError(
             f"step guard: max ||H||_F * dt = {max_norm * grid.dt:.3f} exceeds "
-            f"{limit}; use at least {needed} steps",
-            recommended_steps=needed,
+            f"{limit}; use at least {steps} steps",
+            recommended_steps=steps,
         )
 
 

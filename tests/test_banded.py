@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dysonmap import (
@@ -64,13 +64,31 @@ def test_banded_update_matches_dense_product(s, j, seed):
     assert rel_diff(_rk4_deriv(H, GRID, right=False)(t, y[:, :2]), -1j * (hmat @ y[:, :2])) <= 1e-13
 
 
+def scaled_norm(m):
+    """Frobenius norm computed as s ||m / s||, s = max |m|, so no square under- or overflows."""
+    scale = float(np.max(np.abs(m)))
+    return scale * float(np.linalg.norm(m / scale)) if scale > 0 else 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(s=scenarios)
+@example(
+    # |omega|^2 is subnormal: a squared-magnitude norm loses about 1e-8 relative here
+    s=Scenario(
+        omega=CoefficientSpec.constant(5.661840691030381e-159 * (1 + 1j)),
+        alpha=CoefficientSpec.constant(0j),
+        beta=CoefficientSpec.constant(0j),
+        kappa=0.0,
+        grid=GRID,
+        dim=2,
+        guard=1,
+    )
+)
 def test_closed_form_norm_matches_dense(s):
     H = hamiltonian_fn(s)
     table = _band_table(H, GRID.points)
     closed = float(np.max(_band_norms(table, s.dim)))
-    dense = max(float(np.linalg.norm(H(t).mat)) for t in GRID.points)
+    dense = max(scaled_norm(H(t).mat) for t in GRID.points)
     assert abs(closed - dense) <= 1e-12 * max(dense, 1e-300)
     for t, rel in zip(GRID.points, _hermiticity_residuals(table, s.dim)):
         m = H(t).mat
@@ -89,6 +107,21 @@ def test_step_guard_recommendation_matches_dense(tiny_run):
     dense_max = max(float(np.linalg.norm(H(t).mat)) for t in coarse.points)
     span = coarse.t1 - coarse.t0
     assert ei.value.recommended_steps == math.ceil(span * dense_max / options.step_guard)
+
+
+def test_step_guard_without_a_finite_step_count():
+    s = Scenario(
+        omega=CoefficientSpec.constant(1e307),
+        alpha=CoefficientSpec.constant(0j),
+        beta=CoefficientSpec.constant(0j),
+        kappa=0.0,
+        grid=TimeGrid(0.0, 1.0, 10),
+        dim=8,
+        guard=2,
+    )
+    with np.errstate(over="ignore"), pytest.raises(StepSizeError, match="floating-point range") as ei:
+        propagate_state(hamiltonian_fn(s), basis_state(0, s.dim), s.grid)
+    assert ei.value.recommended_steps is None
 
 
 def test_banded_trajectories_match_dense():

@@ -1,5 +1,6 @@
 """End-to-end command line checks, via subprocess except where a test must start no process."""
 
+import copy
 import json
 import math
 import os
@@ -183,10 +184,28 @@ class TestConfigErrors:
         proc = run_cli("run", str(work / "nope.yaml"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "extra", [("--set", "kappa=0.1"), ("--axis", "kappa:0.05:0.1:2")], ids=["set", "axis"]
+    )
+    def test_top_level_list_with_overrides(self, work, extra):
+        bad = work / "list.yaml"
+        bad.write_text("- 1\n- 2\n")
+        proc = run_cli("pt-phase", str(bad), *extra)
+        assert proc.returncode == 2, proc.stderr
+        assert "must contain a mapping at top level" in proc.stderr
+
     def test_step_guard_maps_to_exit_3(self, work):
         proc = run_cli("run", str(work / "tiny.yaml"), "--set", "grid.steps=50")
         assert proc.returncode == 3
         assert "1416" in proc.stderr
+
+    def test_huge_frequency_is_refused_by_the_step_guard(self):
+        # ||H||_F squared overflows here; the guard must still name a step count
+        proc = run_cli("diagnose", "s1", "--set", "omega.c.re=1e160", "--set", "kappa=0")
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure: step guard" in proc.stderr
+        assert "use at least" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_finite_coefficient_maps_to_exit_3(self):
         proc = run_cli(
@@ -195,6 +214,25 @@ class TestConfigErrors:
         )
         assert proc.returncode == 3, proc.stderr
         assert "numerical failure: operator entries must be finite" in proc.stderr
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("alpha.c.arg", [0.0, 0.4, 1.3, math.pi]),
+            ("alpha.c.abs", [0.5, 1.0, 2.5]),
+            ("kappa", [0.05, 0.1, 0.2]),
+        ],
+    )
+    def test_axis_points_copy_only_their_path(self, key, values):
+        doc, _ = cli._load_doc("s1")
+        base = copy.deepcopy(doc)
+        for v in values:
+            want = copy.deepcopy(base)
+            cli._assign(want, key, v)
+            assert cli._overridden(doc, key, v) == want
+        assert doc == base
 
 
 class TestSweep:

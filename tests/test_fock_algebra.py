@@ -1,5 +1,7 @@
 """Operator primitives on the truncated number basis."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -94,6 +96,43 @@ def test_stacked_displacements_match_scipy():
     for theta, d in zip(thetas, stacked):
         ref = scipy.linalg.expm(theta * ad.mat - np.conj(theta) * a.mat)
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+def test_unitary_exponential_matches_eigendecomposition(scale):
+    # exp(iA) = V e^{i Lambda} V† for Hermitian A = V Lambda V†.  Both sides are
+    # backward stable, so they agree to about dim * eps * ||A||_2; 1e-14 ||A||_2
+    # leaves a factor 4 over dim * eps at dim 12.
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    herm = (raw + raw.conj().T) / 2.0
+    herm *= scale / np.linalg.norm(herm, 2)
+    lam, v = np.linalg.eigh(herm)
+    ref = (v * np.exp(1j * lam)) @ v.conj().T
+    ours = matrix_exponential(FockOperator(1j * herm)).mat
+    assert np.linalg.norm(ours - ref) <= 1e-14 * scale * np.linalg.norm(ref)
+
+
+def test_stacked_displacements_make_coherent_states():
+    # <m|D(theta)|0> = e^{-|theta|^2/2} theta^m / sqrt(m!) on the levels below
+    # dim - guard.  Calibration: the truncated flow exp(s G_N)|0> differs from
+    # the projected coherent state only through the coupling of level N = dim
+    # back into level N - 1, so by Duhamel's formula the error is at most
+    # |theta| sqrt(N) max_{0<=x<=|theta|} e^{-x^2/2} x^N / sqrt(N!), the
+    # maximum sitting at x = min(|theta|, sqrt(N)); 1e-13 covers rounding.
+    dim, guard = 32, 6
+    thetas = np.array([0.0, 0.05j, 0.7 - 0.2j, 1.5 + 1.0j, -2.0 + 1.0j, 3.0j])
+    cols = displacements(thetas, dim)[:, : dim - guard, 0]
+    ns = np.arange(dim - guard)
+    half_log_fact = np.array([math.lgamma(n + 1) / 2 for n in ns])
+    for theta, col in zip(thetas, cols):
+        r = abs(theta)
+        expect = np.exp(-(r**2) / 2 - half_log_fact) * theta**ns
+        x = min(r, math.sqrt(dim))
+        leak = 0.0 if r == 0 else r * math.sqrt(dim) * math.exp(
+            -(x**2) / 2 + dim * math.log(x) - math.lgamma(dim + 1) / 2
+        )
+        assert np.max(np.abs(col - expect)) <= leak + 1e-13
 
 
 def test_only_an_overflowing_exponential_is_refused():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from dysonmap import (
     AnalyticEvolution,
@@ -294,7 +295,77 @@ class TestSpectralQuantities:
         assert np.max(np.abs(asym - asym[0, 0] * np.eye(s.dim))) < 1e-10
 
 
+_amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_rates = st.floats(-3.0, 3.0, allow_nan=False)
+_coefficients = st.one_of(
+    st.builds(CoefficientSpec.constant, _amplitudes),
+    st.lists(_amplitudes, min_size=1, max_size=4).map(lambda cs: CoefficientSpec.polynomial(*cs)),
+    st.builds(CoefficientSpec.sinusoid, _amplitudes, _amplitudes, _rates, _amplitudes),
+    st.builds(CoefficientSpec.exp_ramp, _amplitudes, _rates),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=_coefficients,
+    alpha=_coefficients,
+    beta=_coefficients,
+    kappa=st.floats(0.0, 1.0, allow_nan=False),
+    t=st.floats(0.0, 1.5, allow_nan=False),
+)
+def test_energy_levels_in_one_call_equal_per_level_calls(omega, alpha, beta, kappa, t):
+    s = tiny_scenario(omega=omega, alpha=alpha, beta=beta, kappa=kappa,
+                      grid=TimeGrid(0.0, 1.5, 12))
+    levels = np.arange(4)
+    for times in (s.grid.points, t):
+        if np.min(np.abs(omega(times))) < 1e-12:
+            with pytest.raises(SingularityError):
+                counterpart_energy(s, levels, times)
+            continue
+        stacked = np.stack([counterpart_energy(s, int(m), times) for m in levels], axis=-1)
+        together = counterpart_energy(s, levels, times)
+        assert together.shape == np.shape(times) + (4,)
+        assert np.array_equal(together, stacked)
+
+
+def _pt_per_level(s):
+    """pt_analysis as it read with the coefficients resampled for every energy level."""
+    big_t = max(abs(s.grid.t0), abs(s.grid.t1))
+    ts_sym = np.linspace(-big_t, big_t, 513)
+    symmetry = {}
+    v = float(np.max(np.abs(np.conj(np.asarray(s.omega(-ts_sym))) - np.asarray(s.omega(ts_sym)))))
+    symmetry["omega_conjugate_even"] = (v <= 1e-10, v)
+    for label, fn in (("alpha_conjugate_odd", s.alpha), ("beta_conjugate_odd", s.beta)):
+        v = float(np.max(np.abs(np.conj(np.asarray(fn(-ts_sym))) + np.asarray(fn(ts_sym)))))
+        symmetry[label] = (v <= 1e-10, v)
+    ts = s.grid.points
+    samples = ts[:: max(1, s.grid.steps // 1024)] if ts.size > 2 else ts
+    om = np.asarray(s.omega(samples))
+    prod = np.asarray(s.alpha(samples)) * np.asarray(s.beta(samples))
+    boundary = float(np.max(np.abs(prod.imag)))
+    unbroken = float(np.max(np.abs(om.imag))) <= 1e-10 and boundary <= 1e-10
+
+    def energy(m):
+        om = np.asarray(s.omega(samples))
+        return 2.0 * om * m - 2.0 * s.kappa**2 * np.asarray(s.alpha(samples)) * np.asarray(
+            s.beta(samples)
+        ) / om
+
+    im_max = tuple(float(np.max(np.abs(energy(m).imag))) for m in range(4))
+    return symmetry, "UNBROKEN" if unbroken else "BROKEN", im_max, boundary
+
+
 class TestPhaseAnalysis:
+    @pytest.mark.parametrize("name", ["s1", "s2", "gamma_drift"])
+    def test_one_sampling_matches_per_level_formulas(self, name):
+        s = load_bundled(name)
+        pt = pt_analysis(s)
+        symmetry, label, im_max, boundary = _pt_per_level(s)
+        assert pt.symmetry == symmetry
+        assert pt.label == label
+        assert pt.im_energy_max == im_max
+        assert pt.boundary_quantity == boundary
+
     def test_constant_imaginary_drive_is_symmetric(self, s1_workup):
         _, s, _, _ = s1_workup
         pt = pt_analysis(s)
