@@ -81,6 +81,7 @@ from .diagnostics import (
     metric_constancy,
     quasi_hermiticity_residuals,
     scenario_workup,
+    workup_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -418,8 +418,7 @@ def _cmd_run(args) -> int:
     doc, stem = _load_doc(args.scenario)
     _apply_sets(doc, args.set or [])
     s = scenario_from_doc(doc, stem)
-    # drop the trajectory before the table is built; only the report is written
-    report, s_run, lr = scenario_workup(s, stride=1)[:3]
+    report, s_run, lr = scenario_workup(s, stride=1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cols = _series_columns(report, s_run, lr)
@@ -437,7 +436,7 @@ def _cmd_diagnose(args) -> int:
     doc, stem = _load_doc(args.scenario)
     _apply_sets(doc, args.set or [])
     s = scenario_from_doc(doc, stem)
-    report, _, _, _ = scenario_workup(s)
+    report, _, _ = scenario_workup(s)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "summary.json", _summary_doc(report, "diagnose"))
@@ -475,7 +474,7 @@ def _parse_axis(axis: str) -> tuple[str, np.ndarray]:
 def _sweep_point(payload) -> tuple[str, str, str, str, str, bool]:
     doc, stem, key, value = payload
     s = scenario_from_doc(_overridden(doc, key, value), stem)
-    report, _, _, _ = scenario_workup(s)
+    report, _, _ = scenario_workup(s)
     iso = report.outcome("isospectrality")
     iso_cell = "" if iso.passed is None else _fmt(iso.value)
     return (

@@ -6,8 +6,10 @@ one DiagnosticsReport, skipping the stages whose preconditions a scenario
 cannot meet (an invalid scenario still gets trajectory-level residuals, so
 negative controls show exactly which claims break) and the checks whose
 series took no sample.  The checks are functions of the trajectories they
-are given: scenario_workup steps the |0>, |1> pair once and passes both
-state trajectories to equivalence_checks and analytic_vs_numeric.
+are given.  Each per-sample check is a pass fed the map a window at a
+time: the public functions feed it a whole DysonTrajectory, while
+scenario_workup steps the |0>, |1> pair once and then streams the map
+through every pass, so it never holds the whole trajectory.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -44,10 +46,14 @@ from .propagation import (
     DysonTrajectory,
     GeneratorFn,
     StateTrajectory,
+    TimeGrid,
     apply_generator,
     check_conditioning,
+    check_rcond,
+    map_windows,
     propagate_dyson,
     propagate_state,
+    rcond_series,
     sample_chunks,
 )
 
@@ -170,17 +176,151 @@ def _block_norms(mats: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.norm(mats[..., :k, :k], axis=(-2, -1))
 
 
+# A pass is an object fed the map a window at a time: feed(lo, etas) hands
+# it the maps at grid indices lo .. lo + len(etas) - 1, in
+# DysonTrajectory.etas's layout, and it keeps no reference to them.  The
+# public functions feed a whole trajectory as one window; scenario_workup
+# feeds the windows of map_windows as they are stepped.  Either way a pass
+# groups its samples into the same chunks, so it computes the same bits:
+# _MetricPass chunks each window from its start, and every window starts
+# on a multiple of SAMPLE_CHUNK.
+
+
+def _whole(pass_, traj: DysonTrajectory):
+    """pass_ fed all of traj as one window."""
+    pass_.feed(0, traj.etas)
+    return pass_
+
+
+class _MetricPass:
+    """metric_constancy's samples."""
+
+    def __init__(self, rho0: np.ndarray, guard: int, grid: TimeGrid):
+        self.rho0 = low_block(rho0, guard)
+        self.den = max(float(np.linalg.norm(self.rho0)), _ABS_FLOOR)
+        self.grid = grid
+        self.out = np.empty(grid.steps + 1)
+
+    def feed(self, lo: int, etas: np.ndarray):
+        k = self.rho0.shape[0]
+        for sl in sample_chunks(len(etas)):
+            # the guard block of eta† eta only needs eta's first k columns
+            blocks = _metrics(etas[sl, :, :k])
+            self.out[lo + sl.start : lo + sl.stop] = (
+                np.linalg.norm(blocks - self.rho0, axis=(1, 2)) / self.den
+            )
+
+    def series(self) -> ResidualSeries:
+        return ResidualSeries(
+            name="metric_constancy", times=self.grid.points.copy(), samples=self.out
+        )
+
+
 def metric_constancy(traj: DysonTrajectory) -> ResidualSeries:
     """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block."""
-    rho0 = low_block(traj.rho0.mat, traj.options.guard)
-    den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
-    k = rho0.shape[0]
-    out = np.empty(len(traj.etas))
-    for sl in sample_chunks(len(traj.etas)):
-        # the guard block of eta† eta only needs eta's first k columns
-        blocks = _metrics(traj.etas[sl, :, :k])
-        out[sl] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
-    return ResidualSeries(name="metric_constancy", times=traj.grid.points.copy(), samples=out)
+    return _whole(_MetricPass(traj.rho0.mat, traj.options.guard, traj.grid), traj).series()
+
+
+class _StridedPass:
+    """A pass over strided samples, evaluated SAMPLE_CHUNK outputs at a time.
+
+    Output chunk sl reads the maps at the sorted grid indices reads(sl).
+    It is evaluated in the window that holds the last of them; the samples
+    it reads from earlier windows are carried over.  The outputs are thus
+    grouped into chunks exactly as in one pass over the whole trajectory,
+    which matters because a product over one row can round differently
+    from the same row in a stack.
+    """
+
+    def __init__(self, n: int, reads):
+        self.chunks = [(sl, reads(sl)) for sl in sample_chunks(n)]
+        every = [ks for _, ks in self.chunks]
+        self.read = np.unique(np.concatenate(every)) if every else np.empty(0, dtype=int)
+        self.next = 0                    # first chunk not yet evaluated
+        self.carry_ks, self.carry = self.read[:0], None
+        self.sink = self.evaluate()
+        next(self.sink)
+
+    def feed(self, lo: int, etas: np.ndarray):
+        hi = lo + len(etas)
+
+        def take(ks):
+            """The maps at sorted grid indices ks, carried or in this window."""
+            split = int(np.searchsorted(ks, lo))
+            here = etas[ks[split:] - lo]
+            if not split:
+                return here
+            return np.concatenate((self.carry[np.searchsorted(self.carry_ks, ks[:split])], here))
+
+        while self.next < len(self.chunks):
+            sl, ks = self.chunks[self.next]
+            if ks[-1] >= hi:  # the chunk ends in a later window
+                pending = self.read[(self.read >= ks[0]) & (self.read < hi)]
+                self.carry_ks, self.carry = pending, take(pending)
+                return
+            self.sink.send((sl, ks, take(ks)))
+            self.next += 1
+
+    def evaluate(self):
+        """A generator that evaluates each (sl, ks, etas) chunk sent to it.
+
+        One loop for the life of the pass keeps a chunk's temporaries alive
+        until the next chunk replaces them, across window edges too, so the
+        allocator reuses their memory instead of returning it to the system
+        and faulting it in again for every window.
+        """
+        raise NotImplementedError
+
+
+class _StencilPass(_StridedPass):
+    """quasi_hermiticity_residuals' r2 and r7 at strided centres."""
+
+    def __init__(self, H: GeneratorFn, grid: TimeGrid, guard: int, dim: int,
+                 stride: int | None, spacing: int):
+        if spacing < 1:
+            raise ValueError("stencil spacing must be >= 1")
+        st = default_stride(grid.steps) if stride is None else stride
+        self.centers = np.arange(max(st, spacing), grid.steps - spacing + 1, st)
+        self.ts = grid.t0 + self.centers * grid.dt
+        self.r2 = np.empty(self.centers.size)
+        self.r7 = np.empty(self.centers.size)
+        self.H, self.dt, self.spacing = H, grid.dt, spacing
+        # a banded H couples neighbouring levels only, so the guard block of
+        # H† rho - rho H needs rho on one level more than the block itself.
+        # rho is still formed in full: a narrower product rounds differently,
+        # and the stencil amplifies that by 1/(2 spacing dt).
+        self.levels = min(dim - guard + 1, dim)
+        self.k = dim - guard
+        super().__init__(self.centers.size, self._touched)
+
+    def _touched(self, sl: slice) -> np.ndarray:
+        cs, sp = self.centers[sl], self.spacing
+        return np.unique(np.concatenate((cs - sp, cs, cs + sp)))
+
+    def evaluate(self):
+        sp, levels, k = self.spacing, self.levels, self.k
+        while True:
+            sl, touched, etas = yield
+            cs = self.centers[sl]
+            rhos = _metrics(etas)[:, :levels, :levels]
+
+            def rho_at(idx):
+                return rhos[np.searchsorted(touched, idx)]
+
+            rho = rho_at(cs)
+            drho = (rho_at(cs + sp) - rho_at(cs - sp)) / (2.0 * sp * self.dt)
+            rho_h = apply_generator(self.H, self.ts[sl], rho, right=True)
+            comm = apply_generator(self.H, self.ts[sl], rho, adjoint=True) - rho_h
+            self.r2[sl] = _block_norms(comm + 1j * drho, k)
+            den = _block_norms(rho_h, k)
+            num = _block_norms(comm, k)
+            self.r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
+
+    def series(self) -> tuple[ResidualSeries, ResidualSeries]:
+        return (
+            ResidualSeries(name="r2", times=self.ts, samples=self.r2),
+            ResidualSeries(name="r7", times=self.ts, samples=self.r7),
+        )
 
 
 def quasi_hermiticity_residuals(
@@ -209,41 +349,58 @@ def quasi_hermiticity_residuals(
     re-propagating.  Centers run in chunks; each chunk forms the metric
     once per distinct sample it touches and applies H through its bands.
     """
-    if spacing < 1:
-        raise ValueError("stencil spacing must be >= 1")
-    g = traj.options.guard
-    grid = traj.grid
-    st = default_stride(grid.steps) if stride is None else stride
-    centers = np.arange(max(st, spacing), grid.steps - spacing + 1, st)
-    ts = grid.t0 + centers * grid.dt
-    r2 = np.empty(centers.size)
-    r7 = np.empty(centers.size)
-    # a banded H couples neighbouring levels only, so the guard block of
-    # H† rho - rho H needs rho on one level more than the block itself.
-    # rho is still formed in full: a narrower product rounds differently,
-    # and the stencil amplifies that by 1/(2 spacing dt).
-    levels = min(traj.dim - g + 1, traj.dim)
-    k = traj.dim - g
-    for sl in sample_chunks(centers.size):
-        cs = centers[sl]
-        touched = np.unique(np.concatenate((cs - spacing, cs, cs + spacing)))
-        rhos = _metrics(traj.etas[touched])[:, :levels, :levels]
+    stencil = _StencilPass(H, traj.grid, traj.options.guard, traj.dim, stride, spacing)
+    return _whole(stencil, traj).series()
 
-        def rho_at(idx):
-            return rhos[np.searchsorted(touched, idx)]
 
-        rho = rho_at(cs)
-        drho = (rho_at(cs + spacing) - rho_at(cs - spacing)) / (2.0 * spacing * grid.dt)
-        rho_h = apply_generator(H, ts[sl], rho, right=True)
-        comm = apply_generator(H, ts[sl], rho, adjoint=True) - rho_h
-        r2[sl] = _block_norms(comm + 1j * drho, k)
-        den = _block_norms(rho_h, k)
-        num = _block_norms(comm, k)
-        r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
-    return (
-        ResidualSeries(name="r2", times=ts, samples=r2),
-        ResidualSeries(name="r7", times=ts, samples=r7),
-    )
+class _EquivalencePass(_StridedPass):
+    """equivalence_checks' three series at strided samples."""
+
+    def __init__(self, s: Scenario, rho0: np.ndarray,
+                 states: tuple[StateTrajectory, StateTrajectory],
+                 lr: LRQuantities | None, stride: int | None):
+        psi, psit = states
+        grid = s.grid
+        self.ks = _strided_indices(grid.steps, stride, target=1600)
+        self.ts = grid.t0 + self.ks * grid.dt
+        self.a, self.b = psi.amplitudes, psit.amplitudes
+        self.rho0 = rho0
+        self.ref = complex(self.a[0].conj() @ (rho0 @ self.b[0]))
+        self.x1, self.x2 = (q.mat for q in quadratures(s.dim))
+        self.frame = quadrature_frame(s, lr, self.ks)[:2] if lr is not None else None
+        self.sanity = np.empty(self.ks.size)
+        self.fixed = np.empty(self.ks.size)
+        self.obs = np.empty(self.ks.size) if lr is not None else None
+        super().__init__(self.ks.size, self.ks.__getitem__)
+
+    def evaluate(self):
+        x1, x2 = self.x1, self.x2
+        while True:
+            sl, ks, es = yield
+            a, b = self.a[ks], self.b[ks]
+            ea, eb = _matvec(es, a), _matvec(es, b)
+            rho = _metrics(es)
+            self.sanity[sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
+            self.fixed[sl] = np.abs(_inner(a, b @ self.rho0.T) - self.ref)
+            if self.obs is not None:
+                chi, shift1 = self.frame
+                # X1 b = cos chi x1 b - sin chi x2 b + shift1 b, without forming X1
+                x1b, x2b = b @ x1.T, b @ x2.T
+                c = chi[sl, None]
+                X1b = np.cos(c) * x1b - np.sin(c) * x2b + shift1[sl, None] * b
+                lhs = _inner(a, _matvec(rho, X1b))
+                rhs = _inner(ea, eb @ x1.T)
+                self.obs[sl] = np.abs(lhs - rhs)
+
+    def series(self) -> tuple[ResidualSeries, ResidualSeries, ResidualSeries | None]:
+        def mk(name, arr):
+            return ResidualSeries(name=name, times=self.ts.astype(float), samples=arr)
+
+        return (
+            mk("equivalence_sanity", self.sanity),
+            mk("equivalence_fixed_metric", self.fixed),
+            mk("equivalence_observable", self.obs) if self.obs is not None else None,
+        )
 
 
 def equivalence_checks(
@@ -264,43 +421,30 @@ def equivalence_checks(
     mapped states, expected to agree to second order in kappa (needs lr,
     else None).
     """
-    psi, psit = states
-    grid = s.grid
-    ks = _strided_indices(grid.steps, stride, target=1600)
-    ts = grid.t0 + ks * grid.dt
-    rho0 = traj.rho0.mat
-    ref = complex(psi.amplitudes[0].conj() @ (rho0 @ psit.amplitudes[0]))
-    x1, x2 = (q.mat for q in quadratures(s.dim))
-    if lr is not None:
-        chi, shift1, _ = quadrature_frame(s, lr, ks)
+    return _whole(_EquivalencePass(s, traj.rho0.mat, states, lr, stride), traj).series()
 
-    sanity = np.empty(ks.size)
-    fixed = np.empty(ks.size)
-    obs = np.empty(ks.size) if lr is not None else None
-    for sl in sample_chunks(ks.size):
-        es = traj.etas[ks[sl]]
-        a, b = psi.amplitudes[ks[sl]], psit.amplitudes[ks[sl]]
-        ea, eb = _matvec(es, a), _matvec(es, b)
-        rho = _metrics(es)
-        sanity[sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
-        fixed[sl] = np.abs(_inner(a, b @ rho0.T) - ref)
-        if obs is not None:
-            # X1 b = cos chi x1 b - sin chi x2 b + shift1 b, without forming X1
-            x1b, x2b = b @ x1.T, b @ x2.T
-            c = chi[sl, None]
-            X1b = np.cos(c) * x1b - np.sin(c) * x2b + shift1[sl, None] * b
-            lhs = _inner(a, _matvec(rho, X1b))
-            rhs = _inner(ea, eb @ x1.T)
-            obs[sl] = np.abs(lhs - rhs)
 
-    def mk(name, arr):
-        return ResidualSeries(name=name, times=ts.astype(float), samples=arr)
+class _KeptSamples:
+    """Copies of the maps at a sorted set of grid indices.
 
-    return (
-        mk("equivalence_sanity", sanity),
-        mk("equivalence_fixed_metric", fixed),
-        mk("equivalence_observable", obs) if obs is not None else None,
-    )
+    Indexed by grid index and laid out like DysonTrajectory.etas, so a
+    check reads the same bits from it as from the whole trajectory.
+    """
+
+    def __init__(self, ks: np.ndarray, dim: int):
+        self.ks = ks
+        self.etas = np.empty((ks.size, dim, dim), dtype=complex).transpose(0, 2, 1)
+
+    def feed(self, lo: int, etas: np.ndarray):
+        first, stop = np.searchsorted(self.ks, (lo, lo + len(etas)))
+        self.etas[first:stop] = etas[self.ks[first:stop] - lo]
+
+    def __getitem__(self, k):
+        return self.etas[np.searchsorted(self.ks, k)]
+
+
+_ISOSPECTRAL_TARGET = 400   # default sample counts of the two solve-based checks
+_DEVIATION_TARGET = 800
 
 
 def isospectrality_check(
@@ -318,16 +462,20 @@ def isospectrality_check(
     reciprocal condition number is checked against the trajectory's
     rcond_floor.
     """
-    grid = s.grid
-    ks = _strided_indices(grid.steps, stride, target=400)
-    ts = grid.t0 + ks * grid.dt
+    ks = _strided_indices(s.grid.steps, stride, target=_ISOSPECTRAL_TARGET)
     check_conditioning(traj, ks)
+    return _isospectrality_series(s, lr, traj.etas, ks, ms)
+
+
+def _isospectrality_series(s, lr, etas, ks, ms) -> dict[int, ResidualSeries]:
+    """isospectrality_check at grid indices ks, reading eta from etas[ks]."""
+    ts = s.grid.t0 + ks * s.grid.dt
     H = hamiltonian_fn(s)
     cols = list(ms)
     out = np.empty((len(cols), ks.size))
     for sl in sample_chunks(ks.size):
         zetas = displacements(-np.conj(lr.xi[ks[sl]]), s.dim)[:, :, cols]
-        w = np.linalg.solve(traj.etas[ks[sl]], zetas)
+        w = np.linalg.solve(etas[ks[sl]], zetas)
         energy = counterpart_energy(s, cols, ts[sl])
         defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)
         out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
@@ -358,17 +506,21 @@ def analytic_vs_numeric(
             "analytic route needs a validated scenario",
             failed_checks=("not_validated",),
         )
-    grid = s.grid
-    if numeric.grid != grid:
+    if numeric.grid != s.grid:
         raise ValueError("numeric trajectory is not on the scenario grid")
-    ks = _strided_indices(grid.steps, stride, target=800)
+    ks = _strided_indices(s.grid.steps, stride, target=_DEVIATION_TARGET)
+    return _deviation_series(s, lr, traj.etas, numeric, ks)
+
+
+def _deviation_series(s, lr, etas, numeric, ks) -> ResidualSeries:
+    """analytic_vs_numeric at grid indices ks, reading eta from etas[ks]."""
     ev = AnalyticEvolution(s, lr)
-    phi0 = traj.eta0.mat @ numeric.amplitudes[0]
+    phi0 = etas[0] @ numeric.amplitudes[0]
     devs = np.empty(ks.size)
     for sl in sample_chunks(ks.size):
-        w = np.linalg.solve(traj.etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
+        w = np.linalg.solve(etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
         devs[sl] = np.linalg.norm(w - numeric.amplitudes[ks[sl]], axis=1)
-    ts = grid.t0 + ks * grid.dt
+    ts = s.grid.t0 + ks * s.grid.dt
     return ResidualSeries(name="analytic_vs_numeric", times=ts.astype(float), samples=devs)
 
 
@@ -384,13 +536,20 @@ def _bounded(
 
 def scenario_workup(
     s: Scenario, *, tol: Tolerances | None = None, stride: int | None = None
-) -> tuple[DiagnosticsReport, Scenario, LRQuantities | None, DysonTrajectory]:
-    """Run every applicable check on one scenario; returns the intermediates too.
+) -> tuple[DiagnosticsReport, Scenario, LRQuantities | None]:
+    """Run every applicable check on one scenario; returns the run scenario and lr too.
 
     Validation failures do not stop the run: the trajectory-level residuals
     are exactly what shows a control scenario misbehaving.  Checks whose
     preconditions cannot be met (closed forms on a non-validated scenario)
     or whose series took no sample are recorded as skipped.
+
+    The map is stepped a window at a time, after the closed forms and the
+    |0>, |1> pair, and each window feeds every per-sample pass.  Only the
+    samples that isospectrality, analytic-vs-numeric and the r2 scale read
+    again are copied out, so the (steps+1, dim, dim) trajectory is never
+    held.  The conditioning floor is applied to the whole rcond series
+    after the last window, so a refusal names the worst sample.
     """
     tol = tol or Tolerances()
     try:
@@ -401,32 +560,51 @@ def scenario_workup(
 
     checks = list(validation.checks.values())
 
-    H = hamiltonian_fn(s_run)
-    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    options = s_run.solver_options(rcond_floor=tol.min_rcond)
-    traj = propagate_dyson(H, eta0, s_run.grid, options=options)
-    check_conditioning(traj)
-
-    series: dict[str, ResidualSeries] = {}
-    mc = metric_constancy(traj)
-    series[mc.name] = mc
-    checks.append(_bounded("metric_constancy", mc, tol.metric_constancy))
-
-    r2, r7 = quasi_hermiticity_residuals(traj, H, stride=stride)
-    series[r2.name] = r2
-    series[r7.name] = r7
-    scale = _commutator_scale(traj, H)
-    r2_tol = tol.r2_coeff * s_run.grid.dt**2 * scale
-    checks.append(_bounded("r2", r2, r2_tol, "flow identity"))
-    checks.append(_bounded("r7", r7, tol.r7, "static intertwining"))
+    H, eta0, options = _map_inputs(s_run, tol)
+    grid, dim = s_run.grid, s_run.dim
+    windows = map_windows(H, eta0, grid, options)  # refuses a too-coarse grid now
 
     lr = None
     if s_run.validated:
         lr = lr_pipeline(s_run)
-    psi = propagate_state(H, basis_state(0, s_run.dim), s_run.grid, options=options,
-                          companions=(basis_state(1, s_run.dim),))
+    psi = propagate_state(H, basis_state(0, dim), grid, options=options,
+                          companions=(basis_state(1, dim),))
     states = (psi, *psi.companions)
-    sanity, fixed, observable = equivalence_checks(s_run, traj, states, lr, stride=stride)
+
+    # eta0 laid out as the windows hold it, so rho0 has DysonTrajectory.rho0's bits
+    e0 = np.ascontiguousarray(eta0.mat.T).T
+    rho0 = e0.conj().T @ e0
+    rcond = np.empty(grid.steps + 1)
+    metric = _MetricPass(rho0, options.guard, grid)
+    stencil = _StencilPass(H, grid, options.guard, dim, stride, spacing=1)
+    pairing = _EquivalencePass(s_run, rho0, states, lr, stride)
+    iso_ks = avn_ks = None
+    if lr is not None:
+        avn_ks = _strided_indices(grid.steps, None, target=_DEVIATION_TARGET)
+        if s_run.perturbation_order == 2:
+            iso_ks = _strided_indices(grid.steps, None, target=_ISOSPECTRAL_TARGET)
+    reread = [ks for ks in (iso_ks, avn_ks) if ks is not None]
+    kept = _KeptSamples(np.unique(np.concatenate([_scale_indices(grid), *reread])), dim)
+    for lo, etas in windows:
+        rcond[lo : lo + len(etas)] = rcond_series(etas)
+        for pass_ in (metric, stencil, pairing, kept):
+            pass_.feed(lo, etas)
+    check_rcond(rcond, grid, options.rcond_floor)
+
+    series: dict[str, ResidualSeries] = {}
+    mc = metric.series()
+    series[mc.name] = mc
+    checks.append(_bounded("metric_constancy", mc, tol.metric_constancy))
+
+    r2, r7 = stencil.series()
+    series[r2.name] = r2
+    series[r7.name] = r7
+    scale = _commutator_scale(kept, H, grid, options.guard)
+    r2_tol = tol.r2_coeff * grid.dt**2 * scale
+    checks.append(_bounded("r2", r2, r2_tol, "flow identity"))
+    checks.append(_bounded("r7", r7, tol.r7, "static intertwining"))
+
+    sanity, fixed, observable = pairing.series()
     series[sanity.name] = sanity
     series[fixed.name] = fixed
     checks.append(_bounded("equivalence_sanity", sanity, tol.sanity))
@@ -438,8 +616,8 @@ def scenario_workup(
     else:
         checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
 
-    if lr is not None and s_run.perturbation_order == 2:
-        iso = isospectrality_check(s_run, lr, traj)
+    if iso_ks is not None:
+        iso = _isospectrality_series(s_run, lr, kept, iso_ks, (0, 1, 2))
         worst = 0.0
         for m, ser in iso.items():
             series[ser.name] = ser
@@ -449,8 +627,8 @@ def scenario_workup(
     else:
         checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
 
-    if lr is not None:
-        avn = analytic_vs_numeric(s_run, lr, traj, psi)
+    if avn_ks is not None:
+        avn = _deviation_series(s_run, lr, kept, psi, avn_ks)
         series[avn.name] = avn
         checks.append(
             _bounded(
@@ -465,7 +643,7 @@ def scenario_workup(
         checks.append(CheckOutcome("analytic_vs_numeric", None, float("nan"), None, "skipped"))
 
     pt = pt_analysis(s_run)
-    rc_min = float(np.min(traj.rcond))
+    rc_min = float(np.min(rcond))
     report = DiagnosticsReport(
         scenario_name=s_run.name,
         series=series,
@@ -476,17 +654,37 @@ def scenario_workup(
         tail_mass_max=max(st.tail_mass_max for st in states),
         condition_max=1.0 / max(rc_min, 1e-300),
     )
-    return report, s_run, lr, traj
+    return report, s_run, lr
 
 
-def _commutator_scale(traj: DysonTrajectory, H: GeneratorFn) -> float:
+def _map_inputs(s_run: Scenario, tol: Tolerances):
+    """(H, eta0, solver options) of the map a workup of s_run steps."""
+    H = hamiltonian_fn(s_run)
+    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
+    return H, eta0, s_run.solver_options(rcond_floor=tol.min_rcond)
+
+
+def workup_trajectory(s_run: Scenario, *, tol: Tolerances | None = None) -> DysonTrajectory:
+    """The map scenario_workup streams, held whole, for callers that read eta itself.
+
+    ``s_run`` is the scenario the workup returns; the result holds every
+    sample, (steps+1, dim, dim), which the workup never does.
+    """
+    H, eta0, options = _map_inputs(s_run, tol or Tolerances())
+    return propagate_dyson(H, eta0, s_run.grid, options=options)
+
+
+def _scale_indices(grid: TimeGrid) -> np.ndarray:
+    """The grid indices _commutator_scale reads: first, middle and last."""
+    return np.array([0, (grid.steps + 1) // 2, grid.steps])
+
+
+def _commutator_scale(etas, H: GeneratorFn, grid: TimeGrid, guard: int) -> float:
     """Typical guard-block magnitude of rho H, the natural r2 scale."""
-    g = traj.options.guard
-    ks = (0, len(traj.etas) // 2, len(traj.etas) - 1)
     vals = []
-    for k in ks:
-        e = traj.etas[k]
+    for k in _scale_indices(grid):
+        e = etas[k]
         rho = e.conj().T @ e
-        h = H(float(traj.grid.points[k])).mat
-        vals.append(np.linalg.norm(low_block(rho @ h, g)))
+        h = H(float(grid.points[k])).mat
+        vals.append(np.linalg.norm(low_block(rho @ h, guard)))
     return max(float(max(vals)), _ABS_FLOOR)

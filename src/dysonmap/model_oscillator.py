@@ -329,8 +329,10 @@ def derive_initial_map_params(
     def residual_check(g0: complex) -> CheckOutcome:
         num, den = _intertwining_residual(s, g0, lambda0)
         tol = _INTERTWINING_RTOL * max(den, 1e-300)
+        # a residual that overflowed was not evaluated, so it cannot pass
+        passed = math.isfinite(num) and math.isfinite(den) and num <= tol
         return CheckOutcome(
-            "(v)", num <= tol, num, None, "||H† rho0 - rho0 H|| intertwining residual"
+            "(v)", passed, num, None, "||H† rho0 - rho0 H|| intertwining residual"
         )
 
     checks["iv"] = gauge_check(primary)

@@ -11,6 +11,8 @@ A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
 stepped as eta^T, so the banded update shifts contiguous rows;
 trajectories expose eta through a transposed view of that storage.
+``map_windows`` steps the same map a window of samples at a time, for
+callers that never need the whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +40,12 @@ _TAIL_WARN = 1e-8      # guard-band population fraction above which a state warn
 # are 0.5 MB; a pass holds about ten such stacks at once, so its
 # temporaries stay a few MB above the trajectory itself.
 SAMPLE_CHUNK = 32
+
+# Samples per window of a streamed map (see map_windows): 256 complex
+# 40 x 40 matrices are 6.6 MB, against 246 MB for a whole 9,600-step map.
+# A multiple of SAMPLE_CHUNK, so windows split into the chunks of a whole
+# trajectory.
+MAP_WINDOW = 8 * SAMPLE_CHUNK
 
 
 def sample_chunks(n: int):
@@ -143,15 +151,17 @@ class StateTrajectory:
             )
 
 
-def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 over the grid; returns all steps+1 samples.
+def _rk4_windows(deriv, y0: np.ndarray, grid: TimeGrid, width: int):
+    """Classical RK4 over the grid, yielding its samples as (lo, block) windows.
 
-    `deriv(t, y)` must accept and return arrays of y's shape; works for
-    matrices, vectors, and 0-d scalars alike.
+    block holds samples lo .. lo + len(block) - 1; every window but the
+    last holds ``width`` of them.  All windows share one buffer, so a
+    consumer copies what it keeps before it asks for the next window.
     """
     y = np.asarray(y0, dtype=complex)
-    out = np.empty((grid.steps + 1,) + y.shape, dtype=complex)
-    out[0] = y
+    block = np.empty((min(width, grid.steps + 1),) + y.shape, dtype=complex)
+    block[0] = y
+    lo, n = 0, 1
     dt = grid.dt
     for k in range(grid.steps):
         t = grid.t0 + k * dt
@@ -164,8 +174,22 @@ def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
             raise DivergenceError(
                 f"non-finite values at t = {t + dt:.6g}", t=t + dt
             )
-        out[k + 1] = y
-    return out
+        if n == len(block):
+            yield lo, block
+            lo, n = lo + n, 0
+        block[n] = y
+        n += 1
+    yield lo, block[:n]
+
+
+def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 over the grid; returns all steps+1 samples.
+
+    `deriv(t, y)` must accept and return arrays of y's shape; works for
+    matrices, vectors, and 0-d scalars alike.
+    """
+    [(_, samples)] = _rk4_windows(deriv, y0, grid, grid.steps + 1)
+    return samples
 
 
 def band_matrix(dim: int, d: complex, u: complex, l: complex) -> np.ndarray:
@@ -267,9 +291,10 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
                 recommended_steps=None,
             )
         steps = math.ceil(needed)
+        shown = steps if steps < 10**15 else f"{steps:.3g}"  # every digit while they are few
         raise StepSizeError(
-            f"step guard: max ||H||_F * dt = {max_norm * grid.dt:.3f} exceeds "
-            f"{limit}; use at least {steps} steps",
+            f"step guard: max ||H||_F * dt = {max_norm * grid.dt:.3g} exceeds "
+            f"{limit}; use at least {shown} steps",
             recommended_steps=steps,
         )
 
@@ -293,11 +318,34 @@ def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
     return deriv
 
 
-def _rcond_series(mats: np.ndarray) -> np.ndarray:
-    anorms = np.empty(len(mats))
-    for sl in sample_chunks(len(mats)):
-        anorms[sl] = np.abs(mats[sl]).sum(axis=-2).max(axis=-1)
-    return np.array([rcond_1norm(m, a) for m, a in zip(mats, anorms)])
+def rcond_series(etas: np.ndarray) -> np.ndarray:
+    """Reciprocal 1-norm condition estimate of each map in a stack."""
+    anorms = np.empty(len(etas))
+    for sl in sample_chunks(len(etas)):
+        anorms[sl] = np.abs(etas[sl]).sum(axis=-2).max(axis=-1)
+    return np.array([rcond_1norm(m, a) for m, a in zip(etas, anorms)])
+
+
+def map_windows(
+    H: GeneratorFn,
+    eta0: FockOperator,
+    grid: TimeGrid,
+    options: SolverOptions,
+    width: int = MAP_WINDOW,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The samples of i d/dt eta = eta H(t) from eta(t0) = eta0, a window at a time.
+
+    Refuses grids violating the step guard when called, before any step.
+    The stepping then runs as the result is iterated: it yields (lo, etas)
+    with etas the (n, dim, dim) maps at grid indices lo .. lo + n - 1, a
+    transposed view of the eta^T buffer that every window reuses.
+    """
+    if H.dim != eta0.dim:
+        raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
+    _check_step_guard(H, grid, options.step_guard)
+    deriv = _rk4_deriv(H, grid, right=True)
+    windows = _rk4_windows(deriv, np.ascontiguousarray(eta0.mat.T), grid, width)
+    return ((lo, block.transpose(0, 2, 1)) for lo, block in windows)
 
 
 def propagate_dyson(
@@ -306,18 +354,14 @@ def propagate_dyson(
     grid: TimeGrid,
     options: SolverOptions | None = None,
 ) -> DysonTrajectory:
-    """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
+    """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0, keeping every sample.
 
     Refuses grids violating the step guard (with a workable step count in
     the error); attaches per-sample reciprocal-condition estimates.
     """
     options = options or SolverOptions()
-    if H.dim != eta0.dim:
-        raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    _check_step_guard(H, grid, options.step_guard)
-    deriv = _rk4_deriv(H, grid, right=True)
-    etas = rk4_samples(deriv, np.ascontiguousarray(eta0.mat.T), grid).transpose(0, 2, 1)
-    return DysonTrajectory(grid=grid, etas=etas, rcond=_rcond_series(etas), options=options)
+    [(_, etas)] = map_windows(H, eta0, grid, options, width=grid.steps + 1)
+    return DysonTrajectory(grid=grid, etas=etas, rcond=rcond_series(etas), options=options)
 
 
 def propagate_state(
@@ -357,15 +401,21 @@ def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
     The floor is ``traj.options.rcond_floor``; the error names the worst
     sample's time.
     """
-    rcond = traj.rcond if ks is None else traj.rcond[ks]
-    i = int(np.argmin(rcond))
+    check_rcond(traj.rcond, traj.grid, traj.options.rcond_floor, ks)
+
+
+def check_rcond(
+    rcond: np.ndarray, grid: TimeGrid, floor: float, ks: np.ndarray | None = None
+):
+    """check_conditioning on an rcond series sampled on grid."""
+    i = int(np.argmin(rcond if ks is None else rcond[ks]))
     k = i if ks is None else int(ks[i])
-    if traj.rcond[k] < traj.options.rcond_floor:
+    if rcond[k] < floor:
         raise IllConditionedError(
-            f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
-            f"t = {traj.grid.points[k]:.6g}",
-            rcond=float(traj.rcond[k]),
-            t=float(traj.grid.points[k]),
+            f"eta reciprocal condition {rcond[k]:.3e} below floor at "
+            f"t = {grid.points[k]:.6g}",
+            rcond=float(rcond[k]),
+            t=float(grid.points[k]),
         )
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures.
 
 The bundled-scenario workups dominate the suite's runtime, so each one is
-computed once per session and shared across modules.  The tiny dim-12 run
-exists for tests that need a trajectory but not the full 8000-step grids.
+computed once per session and shared across modules.  A workup never holds
+the whole map; the trajectory fixtures step it again with the workup's
+options for the tests that read eta itself.  The tiny dim-12 run exists
+for tests that need a trajectory but not the full 8000-step grids.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ from dysonmap import (
     propagate_dyson,
     scenario_workup,
     validated_scenario,
+    workup_trajectory,
 )
 from dysonmap.cli import _load_doc, scenario_from_doc
 
@@ -80,6 +83,21 @@ def gamma_drift_workup():
 @pytest.fixture(scope="session")
 def time_independent_workup():
     return scenario_workup(load_bundled("time_independent"))
+
+
+@pytest.fixture(scope="session")
+def s1_trajectory(s1_workup):
+    return workup_trajectory(s1_workup[1])
+
+
+@pytest.fixture(scope="session")
+def gamma_drift_trajectory(gamma_drift_workup):
+    return workup_trajectory(gamma_drift_workup[1])
+
+
+@pytest.fixture(scope="session")
+def time_independent_trajectory(time_independent_workup):
+    return workup_trajectory(time_independent_workup[1])
 
 
 @pytest.fixture(scope="session")

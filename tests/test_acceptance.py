@@ -59,7 +59,7 @@ def r2_halving(s1_workup, s2_workup):
     """Max flow-identity residual after one true step halving, per scenario."""
     out = {}
     for name, workup in (("s1", s1_workup), ("s2", s2_workup)):
-        report, s, _, _ = workup
+        report, s, _ = workup
         fine = rebuild(s, grid=TimeGrid(s.grid.t0, s.grid.t1, 2 * s.grid.steps))
         H = hamiltonian_fn(fine)
         eta0 = initial_map(fine, complex(fine.gamma0), complex(fine.lambda0))
@@ -71,10 +71,10 @@ def r2_halving(s1_workup, s2_workup):
 
 
 @pytest.fixture(scope="module")
-def kappa_sweep(s1_workup):
+def kappa_sweep(s1_workup, s1_trajectory):
     """(scenario, lr, trajectory) for each drive strength in the sweep."""
-    _, s1_run, lr1, traj1 = s1_workup
-    points = {0.1: (s1_run, lr1, traj1)}
+    _, s1_run, lr1 = s1_workup
+    points = {0.1: (s1_run, lr1, s1_trajectory)}
     for kappa in SWEEP_KAPPAS[1:]:
         s_run, _ = validated_scenario(rebuild(load_bundled("s1"), kappa=kappa))
         H = hamiltonian_fn(s_run)
@@ -151,7 +151,7 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
     stable = max(cs) / min(cs) <= 1.05
     ok = ok and stable
 
-    _, s1, lr1, _ = s1_workup
+    _, s1, lr1 = s1_workup
     u_err = float(np.max(np.abs(lr1.u - (-0.1j))))
     s_o1 = rebuild(s1, perturbation_order=1)
     lr_o1 = lr_pipeline(s_o1)
@@ -234,8 +234,10 @@ def test_criterion_08_phase_boundary():
     )
 
 
-def test_criterion_09_time_independent_recovery(time_independent_workup):
-    _, s, _, traj = time_independent_workup
+def test_criterion_09_time_independent_recovery(time_independent_workup,
+                                                time_independent_trajectory):
+    _, s, _ = time_independent_workup
+    traj = time_independent_trajectory
     hmat = hamiltonian_fn(s)(0.0).mat
     eta0 = traj.etas[0]
     inv0, _ = invert_apply(FockOperator(eta0), identity(s.dim))

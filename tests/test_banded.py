@@ -65,9 +65,13 @@ def test_banded_update_matches_dense_product(s, j, seed):
 
 
 def scaled_norm(m):
-    """Frobenius norm computed as s ||m / s||, s = max |m|, so no square under- or overflows."""
-    scale = float(np.max(np.abs(m)))
-    return scale * float(np.linalg.norm(m / scale)) if scale > 0 else 0.0
+    """Frobenius norm computed as s ||m / s||, s = max |m|, so no square under- or overflows.
+
+    |m| is scaled, not m: complex division by a subnormal s overflows 1/s.
+    """
+    mag = np.abs(m)
+    scale = float(np.max(mag))
+    return scale * float(np.linalg.norm(mag / scale)) if scale > 0 else 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,6 +80,18 @@ def scaled_norm(m):
     # |omega|^2 is subnormal: a squared-magnitude norm loses about 1e-8 relative here
     s=Scenario(
         omega=CoefficientSpec.constant(5.661840691030381e-159 * (1 + 1j)),
+        alpha=CoefficientSpec.constant(0j),
+        beta=CoefficientSpec.constant(0j),
+        kappa=0.0,
+        grid=GRID,
+        dim=2,
+        guard=1,
+    )
+)
+@example(
+    # the smallest subnormal omega: the reference must not divide by it as a complex
+    s=Scenario(
+        omega=CoefficientSpec.constant(5e-324),
         alpha=CoefficientSpec.constant(0j),
         beta=CoefficientSpec.constant(0j),
         kappa=0.0,

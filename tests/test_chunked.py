@@ -4,10 +4,13 @@ The map is stepped as eta^T and states as one (dim, n) block; both must
 reproduce the row-layout, one-state-at-a-time stepping bit for bit.  The
 residual passes and the Hermitian counterpart run chunk by chunk through
 the ladder bands; they must match the per-sample dense formulas they
-replace.
+replace.  The workup streams the map window by window through the same
+passes; its series must equal theirs on the whole trajectory bit for bit,
+and it must never hold the whole trajectory.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,12 +46,14 @@ from dysonmap import (
     rotation,
     scenario_workup,
     validated_scenario,
+    workup_trajectory,
 )
+from dysonmap.diagnostics import _commutator_scale
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
-from dysonmap.propagation import SAMPLE_CHUNK, _band_table, band_matrix
+from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, _band_table, band_matrix
 
-from conftest import load_bundled, tiny_scenario
+from conftest import load_bundled, rebuild, tiny_scenario
 
 amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 rates = st.floats(-1.0, 1.0, allow_nan=False)
@@ -297,8 +302,8 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
 # -- the conditioning floor ----------------------------------------------------
 
 
-def test_min_rcond_is_the_applied_floor(s1_workup):
-    _, _, _, traj = s1_workup
+def test_min_rcond_is_the_applied_floor(s1_trajectory):
+    traj = s1_trajectory
     assert traj.options.rcond_floor == Tolerances().min_rcond
     worst = float(np.min(traj.rcond))
     assert 0.01 < worst < 0.5
@@ -306,3 +311,60 @@ def test_min_rcond_is_the_applied_floor(s1_workup):
         scenario_workup(load_bundled("s1"), tol=Tolerances(min_rcond=0.5))
     assert ei.value.t is not None
     assert ei.value.rcond == pytest.approx(worst)
+
+
+# -- the streamed workup -------------------------------------------------------
+
+
+def assert_streamed_workup_is_exact(workup, traj, stride=None):
+    """The workup's report against the public passes on the whole trajectory."""
+    report, s, lr = workup
+    H = hamiltonian_fn(s)
+    psi = propagate_state(H, basis_state(0, s.dim), s.grid, options=traj.options,
+                          companions=(basis_state(1, s.dim),))
+    want = [metric_constancy(traj), *quasi_hermiticity_residuals(traj, H, stride=stride)]
+    want += equivalence_checks(s, traj, (psi, *psi.companions), lr, stride=stride)
+    if lr is not None:
+        want += isospectrality_check(s, lr, traj).values()
+        want.append(analytic_vs_numeric(s, lr, traj, psi))
+    want = {ser.name: ser for ser in want if ser is not None}
+    assert list(report.series) == list(want)
+    for name, ser in report.series.items():
+        assert np.array_equal(ser.times, want[name].times), name
+        assert np.array_equal(ser.samples, want[name].samples), name
+    assert report.condition_max == 1.0 / float(np.min(traj.rcond))
+    scale = _commutator_scale(traj.etas, H, s.grid, traj.options.guard)
+    assert report.outcome("r2").tolerance == report.tolerances.r2_coeff * s.grid.dt**2 * scale
+
+
+@pytest.mark.parametrize("name", ["s1", "gamma_drift"])
+def test_streamed_workup_is_bit_identical_on_bundled_scenarios(name, request):
+    workup = request.getfixturevalue(f"{name}_workup")
+    assert_streamed_workup_is_exact(workup, request.getfixturevalue(f"{name}_trajectory"))
+
+
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("steps", [
+    MAP_WINDOW - 1,        # windows end exactly on the last sample
+    MAP_WINDOW,            # the last window holds the last sample alone
+    2 * MAP_WINDOW + 1,    # centres and strided samples straddle two edges
+    4 * MAP_WINDOW + 3,    # isospectrality keeps every other sample
+])
+def test_streamed_workup_is_bit_identical_across_window_edges(steps, stride):
+    s = tiny_scenario(dim=6, guard=2, grid=TimeGrid(0.0, 1.0, steps))
+    workup = scenario_workup(s, stride=stride)
+    assert_streamed_workup_is_exact(workup, workup_trajectory(workup[1]), stride)
+
+
+def test_streamed_workup_holds_no_whole_trajectory(s1_workup):
+    # s1_workup ran one workup already, so imports and caches are warm
+    s = load_bundled("s1")
+    whole = (s.grid.steps + 1) * s.dim**2 * 16
+    tracemalloc.start()
+    try:
+        scenario_workup(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 2, f"peak {peak / 1e6:.1f} MB against {whole / 1e6:.1f} MB held whole"

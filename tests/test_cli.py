@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,8 @@ class TestConfigErrors:
         assert proc.returncode == 3, proc.stderr
         assert "numerical failure: step guard" in proc.stderr
         assert "use at least" in proc.stderr
+        # the product and the step count are shown in a few significant digits
+        assert re.search(r"\d{21,}", proc.stderr) is None, proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_non_finite_coefficient_maps_to_exit_3(self):

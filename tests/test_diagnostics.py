@@ -75,7 +75,7 @@ class TestResidualSeries:
 
 class TestReportStructure:
     def test_checks_sorted_and_addressable(self, s1_workup):
-        report, _, _, _ = s1_workup
+        report, _, _ = s1_workup
         names = [c.name for c in report.checks]
         assert names == sorted(names)
         assert report.outcome("metric_constancy").passed is True
@@ -83,7 +83,7 @@ class TestReportStructure:
             report.outcome("no_such_check")
 
     def test_series_sampled_on_the_grid(self, s1_workup):
-        report, s, _, _ = s1_workup
+        report, s, _ = s1_workup
         r2 = report.series["r2"]
         assert 50 <= r2.samples.size <= s.grid.steps + 1
         assert r2.times[0] >= s.grid.t0
@@ -94,14 +94,14 @@ class TestReportStructure:
 
 class TestConstantDriveWorkup:
     def test_everything_passes(self, s1_workup):
-        report, _, _, _ = s1_workup
+        report, _, _ = s1_workup
         assert report.failing() == ()
         assert report.passed
         assert report.pt.label == "UNBROKEN"
         assert abs(report.validation.gamma0 - (-0.2j)) < 1e-12
 
     def test_residual_levels(self, s1_workup):
-        report, _, _, _ = s1_workup
+        report, _, _ = s1_workup
         ser = report.series
         assert ser["metric_constancy"].max < 2e-7
         assert ser["r2"].max < 2e-8
@@ -114,20 +114,20 @@ class TestConstantDriveWorkup:
         assert 0.0313 < ser["analytic_vs_numeric"].terminal < 0.0316
 
     def test_bookkeeping(self, s1_workup):
-        report, _, _, _ = s1_workup
+        report, _, _ = s1_workup
         assert report.tail_mass_max < 1e-10
         assert report.condition_max < 100.0
 
 
 class TestMixedPhaseControl:
     def test_failing_set_exact(self, s2_workup):
-        report, _, _, _ = s2_workup
+        report, _, _ = s2_workup
         assert report.failing() == S2_FAILING
         assert not report.passed
         assert report.pt.label == "BROKEN"
 
     def test_residual_levels(self, s2_workup):
-        report, _, _, _ = s2_workup
+        report, _, _ = s2_workup
         assert report.series["metric_constancy"].max > 1e-3
         assert report.series["r7"].max > 1e-4
         # the flow identity holds regardless of the metric drifting
@@ -135,19 +135,19 @@ class TestMixedPhaseControl:
         assert report.series["r2"].max < 1e-7
 
     def test_constraint_check_values(self, s2_workup):
-        report, _, _, _ = s2_workup
+        report, _, _ = s2_workup
         assert report.outcome("(ii)").value == pytest.approx(1.0, rel=1e-6)
         assert report.outcome("(iv)").value == pytest.approx(0.1, rel=1e-6)
 
 
 class TestDriftingRatioControl:
     def test_failing_set_exact(self, gamma_drift_workup):
-        report, _, _, _ = gamma_drift_workup
+        report, _, _ = gamma_drift_workup
         assert report.failing() == GAMMA_DRIFT_FAILING
         assert report.pt.label == "UNBROKEN"
 
     def test_residual_levels(self, gamma_drift_workup):
-        report, _, lr, _ = gamma_drift_workup
+        report, _, lr = gamma_drift_workup
         assert lr is None  # validation failed, closed forms unavailable
         assert report.series["metric_constancy"].max > 0.5
         assert report.outcome("r2").passed is True
@@ -158,7 +158,7 @@ class TestDriftingRatioControl:
 
 class TestHermitianLimit:
     def test_all_residuals_at_floor(self, kappa_zero_workup):
-        report, _, _, _ = kappa_zero_workup
+        report, _, _ = kappa_zero_workup
         assert report.passed
         assert report.validation.gamma0 == 0j
         ser = report.series
@@ -172,7 +172,7 @@ class TestHermitianLimit:
 
 class TestTimeIndependentLimit:
     def test_levels(self, time_independent_workup):
-        report, _, _, _ = time_independent_workup
+        report, _, _ = time_independent_workup
         assert report.passed
         ser = report.series
         assert ser["metric_constancy"].max < 1e-8
@@ -186,8 +186,9 @@ class TestTimeIndependentLimit:
 
 
 class TestStencilSpacing:
-    def test_flow_residual_scales_with_spacing(self, gamma_drift_workup):
-        _, s, _, traj = gamma_drift_workup
+    def test_flow_residual_scales_with_spacing(self, gamma_drift_workup, gamma_drift_trajectory):
+        _, s, _ = gamma_drift_workup
+        traj = gamma_drift_trajectory
         H = hamiltonian_fn(s)
         r2_1, _ = quasi_hermiticity_residuals(traj, H, spacing=1)
         r2_2, _ = quasi_hermiticity_residuals(traj, H, spacing=2)
@@ -214,8 +215,9 @@ class TestGuardBand:
 
 
 class TestEquivalenceRoutes:
-    def test_custom_state_pair(self, s1_workup):
-        _, s, lr, traj = s1_workup
+    def test_custom_state_pair(self, s1_workup, s1_trajectory):
+        _, s, lr = s1_workup
+        traj = s1_trajectory
         b0, b1 = basis_state(0, s.dim), basis_state(1, s.dim)
         mix = StateVector((b0.vec + b1.vec) / np.sqrt(2.0))
         psi = propagate_state(hamiltonian_fn(s), b0, s.grid, options=traj.options,
@@ -225,15 +227,17 @@ class TestEquivalenceRoutes:
         assert fixed.max < 1e-6
         assert observable is not None
 
-    def test_isospectrality_subset(self, s1_workup):
-        _, s, lr, traj = s1_workup
+    def test_isospectrality_subset(self, s1_workup, s1_trajectory):
+        _, s, lr = s1_workup
+        traj = s1_trajectory
         iso = isospectrality_check(s, lr, traj, ms=(0, 1))
         assert set(iso) == {0, 1}
         for ser in iso.values():
             assert ser.max < 1e-12
 
-    def test_deviation_from_excited_start(self, s1_workup):
-        _, s, lr, traj = s1_workup
+    def test_deviation_from_excited_start(self, s1_workup, s1_trajectory):
+        _, s, lr = s1_workup
+        traj = s1_trajectory
         psi = propagate_state(hamiltonian_fn(s), basis_state(1, s.dim), s.grid,
                               options=traj.options)
         avn = analytic_vs_numeric(s, lr, traj, psi)
@@ -243,7 +247,7 @@ class TestEquivalenceRoutes:
 
 def test_empty_series_are_skipped_not_passed():
     # one step leaves no interior point for the flow-identity stencil
-    report, _, _, _ = scenario_workup(tiny_scenario(dim=8, grid=TimeGrid(0.0, 1e-4, 1)))
+    report, _, _ = scenario_workup(tiny_scenario(dim=8, grid=TimeGrid(0.0, 1e-4, 1)))
     for name in ("r2", "r7"):
         assert report.series[name].samples.size == 0
         outcome = report.outcome(name)

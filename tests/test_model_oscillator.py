@@ -104,6 +104,17 @@ class TestScenarioValidation:
         rep = ei.value.report
         assert rep.checks["iii"].passed is False
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the point
+    def test_overflowing_intertwining_residual_fails(self):
+        # ||H† rho0 - rho0 H|| overflows to inf at this frequency; check (v)
+        # must not pass on inf <= 1e-8 inf
+        s = rebuild(load_bundled("s1"), omega=CoefficientSpec.constant(1e160 + 1e158j))
+        with pytest.raises(ScenarioInvalidError) as ei:
+            validated_scenario(s)
+        v = ei.value.report.checks["v"]
+        assert v.passed is False
+        assert v.value == np.inf
+
     def test_closed_forms_gated_on_validation(self):
         s = load_bundled("s2")
         with pytest.raises(ScenarioInvalidError) as ei:
@@ -135,7 +146,7 @@ class TestClosedFormPipeline:
             lr.theta[0] = 0j
 
     def test_phase_integrals(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         ts = s.grid.points
         assert np.max(np.abs(lr.chi - ts)) < 1e-12
         assert np.max(np.abs(lr.alpha_tilde - (np.exp(1j * ts) - 1.0))) < 1e-10
@@ -146,25 +157,25 @@ class TestClosedFormPipeline:
         assert abs(lr.beta_tilde[-1]) < 1e-10  # full period closes the integral
 
     def test_drive_functions(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         assert np.max(np.abs(lr.u - (-0.1j))) < 1e-12
         assert np.max(np.abs(lr.f - 0.02)) < 1e-10
         assert np.max(np.abs(lr.xi - (-0.1j))) < 1e-12
 
     def test_drive_shift_halves_at_first_order(self, s1_workup):
-        _, s, _, _ = s1_workup
+        _, s, _ = s1_workup
         s1o = rebuild(s, perturbation_order=1)
         lr = lr_pipeline(s1o)
         assert np.max(np.abs(lr.f - 0.01)) < 1e-10
 
     def test_theta_reaches_steady_spiral(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         ts = s.grid.points
         closed = -0.05j * (1.0 - np.exp(-2j * ts))
         assert np.max(np.abs(lr.theta - closed)) < 1e-8
 
     def test_phase_linearity_in_m(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         phis = {m: lr_phase(s, lr, m) for m in (0, 1, 2, 3)}
         for m, phi in phis.items():
             assert phi[0] == 0.0
@@ -175,7 +186,7 @@ class TestClosedFormPipeline:
             lr_phase(s, lr, band)
 
     def test_analytic_evolution_unitary(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         ev = AnalyticEvolution(s, lr)
         ks = (0, s.grid.steps // 2, s.grid.steps)
         for v, u in zip(ev.Vs(ks), ev.Us(ks)):
@@ -239,7 +250,7 @@ def test_singular_frequency_refused():
 
 class TestSpectralQuantities:
     def test_matrix_elements_tridiagonal(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         k = s.grid.steps // 4
         t = s.grid.points[k]
         assert matrix_elements(s, lr, 0, 2, t) == 0j
@@ -255,7 +266,7 @@ class TestSpectralQuantities:
             matrix_elements(s, lr, s.dim - s.guard, 0, t)
 
     def test_eigensystem_energies_and_residuals(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         t = s.grid.points[s.grid.steps // 4]
         for m, expect in ((0, 0.02), (1, 2.02)):
             pair = eigensystem(s, lr, m, t)
@@ -266,13 +277,13 @@ class TestSpectralQuantities:
             eigensystem(s, lr, s.dim - s.guard, t)
 
     def test_eigensystem_needs_second_order(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         s1o = rebuild(s, perturbation_order=1)
         with pytest.raises(ValueError, match="perturbation_order = 2"):
             eigensystem(s1o, lr, 0, 0.0)
 
     def test_counterpart_energy_direct_formula(self, s1_workup):
-        _, s, lr, _ = s1_workup
+        _, s, lr = s1_workup
         t = s.grid.points[s.grid.steps // 4]
         for m in (0, 1, 2):
             assert abs(counterpart_energy(s, m, t) - eigensystem(s, lr, m, t).energy) < 1e-12
@@ -280,8 +291,9 @@ class TestSpectralQuantities:
         assert arr.shape == (5,)
         assert np.max(np.abs(arr - arr[0])) < 1e-14
 
-    def test_quadrature_observables(self, s1_workup):
-        _, s, lr, traj = s1_workup
+    def test_quadrature_observables(self, s1_workup, s1_trajectory):
+        _, s, lr = s1_workup
+        traj = s1_trajectory
         t_end = float(s.grid.points[-1])
         bare = quadrature_observables(s, lr, t_end)
         assert bare.direct_discrepancy is None
@@ -367,7 +379,7 @@ class TestPhaseAnalysis:
         assert pt.boundary_quantity == boundary
 
     def test_constant_imaginary_drive_is_symmetric(self, s1_workup):
-        _, s, _, _ = s1_workup
+        _, s, _ = s1_workup
         pt = pt_analysis(s)
         assert pt.label == "UNBROKEN"
         assert pt.symmetric
@@ -375,7 +387,7 @@ class TestPhaseAnalysis:
         assert max(pt.im_energy_max) < 1e-10
 
     def test_mixed_phase_drive_breaks(self, s2_workup):
-        _, s, _, _ = s2_workup
+        _, s, _ = s2_workup
         pt = pt_analysis(s)
         assert pt.label == "BROKEN"
         ok, dev = pt.symmetry["alpha_conjugate_odd"]
@@ -384,7 +396,7 @@ class TestPhaseAnalysis:
         assert max(pt.im_energy_max) > 1e-3
 
     def test_modulated_frequency_keeps_real_spectrum(self, gamma_drift_workup):
-        _, s, _, _ = gamma_drift_workup
+        _, s, _ = gamma_drift_workup
         pt = pt_analysis(s)
         assert pt.label == "UNBROKEN"
         assert not pt.symmetric
