@@ -38,6 +38,7 @@ from .fock_algebra import (
 from .propagation import (
     DysonTrajectory,
     GeneratorFn,
+    MapWindow,
     SolverOptions,
     StateTrajectory,
     TimeGrid,
@@ -81,7 +82,6 @@ from .diagnostics import (
     metric_constancy,
     quasi_hermiticity_residuals,
     scenario_workup,
-    workup_trajectory,
 )
 
 __version__ = "0.1.0"

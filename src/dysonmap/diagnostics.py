@@ -6,10 +6,10 @@ one DiagnosticsReport, skipping the stages whose preconditions a scenario
 cannot meet (an invalid scenario still gets trajectory-level residuals, so
 negative controls show exactly which claims break) and the checks whose
 series took no sample.  The checks are functions of the trajectories they
-are given.  Each per-sample check is a pass fed the map a window at a
-time: the public functions feed it a whole DysonTrajectory, while
-scenario_workup steps the |0>, |1> pair once and then streams the map
-through every pass, so it never holds the whole trajectory.
+are given.  The per-sample checks also take one window of a streamed map:
+scenario_workup steps the |0>, |1> pair once, then has propagate_dyson
+stream the map through them and hold only the samples that the other
+checks read again, so it never holds the whole trajectory.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -45,15 +45,13 @@ from .model_oscillator import (
 from .propagation import (
     DysonTrajectory,
     GeneratorFn,
+    MapWindow,
     StateTrajectory,
     TimeGrid,
     apply_generator,
     check_conditioning,
-    check_rcond,
-    map_windows,
     propagate_dyson,
     propagate_state,
-    rcond_series,
     sample_chunks,
 )
 
@@ -176,53 +174,59 @@ def _block_norms(mats: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.norm(mats[..., :k, :k], axis=(-2, -1))
 
 
-# A pass is an object fed the map a window at a time: feed(lo, etas) hands
-# it the maps at grid indices lo .. lo + len(etas) - 1, in
-# DysonTrajectory.etas's layout, and it keeps no reference to them.  The
-# public functions feed a whole trajectory as one window; scenario_workup
-# feeds the windows of map_windows as they are stepped.  Either way a pass
-# groups its samples into the same chunks, so it computes the same bits:
-# _MetricPass chunks each window from its start, and every window starts
-# on a multiple of SAMPLE_CHUNK.
+# The per-sample checks take a whole DysonTrajectory or one MapWindow of a
+# map that propagate_dyson streams.  A check over strided samples is a pass
+# that evaluates its outputs SAMPLE_CHUNK at a time, grouped exactly as in
+# one pass over the whole trajectory; the windows of one run share the pass,
+# kept in their carry, and each call returns the outputs its window
+# completes.  metric_constancy reads one sample per output and chunks each
+# window from its start, which every window places on a multiple of
+# SAMPLE_CHUNK.
 
 
-def _whole(pass_, traj: DysonTrajectory):
-    """pass_ fed all of traj as one window."""
-    pass_.feed(0, traj.etas)
-    return pass_
+def _window(traj: DysonTrajectory | MapWindow) -> tuple[int, np.ndarray, dict | None]:
+    """(lo, etas, carry) of a window, or of a whole trajectory as its only window."""
+    if isinstance(traj, MapWindow):
+        return traj.lo, traj.etas, traj.carry
+    if traj.ks is not None:
+        raise ValueError("the per-sample checks read every sample of a trajectory")
+    return 0, traj.etas, None
 
 
-class _MetricPass:
-    """metric_constancy's samples."""
+def _fed(traj: DysonTrajectory | MapWindow, key: tuple, make):
+    """The outputs that traj's samples complete, of the pass make() builds.
 
-    def __init__(self, rho0: np.ndarray, guard: int, grid: TimeGrid):
-        self.rho0 = low_block(rho0, guard)
-        self.den = max(float(np.linalg.norm(self.rho0)), _ABS_FLOOR)
-        self.grid = grid
-        self.out = np.empty(grid.steps + 1)
-
-    def feed(self, lo: int, etas: np.ndarray):
-        k = self.rho0.shape[0]
-        for sl in sample_chunks(len(etas)):
-            # the guard block of eta† eta only needs eta's first k columns
-            blocks = _metrics(etas[sl, :, :k])
-            self.out[lo + sl.start : lo + sl.stop] = (
-                np.linalg.norm(blocks - self.rho0, axis=(1, 2)) / self.den
-            )
-
-    def series(self) -> ResidualSeries:
-        return ResidualSeries(
-            name="metric_constancy", times=self.grid.points.copy(), samples=self.out
-        )
+    A whole trajectory is fed to a new pass.  The windows of one run share
+    one pass per key, kept in their carry.
+    """
+    lo, etas, carry = _window(traj)
+    if carry is None:
+        return make().feed(lo, etas)
+    if key not in carry:
+        carry[key] = make()
+    return carry[key].feed(lo, etas)
 
 
-def metric_constancy(traj: DysonTrajectory) -> ResidualSeries:
-    """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block."""
-    return _whole(_MetricPass(traj.rho0.mat, traj.options.guard, traj.grid), traj).series()
+def metric_constancy(traj: DysonTrajectory | MapWindow) -> ResidualSeries:
+    """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block.
+
+    Given a MapWindow, the series covers the samples of that window.
+    """
+    lo, etas, _ = _window(traj)
+    rho0 = low_block(traj.rho0.mat, traj.options.guard)
+    k = rho0.shape[0]
+    den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
+    out = np.empty(len(etas))
+    for sl in sample_chunks(len(etas)):
+        # the guard block of eta† eta only needs eta's first k columns
+        blocks = _metrics(etas[sl, :, :k])
+        out[sl] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
+    times = traj.grid.points[lo : lo + len(etas)].copy()  # not a view that keeps every point
+    return ResidualSeries(name="metric_constancy", times=times, samples=out)
 
 
 class _StridedPass:
-    """A pass over strided samples, evaluated SAMPLE_CHUNK outputs at a time.
+    """A check over strided samples, evaluated SAMPLE_CHUNK outputs at a time.
 
     Output chunk sl reads the maps at the sorted grid indices reads(sl).
     It is evaluated in the window that holds the last of them; the samples
@@ -237,12 +241,18 @@ class _StridedPass:
         every = [ks for _, ks in self.chunks]
         self.read = np.unique(np.concatenate(every)) if every else np.empty(0, dtype=int)
         self.next = 0                    # first chunk not yet evaluated
-        self.carry_ks, self.carry = self.read[:0], None
+        self.held_ks, self.held = self.read[:0], None
         self.sink = self.evaluate()
         next(self.sink)
 
+    def _done(self) -> int:
+        """The number of outputs evaluated so far."""
+        return self.chunks[self.next - 1][0].stop if self.next else 0
+
     def feed(self, lo: int, etas: np.ndarray):
+        """Evaluate the chunks that the maps at lo, lo + 1, ... complete; returns their outputs."""
         hi = lo + len(etas)
+        done = self._done()
 
         def take(ks):
             """The maps at sorted grid indices ks, carried or in this window."""
@@ -250,16 +260,17 @@ class _StridedPass:
             here = etas[ks[split:] - lo]
             if not split:
                 return here
-            return np.concatenate((self.carry[np.searchsorted(self.carry_ks, ks[:split])], here))
+            return np.concatenate((self.held[np.searchsorted(self.held_ks, ks[:split])], here))
 
         while self.next < len(self.chunks):
             sl, ks = self.chunks[self.next]
             if ks[-1] >= hi:  # the chunk ends in a later window
                 pending = self.read[(self.read >= ks[0]) & (self.read < hi)]
-                self.carry_ks, self.carry = pending, take(pending)
-                return
+                self.held_ks, self.held = pending, take(pending)
+                break
             self.sink.send((sl, ks, take(ks)))
             self.next += 1
+        return self.series(slice(done, self._done()))
 
     def evaluate(self):
         """A generator that evaluates each (sl, ks, etas) chunk sent to it.
@@ -269,6 +280,10 @@ class _StridedPass:
         allocator reuses their memory instead of returning it to the system
         and faulting it in again for every window.
         """
+        raise NotImplementedError
+
+    def series(self, sl: slice):
+        """The outputs sl, as residual series."""
         raise NotImplementedError
 
 
@@ -316,15 +331,15 @@ class _StencilPass(_StridedPass):
             num = _block_norms(comm, k)
             self.r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
 
-    def series(self) -> tuple[ResidualSeries, ResidualSeries]:
+    def series(self, sl: slice) -> tuple[ResidualSeries, ResidualSeries]:
         return (
-            ResidualSeries(name="r2", times=self.ts, samples=self.r2),
-            ResidualSeries(name="r7", times=self.ts, samples=self.r7),
+            ResidualSeries(name="r2", times=self.ts[sl], samples=self.r2[sl]),
+            ResidualSeries(name="r7", times=self.ts[sl], samples=self.r7[sl]),
         )
 
 
 def quasi_hermiticity_residuals(
-    traj: DysonTrajectory,
+    traj: DysonTrajectory | MapWindow,
     H: GeneratorFn,
     *,
     stride: int | None = None,
@@ -348,9 +363,10 @@ def quasi_hermiticity_residuals(
     term by 4, which isolates that term from the integrator floor without
     re-propagating.  Centers run in chunks; each chunk forms the metric
     once per distinct sample it touches and applies H through its bands.
+    Given a MapWindow, the series hold the centres that window completes.
     """
-    stencil = _StencilPass(H, traj.grid, traj.options.guard, traj.dim, stride, spacing)
-    return _whole(stencil, traj).series()
+    return _fed(traj, ("r2", stride, spacing), lambda: _StencilPass(
+        H, traj.grid, traj.options.guard, traj.dim, stride, spacing))
 
 
 class _EquivalencePass(_StridedPass):
@@ -362,7 +378,7 @@ class _EquivalencePass(_StridedPass):
         psi, psit = states
         grid = s.grid
         self.ks = _strided_indices(grid.steps, stride, target=1600)
-        self.ts = grid.t0 + self.ks * grid.dt
+        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
         self.a, self.b = psi.amplitudes, psit.amplitudes
         self.rho0 = rho0
         self.ref = complex(self.a[0].conj() @ (rho0 @ self.b[0]))
@@ -392,9 +408,9 @@ class _EquivalencePass(_StridedPass):
                 rhs = _inner(ea, eb @ x1.T)
                 self.obs[sl] = np.abs(lhs - rhs)
 
-    def series(self) -> tuple[ResidualSeries, ResidualSeries, ResidualSeries | None]:
+    def series(self, sl: slice):
         def mk(name, arr):
-            return ResidualSeries(name=name, times=self.ts.astype(float), samples=arr)
+            return ResidualSeries(name=name, times=self.ts[sl], samples=arr[sl])
 
         return (
             mk("equivalence_sanity", self.sanity),
@@ -405,7 +421,7 @@ class _EquivalencePass(_StridedPass):
 
 def equivalence_checks(
     s: Scenario,
-    traj: DysonTrajectory,
+    traj: DysonTrajectory | MapWindow,
     states: tuple[StateTrajectory, StateTrajectory],
     lr: LRQuantities | None = None,
     *,
@@ -419,28 +435,11 @@ def equivalence_checks(
     initial value when the metric is constant; observable: rho-weighted
     matrix elements of the closed-form X1 against bare x1 between the
     mapped states, expected to agree to second order in kappa (needs lr,
-    else None).
+    else None).  Given a MapWindow, the series hold the samples that
+    window completes.
     """
-    return _whole(_EquivalencePass(s, traj.rho0.mat, states, lr, stride), traj).series()
-
-
-class _KeptSamples:
-    """Copies of the maps at a sorted set of grid indices.
-
-    Indexed by grid index and laid out like DysonTrajectory.etas, so a
-    check reads the same bits from it as from the whole trajectory.
-    """
-
-    def __init__(self, ks: np.ndarray, dim: int):
-        self.ks = ks
-        self.etas = np.empty((ks.size, dim, dim), dtype=complex).transpose(0, 2, 1)
-
-    def feed(self, lo: int, etas: np.ndarray):
-        first, stop = np.searchsorted(self.ks, (lo, lo + len(etas)))
-        self.etas[first:stop] = etas[self.ks[first:stop] - lo]
-
-    def __getitem__(self, k):
-        return self.etas[np.searchsorted(self.ks, k)]
+    return _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
+        s, traj.rho0.mat, states, lr, stride))
 
 
 _ISOSPECTRAL_TARGET = 400   # default sample counts of the two solve-based checks
@@ -460,22 +459,18 @@ def isospectrality_check(
     The mapped displaced Fock states diagonalize H up to third order in
     kappa.  Each sampled eta is factored once for all of ms, after its
     reciprocal condition number is checked against the trajectory's
-    rcond_floor.
+    rcond_floor.  traj must hold the sampled grid indices.
     """
-    ks = _strided_indices(s.grid.steps, stride, target=_ISOSPECTRAL_TARGET)
+    grid = s.grid
+    ks = _strided_indices(grid.steps, stride, target=_ISOSPECTRAL_TARGET)
+    ts = grid.t0 + ks * grid.dt
     check_conditioning(traj, ks)
-    return _isospectrality_series(s, lr, traj.etas, ks, ms)
-
-
-def _isospectrality_series(s, lr, etas, ks, ms) -> dict[int, ResidualSeries]:
-    """isospectrality_check at grid indices ks, reading eta from etas[ks]."""
-    ts = s.grid.t0 + ks * s.grid.dt
     H = hamiltonian_fn(s)
     cols = list(ms)
     out = np.empty((len(cols), ks.size))
     for sl in sample_chunks(ks.size):
         zetas = displacements(-np.conj(lr.xi[ks[sl]]), s.dim)[:, :, cols]
-        w = np.linalg.solve(etas[ks[sl]], zetas)
+        w = np.linalg.solve(traj.at(ks[sl]), zetas)
         energy = counterpart_energy(s, cols, ts[sl])
         defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)
         out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
@@ -499,28 +494,25 @@ def analytic_vs_numeric(
     sample.  The deviation is first order in the drive strength at generic
     interior times and second order at times where the accumulated drive
     phase closes (the bundled grids end at such a time); the series'
-    terminal value is the figure of merit for scaling checks.
+    terminal value is the figure of merit for scaling checks.  traj must
+    hold the sampled grid indices.
     """
     if not s.validated:
         raise ScenarioInvalidError(
             "analytic route needs a validated scenario",
             failed_checks=("not_validated",),
         )
-    if numeric.grid != s.grid:
+    grid = s.grid
+    if numeric.grid != grid:
         raise ValueError("numeric trajectory is not on the scenario grid")
-    ks = _strided_indices(s.grid.steps, stride, target=_DEVIATION_TARGET)
-    return _deviation_series(s, lr, traj.etas, numeric, ks)
-
-
-def _deviation_series(s, lr, etas, numeric, ks) -> ResidualSeries:
-    """analytic_vs_numeric at grid indices ks, reading eta from etas[ks]."""
+    ks = _strided_indices(grid.steps, stride, target=_DEVIATION_TARGET)
     ev = AnalyticEvolution(s, lr)
-    phi0 = etas[0] @ numeric.amplitudes[0]
+    phi0 = traj.eta0.mat @ numeric.amplitudes[0]
     devs = np.empty(ks.size)
     for sl in sample_chunks(ks.size):
-        w = np.linalg.solve(etas[ks[sl]], ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
+        w = np.linalg.solve(traj.at(ks[sl]), ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
         devs[sl] = np.linalg.norm(w - numeric.amplitudes[ks[sl]], axis=1)
-    ts = s.grid.t0 + ks * s.grid.dt
+    ts = grid.t0 + ks * grid.dt
     return ResidualSeries(name="analytic_vs_numeric", times=ts.astype(float), samples=devs)
 
 
@@ -534,6 +526,17 @@ def _bounded(
     return CheckOutcome(name, v <= tol, v, tol, note)
 
 
+def _joined(parts: list) -> ResidualSeries | None:
+    """One series from its per-window parts, in order (None for a skipped series)."""
+    if parts[0] is None:
+        return None
+    return ResidualSeries(
+        name=parts[0].name,
+        times=np.concatenate([p.times for p in parts]),
+        samples=np.concatenate([p.samples for p in parts]),
+    )
+
+
 def scenario_workup(
     s: Scenario, *, tol: Tolerances | None = None, stride: int | None = None
 ) -> tuple[DiagnosticsReport, Scenario, LRQuantities | None]:
@@ -544,12 +547,12 @@ def scenario_workup(
     preconditions cannot be met (closed forms on a non-validated scenario)
     or whose series took no sample are recorded as skipped.
 
-    The map is stepped a window at a time, after the closed forms and the
-    |0>, |1> pair, and each window feeds every per-sample pass.  Only the
-    samples that isospectrality, analytic-vs-numeric and the r2 scale read
-    again are copied out, so the (steps+1, dim, dim) trajectory is never
-    held.  The conditioning floor is applied to the whole rcond series
-    after the last window, so a refusal names the worst sample.
+    The |0>, |1> pair is stepped first; it applies the step guard.  The map
+    is then streamed a window at a time through the per-sample checks, and
+    only the samples that isospectrality, analytic-vs-numeric and the r2
+    scale read again are held, so the (steps+1, dim, dim) trajectory never
+    is.  The conditioning floor is applied to the whole rcond series after
+    the last window, so a refusal names the worst sample.
     """
     tol = tol or Tolerances()
     try:
@@ -560,51 +563,48 @@ def scenario_workup(
 
     checks = list(validation.checks.values())
 
-    H, eta0, options = _map_inputs(s_run, tol)
+    H = hamiltonian_fn(s_run)
+    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
+    options = s_run.solver_options(rcond_floor=tol.min_rcond)
     grid, dim = s_run.grid, s_run.dim
-    windows = map_windows(H, eta0, grid, options)  # refuses a too-coarse grid now
-
-    lr = None
-    if s_run.validated:
-        lr = lr_pipeline(s_run)
     psi = propagate_state(H, basis_state(0, dim), grid, options=options,
                           companions=(basis_state(1, dim),))
     states = (psi, *psi.companions)
+    lr = None
+    if s_run.validated:
+        lr = lr_pipeline(s_run)
 
-    # eta0 laid out as the windows hold it, so rho0 has DysonTrajectory.rho0's bits
-    e0 = np.ascontiguousarray(eta0.mat.T).T
-    rho0 = e0.conj().T @ e0
-    rcond = np.empty(grid.steps + 1)
-    metric = _MetricPass(rho0, options.guard, grid)
-    stencil = _StencilPass(H, grid, options.guard, dim, stride, spacing=1)
-    pairing = _EquivalencePass(s_run, rho0, states, lr, stride)
-    iso_ks = avn_ks = None
+    run_iso = lr is not None and s_run.perturbation_order == 2
+    reread = [_scale_indices(grid)]
     if lr is not None:
-        avn_ks = _strided_indices(grid.steps, None, target=_DEVIATION_TARGET)
-        if s_run.perturbation_order == 2:
-            iso_ks = _strided_indices(grid.steps, None, target=_ISOSPECTRAL_TARGET)
-    reread = [ks for ks in (iso_ks, avn_ks) if ks is not None]
-    kept = _KeptSamples(np.unique(np.concatenate([_scale_indices(grid), *reread])), dim)
-    for lo, etas in windows:
-        rcond[lo : lo + len(etas)] = rcond_series(etas)
-        for pass_ in (metric, stencil, pairing, kept):
-            pass_.feed(lo, etas)
-    check_rcond(rcond, grid, options.rcond_floor)
+        reread.append(_strided_indices(grid.steps, None, target=_DEVIATION_TARGET))
+    if run_iso:
+        reread.append(_strided_indices(grid.steps, None, target=_ISOSPECTRAL_TARGET))
+    parts = []
+
+    def check_window(window: MapWindow):
+        parts.append((
+            metric_constancy(window),
+            *quasi_hermiticity_residuals(window, H, stride=stride),
+            *equivalence_checks(s_run, window, states, lr, stride=stride),
+        ))
+
+    traj = propagate_dyson(H, eta0, grid, options=options,
+                           keep=np.unique(np.concatenate(reread)), on_window=check_window)
+    check_conditioning(traj)
+    mc, r2, r7, sanity, fixed, observable = (_joined(list(col)) for col in zip(*parts))
 
     series: dict[str, ResidualSeries] = {}
-    mc = metric.series()
     series[mc.name] = mc
     checks.append(_bounded("metric_constancy", mc, tol.metric_constancy))
 
-    r2, r7 = stencil.series()
     series[r2.name] = r2
     series[r7.name] = r7
-    scale = _commutator_scale(kept, H, grid, options.guard)
+    scale = _commutator_scale(traj, H)
     r2_tol = tol.r2_coeff * grid.dt**2 * scale
     checks.append(_bounded("r2", r2, r2_tol, "flow identity"))
     checks.append(_bounded("r7", r7, tol.r7, "static intertwining"))
 
-    sanity, fixed, observable = pairing.series()
     series[sanity.name] = sanity
     series[fixed.name] = fixed
     checks.append(_bounded("equivalence_sanity", sanity, tol.sanity))
@@ -616,8 +616,8 @@ def scenario_workup(
     else:
         checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
 
-    if iso_ks is not None:
-        iso = _isospectrality_series(s_run, lr, kept, iso_ks, (0, 1, 2))
+    if run_iso:
+        iso = isospectrality_check(s_run, lr, traj)
         worst = 0.0
         for m, ser in iso.items():
             series[ser.name] = ser
@@ -627,8 +627,8 @@ def scenario_workup(
     else:
         checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
 
-    if avn_ks is not None:
-        avn = _deviation_series(s_run, lr, kept, psi, avn_ks)
+    if lr is not None:
+        avn = analytic_vs_numeric(s_run, lr, traj, psi)
         series[avn.name] = avn
         checks.append(
             _bounded(
@@ -643,7 +643,7 @@ def scenario_workup(
         checks.append(CheckOutcome("analytic_vs_numeric", None, float("nan"), None, "skipped"))
 
     pt = pt_analysis(s_run)
-    rc_min = float(np.min(rcond))
+    rc_min = float(np.min(traj.rcond))
     report = DiagnosticsReport(
         scenario_name=s_run.name,
         series=series,
@@ -657,34 +657,17 @@ def scenario_workup(
     return report, s_run, lr
 
 
-def _map_inputs(s_run: Scenario, tol: Tolerances):
-    """(H, eta0, solver options) of the map a workup of s_run steps."""
-    H = hamiltonian_fn(s_run)
-    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    return H, eta0, s_run.solver_options(rcond_floor=tol.min_rcond)
-
-
-def workup_trajectory(s_run: Scenario, *, tol: Tolerances | None = None) -> DysonTrajectory:
-    """The map scenario_workup streams, held whole, for callers that read eta itself.
-
-    ``s_run`` is the scenario the workup returns; the result holds every
-    sample, (steps+1, dim, dim), which the workup never does.
-    """
-    H, eta0, options = _map_inputs(s_run, tol or Tolerances())
-    return propagate_dyson(H, eta0, s_run.grid, options=options)
-
-
 def _scale_indices(grid: TimeGrid) -> np.ndarray:
     """The grid indices _commutator_scale reads: first, middle and last."""
     return np.array([0, (grid.steps + 1) // 2, grid.steps])
 
 
-def _commutator_scale(etas, H: GeneratorFn, grid: TimeGrid, guard: int) -> float:
+def _commutator_scale(traj: DysonTrajectory, H: GeneratorFn) -> float:
     """Typical guard-block magnitude of rho H, the natural r2 scale."""
     vals = []
-    for k in _scale_indices(grid):
-        e = etas[k]
+    for k in _scale_indices(traj.grid):
+        e = traj.at(k)
         rho = e.conj().T @ e
-        h = H(float(grid.points[k])).mat
-        vals.append(np.linalg.norm(low_block(rho @ h, guard)))
+        h = H(float(traj.grid.points[k])).mat
+        vals.append(np.linalg.norm(low_block(rho @ h, traj.options.guard)))
     return max(float(max(vals)), _ABS_FLOOR)

@@ -11,8 +11,8 @@ A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
 stepped as eta^T, so the banded update shifts contiguous rows;
 trajectories expose eta through a transposed view of that storage.
-``map_windows`` steps the same map a window of samples at a time, for
-callers that never need the whole trajectory at once.
+``propagate_dyson`` can also step the map a window of samples at a time,
+handing each window to a callback and holding only the samples asked for.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ _TAIL_WARN = 1e-8      # guard-band population fraction above which a state warn
 # temporaries stay a few MB above the trajectory itself.
 SAMPLE_CHUNK = 32
 
-# Samples per window of a streamed map (see map_windows): 256 complex
+# Samples per window of a streamed map (see propagate_dyson): 256 complex
 # 40 x 40 matrices are 6.6 MB, against 246 MB for a whole 9,600-step map.
 # A multiple of SAMPLE_CHUNK, so windows split into the chunks of a whole
 # trajectory.
@@ -106,13 +106,21 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class DysonTrajectory:
+    """The map at the grid indices ``ks`` (every index when None; 0 always).
+
+    rcond covers every grid index either way.
+    """
+
     grid: TimeGrid
-    etas: np.ndarray              # (steps+1, dim, dim), a view of the eta^T storage
+    etas: np.ndarray              # (len(ks), dim, dim), a view of the eta^T layout
     rcond: np.ndarray             # (steps+1,)
     options: SolverOptions
+    ks: np.ndarray | None = None
     rho0: FockOperator = field(init=False)
 
     def __post_init__(self):
+        if self.ks is not None and self.ks[0] != 0:
+            raise ValueError("a trajectory holds its first sample")
         e0 = self.etas[0]
         object.__setattr__(self, "rho0", FockOperator(e0.conj().T @ e0))
 
@@ -123,6 +131,42 @@ class DysonTrajectory:
     @property
     def eta0(self) -> FockOperator:
         return FockOperator(self.etas[0])
+
+    @property
+    def times(self) -> np.ndarray:
+        """The grid points of the held samples."""
+        return self.grid.points if self.ks is None else self.grid.points[self.ks]
+
+    def at(self, ks):
+        """The maps at grid indices ks (an index or an array of them), which must be held."""
+        if self.ks is None:
+            return self.etas[ks]
+        pos = np.searchsorted(self.ks, ks)
+        if not np.array_equal(self.ks[np.minimum(pos, len(self.ks) - 1)], ks):
+            raise IndexError(f"grid indices {ks} are not all held")
+        return self.etas[pos]
+
+
+@dataclass(frozen=True)
+class MapWindow:
+    """The maps at grid indices lo .. lo + len(etas) - 1 of a map being stepped.
+
+    propagate_dyson hands each window to its ``on_window`` callback.  The
+    next window overwrites etas, so a consumer copies what it keeps;
+    ``carry`` is one dict shared by every window of a run, for what a
+    consumer carries from one window to the next.
+    """
+
+    grid: TimeGrid
+    options: SolverOptions
+    rho0: FockOperator            # as DysonTrajectory.rho0
+    lo: int
+    etas: np.ndarray              # in DysonTrajectory.etas's layout
+    carry: dict
+
+    @property
+    def dim(self) -> int:
+        return self.etas.shape[1]
 
 
 class StateTrajectory:
@@ -318,7 +362,7 @@ def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
     return deriv
 
 
-def rcond_series(etas: np.ndarray) -> np.ndarray:
+def _rcond_series(etas: np.ndarray) -> np.ndarray:
     """Reciprocal 1-norm condition estimate of each map in a stack."""
     anorms = np.empty(len(etas))
     for sl in sample_chunks(len(etas)):
@@ -326,42 +370,52 @@ def rcond_series(etas: np.ndarray) -> np.ndarray:
     return np.array([rcond_1norm(m, a) for m, a in zip(etas, anorms)])
 
 
-def map_windows(
-    H: GeneratorFn,
-    eta0: FockOperator,
-    grid: TimeGrid,
-    options: SolverOptions,
-    width: int = MAP_WINDOW,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The samples of i d/dt eta = eta H(t) from eta(t0) = eta0, a window at a time.
-
-    Refuses grids violating the step guard when called, before any step.
-    The stepping then runs as the result is iterated: it yields (lo, etas)
-    with etas the (n, dim, dim) maps at grid indices lo .. lo + n - 1, a
-    transposed view of the eta^T buffer that every window reuses.
-    """
-    if H.dim != eta0.dim:
-        raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    _check_step_guard(H, grid, options.step_guard)
-    deriv = _rk4_deriv(H, grid, right=True)
-    windows = _rk4_windows(deriv, np.ascontiguousarray(eta0.mat.T), grid, width)
-    return ((lo, block.transpose(0, 2, 1)) for lo, block in windows)
-
-
 def propagate_dyson(
     H: GeneratorFn,
     eta0: FockOperator,
     grid: TimeGrid,
     options: SolverOptions | None = None,
+    *,
+    keep: np.ndarray | None = None,
+    on_window: Callable[[MapWindow], None] | None = None,
 ) -> DysonTrajectory:
-    """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0, keeping every sample.
+    """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
 
     Refuses grids violating the step guard (with a workable step count in
-    the error); attaches per-sample reciprocal-condition estimates.
+    the error); attaches per-sample reciprocal-condition estimates.  The
+    result holds every sample, unless ``keep`` names the sorted grid
+    indices to hold (0 first): the map is then stepped MAP_WINDOW samples
+    at a time and never held whole.  ``on_window`` is called with each
+    window as a MapWindow, as it is stepped.
     """
     options = options or SolverOptions()
-    [(_, etas)] = map_windows(H, eta0, grid, options, width=grid.steps + 1)
-    return DysonTrajectory(grid=grid, etas=etas, rcond=rcond_series(etas), options=options)
+    if H.dim != eta0.dim:
+        raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
+    if keep is not None and not (keep[0] == 0 and keep[-1] <= grid.steps
+                                 and np.all(np.diff(keep) > 0)):
+        raise ValueError("keep must be sorted distinct grid indices starting at 0")
+    _check_step_guard(H, grid, options.step_guard)
+    deriv = _rk4_deriv(H, grid, right=True)
+    width = grid.steps + 1 if keep is None else MAP_WINDOW
+    rcond = np.empty(grid.steps + 1)
+    held = None if keep is None else (
+        np.empty((len(keep), H.dim, H.dim), dtype=complex).transpose(0, 2, 1)
+    )
+    carry: dict = {}
+    rho0 = None
+    for lo, block in _rk4_windows(deriv, np.ascontiguousarray(eta0.mat.T), grid, width):
+        etas = block.transpose(0, 2, 1)
+        if keep is None:
+            held = etas
+        else:
+            first, stop = np.searchsorted(keep, (lo, lo + len(etas)))
+            held[first:stop] = etas[keep[first:stop] - lo]
+        rcond[lo : lo + len(etas)] = _rcond_series(etas)
+        if on_window is not None:
+            if rho0 is None:
+                rho0 = FockOperator(etas[0].conj().T @ etas[0])
+            on_window(MapWindow(grid, options, rho0, lo, etas, carry))
+    return DysonTrajectory(grid=grid, etas=held, rcond=rcond, options=options, ks=keep)
 
 
 def propagate_state(
@@ -384,8 +438,8 @@ def propagate_state(
     for psi in psis:
         if H.dim != psi.dim:
             raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi.dim}")
-    deriv = _rk4_deriv(H, grid, right=False)
     _check_step_guard(H, grid, options.step_guard)
+    deriv = _rk4_deriv(H, grid, right=False)
     block = rk4_samples(deriv, np.stack([psi.vec for psi in psis], axis=1), grid)
     trajectories = []
     for i in range(len(psis)):  # a plain loop keeps TruncationWarning pointing at the caller
@@ -401,32 +455,26 @@ def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
     The floor is ``traj.options.rcond_floor``; the error names the worst
     sample's time.
     """
-    check_rcond(traj.rcond, traj.grid, traj.options.rcond_floor, ks)
-
-
-def check_rcond(
-    rcond: np.ndarray, grid: TimeGrid, floor: float, ks: np.ndarray | None = None
-):
-    """check_conditioning on an rcond series sampled on grid."""
-    i = int(np.argmin(rcond if ks is None else rcond[ks]))
+    rcond = traj.rcond if ks is None else traj.rcond[ks]
+    i = int(np.argmin(rcond))
     k = i if ks is None else int(ks[i])
-    if rcond[k] < floor:
+    if traj.rcond[k] < traj.options.rcond_floor:
         raise IllConditionedError(
-            f"eta reciprocal condition {rcond[k]:.3e} below floor at "
-            f"t = {grid.points[k]:.6g}",
-            rcond=float(rcond[k]),
-            t=float(grid.points[k]),
+            f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
+            f"t = {traj.grid.points[k]:.6g}",
+            rcond=float(traj.rcond[k]),
+            t=float(traj.grid.points[k]),
         )
 
 
 def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray:
-    """h(t_k) = 2 eta H eta^-1 at every sample, as a (steps+1, dim, dim) array.
+    """h(t_k) = 2 eta H eta^-1 at every held sample, as a (len(etas), dim, dim) array.
 
     Each chunk forms eta H through H's bands and solves the transposed
     system eta^T (h/2)^T = (eta H)^T for all of its samples at once.
     """
     check_conditioning(traj)
-    ts = traj.grid.points
+    ts = traj.times
     hs = np.empty(traj.etas.shape, dtype=complex)
     for sl in sample_chunks(len(ts)):
         es = traj.etas[sl]

@@ -17,12 +17,12 @@ from dysonmap import (
     GeneratorFn,
     Scenario,
     TimeGrid,
+    Tolerances,
     hamiltonian_fn,
     initial_map,
     propagate_dyson,
     scenario_workup,
     validated_scenario,
-    workup_trajectory,
 )
 from dysonmap.cli import _load_doc, scenario_from_doc
 
@@ -83,6 +83,14 @@ def gamma_drift_workup():
 @pytest.fixture(scope="session")
 def time_independent_workup():
     return scenario_workup(load_bundled("time_independent"))
+
+
+def workup_trajectory(s_run):
+    """The whole map that a workup returning s_run streams, with the workup's options."""
+    H = hamiltonian_fn(s_run)
+    eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
+    options = s_run.solver_options(rcond_floor=Tolerances().min_rcond)
+    return propagate_dyson(H, eta0, s_run.grid, options=options)
 
 
 @pytest.fixture(scope="session")

@@ -46,14 +46,13 @@ from dysonmap import (
     rotation,
     scenario_workup,
     validated_scenario,
-    workup_trajectory,
 )
 from dysonmap.diagnostics import _commutator_scale
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
 from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, _band_table, band_matrix
 
-from conftest import load_bundled, rebuild, tiny_scenario
+from conftest import load_bundled, rebuild, tiny_scenario, workup_trajectory
 
 amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 rates = st.floats(-1.0, 1.0, allow_nan=False)
@@ -316,6 +315,25 @@ def test_min_rcond_is_the_applied_floor(s1_trajectory):
 # -- the streamed workup -------------------------------------------------------
 
 
+def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
+    s, H, whole = tiny_run
+    steps = s.grid.steps
+    keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, steps])
+    windows = []
+    part = propagate_dyson(H, whole.eta0, s.grid, options=whole.options, keep=keep,
+                           on_window=lambda w: windows.append((w.lo, len(w.etas), w.rho0)))
+    assert np.array_equal(part.etas, whole.etas[keep])
+    assert np.array_equal(part.at(keep[1:3]), whole.etas[keep[1:3]])
+    assert np.array_equal(part.rcond, whole.rcond)
+    assert np.array_equal(part.rho0.mat, whole.rho0.mat)
+    assert [(lo, n) for lo, n, _ in windows] == [
+        (lo, min(MAP_WINDOW, steps + 1 - lo)) for lo in range(0, steps + 1, MAP_WINDOW)
+    ]
+    assert all(np.array_equal(rho0.mat, whole.rho0.mat) for *_, rho0 in windows)
+    with pytest.raises(IndexError):
+        part.at(1)
+
+
 def assert_streamed_workup_is_exact(workup, traj, stride=None):
     """The workup's report against the public passes on the whole trajectory."""
     report, s, lr = workup
@@ -333,7 +351,7 @@ def assert_streamed_workup_is_exact(workup, traj, stride=None):
         assert np.array_equal(ser.times, want[name].times), name
         assert np.array_equal(ser.samples, want[name].samples), name
     assert report.condition_max == 1.0 / float(np.min(traj.rcond))
-    scale = _commutator_scale(traj.etas, H, s.grid, traj.options.guard)
+    scale = _commutator_scale(traj, H)
     assert report.outcome("r2").tolerance == report.tolerances.r2_coeff * s.grid.dt**2 * scale
 
 
