@@ -74,6 +74,7 @@ _NUMERICAL_ERRORS = (
     IllConditionedError,
     ExponentialRangeError,
     SingularityError,
+    MemoryError,  # an array too large to allocate, e.g. from an absurd step count
 )
 
 

@@ -188,7 +188,7 @@ def _window(traj: DysonTrajectory | MapWindow) -> tuple[int, np.ndarray, dict | 
     """(lo, etas, carry) of a window, or of a whole trajectory as its only window."""
     if isinstance(traj, MapWindow):
         return traj.lo, traj.etas, traj.carry
-    if traj.ks is not None:
+    if len(traj.ks) != traj.grid.steps + 1:
         raise ValueError("the per-sample checks read every sample of a trajectory")
     return 0, traj.etas, None
 

@@ -267,7 +267,10 @@ def _intertwining_residual(
     injects an O(1) artifact unrelated to the constraint being tested.
     With H = omega a†a + kappa alpha a + kappa beta a† and rho0 fixed, both
     sides are combinations of three fixed guard blocks each, weighted per
-    sample by the band coefficients.
+    sample by the band coefficients.  Those are scaled by 2^-e, with
+    max |coeff| < 2^e, before the norms square anything, and the results
+    by 2^e after: powers of two scale exactly, so num <= tol den decides
+    as on the scaled pair unless a result leaves the floating-point range.
     """
     eta0 = initial_map(s, gamma0, lambda0)
     rho0 = (eta0.dagger() @ eta0).mat
@@ -275,7 +278,9 @@ def _intertwining_residual(
     ops = (number_operator(s.dim).mat, a.mat, ad.mat)
     right = np.stack([low_block(rho0 @ op, s.guard).ravel() for op in ops])
     left = np.stack([low_block(op.conj().T @ rho0, s.guard).ravel() for op in ops])
-    coeffs = np.array(hamiltonian_fn(s).bands(s.grid.points), dtype=complex).T
+    table = np.array(hamiltonian_fn(s).bands(s.grid.points), dtype=complex)
+    e = int(np.frexp(np.max(np.abs(table)))[1])
+    coeffs = np.ldexp(table.view(float), -e).view(complex).T
     num = np.empty(coeffs.shape[0])
     den = np.empty(coeffs.shape[0])
     for sl in sample_chunks(coeffs.shape[0]):
@@ -283,7 +288,7 @@ def _intertwining_residual(
         num[sl] = np.linalg.norm(np.conj(coeffs[sl]) @ left - rho_h, axis=1)
         den[sl] = np.linalg.norm(rho_h, axis=1)
     worst = int(np.argmax(num))
-    return float(num[worst]), float(den[worst])
+    return float(np.ldexp(num[worst], e)), float(np.ldexp(den[worst], e))
 
 
 def derive_initial_map_params(
@@ -487,7 +492,7 @@ def quadrature_observables(
     X2 = FockOperator(sn * x1.mat + c * x2.mat + shift2 * eye)
     disc = None
     if traj is not None:
-        e = traj.etas[k]
+        e = traj.at(k)
         d1 = np.linalg.solve(e, x1.mat @ e)
         d2 = np.linalg.solve(e, x2.mat @ e)
         g = s.guard
@@ -656,10 +661,10 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     """The displaced-number solution on the scenario grid, built whole.
 
     omega, alpha and beta are sampled once on the doubled grid t0 + j dt/2,
-    so the theta stepper reads exact values at the RK4 half-step stage
-    times.  chi comes from the exact antiderivative of omega (all
-    coefficient forms have one); the drive integrals alpha_tilde,
-    beta_tilde use composite Simpson.  Then
+    so the theta stepper's stage j reads the j-th sample, the exact value
+    at its RK4 half-step time.  chi comes from the exact antiderivative of
+    omega (all coefficient forms have one); the drive integrals
+    alpha_tilde, beta_tilde use composite Simpson.  Then
 
         u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi},
         f = [|u|^2 - kappa^2 alpha beta]/omega (|u|^2/omega at first order),
@@ -697,11 +702,10 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     else:
         f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
 
-    def deriv(t, y):
-        j = int(round((t - grid.t0) / half_dt))
+    def stage(j, y):
         return -1j * (2.0 * om[j] * y + np.conj(u[j]))
 
-    theta = rk4_samples(deriv, np.asarray(complex(s.theta0)), grid)
+    theta = rk4_samples(stage, np.asarray(complex(s.theta0)), grid)
     u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
     phase_base = cumulative_simpson(f_grid + (u_grid * theta).real, dx=grid.dt, initial=0.0)
     return LRQuantities(

@@ -11,8 +11,10 @@ A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
 stepped as eta^T, so the banded update shifts contiguous rows;
 trajectories expose eta through a transposed view of that storage.
-``propagate_dyson`` can also step the map a window of samples at a time,
-handing each window to a callback and holding only the samples asked for.
+RK4 stages are addressed by their index on the half-step lattice, and
+trajectories by grid index.  ``propagate_dyson`` steps the map a window
+of samples at a time, can hand each window to a callback, and holds only
+the samples asked for.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ _TAIL_WARN = 1e-8      # guard-band population fraction above which a state warn
 # temporaries stay a few MB above the trajectory itself.
 SAMPLE_CHUNK = 32
 
-# Samples per window of a streamed map (see propagate_dyson): 256 complex
+# Samples per window of a stepped map (see propagate_dyson): 256 complex
 # 40 x 40 matrices are 6.6 MB, against 246 MB for a whole 9,600-step map.
 # A multiple of SAMPLE_CHUNK, so windows split into the chunks of a whole
 # trajectory.
@@ -106,20 +108,20 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class DysonTrajectory:
-    """The map at the grid indices ``ks`` (every index when None; 0 always).
+    """The map at the sorted grid indices ``ks`` (0 always); read it with ``at``.
 
-    rcond covers every grid index either way.
+    rcond covers every grid index.
     """
 
     grid: TimeGrid
     etas: np.ndarray              # (len(ks), dim, dim), a view of the eta^T layout
     rcond: np.ndarray             # (steps+1,)
     options: SolverOptions
-    ks: np.ndarray | None = None
+    ks: np.ndarray
     rho0: FockOperator = field(init=False)
 
     def __post_init__(self):
-        if self.ks is not None and self.ks[0] != 0:
+        if self.ks[0] != 0:
             raise ValueError("a trajectory holds its first sample")
         e0 = self.etas[0]
         object.__setattr__(self, "rho0", FockOperator(e0.conj().T @ e0))
@@ -135,12 +137,10 @@ class DysonTrajectory:
     @property
     def times(self) -> np.ndarray:
         """The grid points of the held samples."""
-        return self.grid.points if self.ks is None else self.grid.points[self.ks]
+        return self.grid.points[self.ks]
 
     def at(self, ks):
         """The maps at grid indices ks (an index or an array of them), which must be held."""
-        if self.ks is None:
-            return self.etas[ks]
         pos = np.searchsorted(self.ks, ks)
         if not np.array_equal(self.ks[np.minimum(pos, len(self.ks) - 1)], ks):
             raise IndexError(f"grid indices {ks} are not all held")
@@ -195,12 +195,14 @@ class StateTrajectory:
             )
 
 
-def _rk4_windows(deriv, y0: np.ndarray, grid: TimeGrid, width: int):
+def _rk4_windows(stage, y0: np.ndarray, grid: TimeGrid, width: int):
     """Classical RK4 over the grid, yielding its samples as (lo, block) windows.
 
-    block holds samples lo .. lo + len(block) - 1; every window but the
-    last holds ``width`` of them.  All windows share one buffer, so a
-    consumer copies what it keeps before it asks for the next window.
+    Step k calls stage(2k, y), stage(2k + 1, .) twice and stage(2k + 2, .),
+    the stages' indices on the half-step lattice t0 + j dt/2.  block holds
+    samples lo .. lo + len(block) - 1; every window but the last holds
+    ``width`` of them.  All windows share one buffer, so a consumer copies
+    what it keeps before it asks for the next window.
     """
     y = np.asarray(y0, dtype=complex)
     block = np.empty((min(width, grid.steps + 1),) + y.shape, dtype=complex)
@@ -208,16 +210,14 @@ def _rk4_windows(deriv, y0: np.ndarray, grid: TimeGrid, width: int):
     lo, n = 0, 1
     dt = grid.dt
     for k in range(grid.steps):
-        t = grid.t0 + k * dt
-        k1 = deriv(t, y)
-        k2 = deriv(t + dt / 2, y + (dt / 2) * k1)
-        k3 = deriv(t + dt / 2, y + (dt / 2) * k2)
-        k4 = deriv(t + dt, y + dt * k3)
+        k1 = stage(2 * k, y)
+        k2 = stage(2 * k + 1, y + (dt / 2) * k1)
+        k3 = stage(2 * k + 1, y + (dt / 2) * k2)
+        k4 = stage(2 * k + 2, y + dt * k3)
         y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"non-finite values at t = {t + dt:.6g}", t=t + dt
-            )
+            t = grid.t0 + (k + 1) * dt
+            raise DivergenceError(f"non-finite values at t = {t:.6g}", t=t)
         if n == len(block):
             yield lo, block
             lo, n = lo + n, 0
@@ -226,13 +226,14 @@ def _rk4_windows(deriv, y0: np.ndarray, grid: TimeGrid, width: int):
     yield lo, block[:n]
 
 
-def rk4_samples(deriv, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def rk4_samples(stage, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Classical RK4 over the grid; returns all steps+1 samples.
 
-    `deriv(t, y)` must accept and return arrays of y's shape; works for
-    matrices, vectors, and 0-d scalars alike.
+    `stage(j, y)` is the derivative at y and at t0 + j dt/2, the j-th point
+    of the half-step lattice (j = 0 .. 2 steps); it must accept and return
+    arrays of y's shape, matrices, vectors and 0-d scalars alike.
     """
-    [(_, samples)] = _rk4_windows(deriv, y0, grid, grid.steps + 1)
+    [(_, samples)] = _rk4_windows(stage, y0, grid, grid.steps + 1)
     return samples
 
 
@@ -344,22 +345,21 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
 
 
 def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
-    """deriv(t, y) for rk4_samples on grid: -i H(t)^T y (right) or -i H(t) y.
+    """stage(j, y) for rk4_samples on grid: -i H(t_j)^T y (right) or -i H(t_j) y.
 
     The right-sided map equation i d eta/dt = eta H is stepped as its
     transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  The
-    generator is sampled once on the half-step lattice t0 + j dt/2 that the
-    RK4 stages visit, and each stage looks its coefficients up by index.
+    generator is sampled once on the half-step lattice t_j = t0 + j dt/2
+    that the RK4 stages visit, and stage j reads the j-th sample.
     """
     half = grid.dt / 2.0
     table = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
     d, u, l = table[:, :, None, None]
 
-    def deriv(t, y):
-        j = int(round((t - grid.t0) / half))
+    def stage(j, y):
         return ladder_rows(y, ladder_columns(d[j], u[j], l[j], H.dim), transpose=right)
 
-    return deriv
+    return stage
 
 
 def _rcond_series(etas: np.ndarray) -> np.ndarray:
@@ -383,33 +383,27 @@ def propagate_dyson(
 
     Refuses grids violating the step guard (with a workable step count in
     the error); attaches per-sample reciprocal-condition estimates.  The
-    result holds every sample, unless ``keep`` names the sorted grid
-    indices to hold (0 first): the map is then stepped MAP_WINDOW samples
-    at a time and never held whole.  ``on_window`` is called with each
-    window as a MapWindow, as it is stepped.
+    map is stepped MAP_WINDOW samples at a time; the result holds the
+    samples at ``keep``, sorted grid indices starting at 0 (default: every
+    index).  ``on_window`` is called with each window as a MapWindow, as
+    it is stepped.
     """
     options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    if keep is not None and not (keep[0] == 0 and keep[-1] <= grid.steps
-                                 and np.all(np.diff(keep) > 0)):
+    keep = np.arange(grid.steps + 1) if keep is None else np.asarray(keep)
+    if not (keep[0] == 0 and keep[-1] <= grid.steps and np.all(np.diff(keep) > 0)):
         raise ValueError("keep must be sorted distinct grid indices starting at 0")
     _check_step_guard(H, grid, options.step_guard)
-    deriv = _rk4_deriv(H, grid, right=True)
-    width = grid.steps + 1 if keep is None else MAP_WINDOW
+    stage = _rk4_deriv(H, grid, right=True)
     rcond = np.empty(grid.steps + 1)
-    held = None if keep is None else (
-        np.empty((len(keep), H.dim, H.dim), dtype=complex).transpose(0, 2, 1)
-    )
+    held = np.empty((len(keep), H.dim, H.dim), dtype=complex).transpose(0, 2, 1)
     carry: dict = {}
     rho0 = None
-    for lo, block in _rk4_windows(deriv, np.ascontiguousarray(eta0.mat.T), grid, width):
+    for lo, block in _rk4_windows(stage, np.ascontiguousarray(eta0.mat.T), grid, MAP_WINDOW):
         etas = block.transpose(0, 2, 1)
-        if keep is None:
-            held = etas
-        else:
-            first, stop = np.searchsorted(keep, (lo, lo + len(etas)))
-            held[first:stop] = etas[keep[first:stop] - lo]
+        first, stop = np.searchsorted(keep, (lo, lo + len(etas)))
+        held[first:stop] = etas[keep[first:stop] - lo]
         rcond[lo : lo + len(etas)] = _rcond_series(etas)
         if on_window is not None:
             if rho0 is None:
@@ -439,8 +433,8 @@ def propagate_state(
         if H.dim != psi.dim:
             raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi.dim}")
     _check_step_guard(H, grid, options.step_guard)
-    deriv = _rk4_deriv(H, grid, right=False)
-    block = rk4_samples(deriv, np.stack([psi.vec for psi in psis], axis=1), grid)
+    stage = _rk4_deriv(H, grid, right=False)
+    block = rk4_samples(stage, np.stack([psi.vec for psi in psis], axis=1), grid)
     trajectories = []
     for i in range(len(psis)):  # a plain loop keeps TruncationWarning pointing at the caller
         trajectories.append(StateTrajectory(grid, block[:, :, i], options))

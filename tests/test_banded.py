@@ -60,8 +60,8 @@ def test_banded_update_matches_dense_product(s, j, seed):
     y = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
     hmat = H(t).mat
     # the map is stepped as eta^T, states as (dim, n) column blocks
-    assert rel_diff(_rk4_deriv(H, GRID, right=True)(t, y.T).T, -1j * (y @ hmat)) <= 1e-13
-    assert rel_diff(_rk4_deriv(H, GRID, right=False)(t, y[:, :2]), -1j * (hmat @ y[:, :2])) <= 1e-13
+    assert rel_diff(_rk4_deriv(H, GRID, right=True)(j, y.T).T, -1j * (y @ hmat)) <= 1e-13
+    assert rel_diff(_rk4_deriv(H, GRID, right=False)(j, y[:, :2]), -1j * (hmat @ y[:, :2])) <= 1e-13
 
 
 def scaled_norm(m):
@@ -154,11 +154,15 @@ def test_banded_trajectories_match_dense():
     eta0 = initial_map(s, 0.1j, 0j)
     opts = s.solver_options()
     banded = propagate_dyson(H, eta0, s.grid, options=opts)
-    dense = rk4_samples(lambda t, y: -1j * (y @ H(t).mat), eta0.mat, s.grid)
+
+    def at_half_step(j):  # H at t0 + j dt/2, the time of RK4 stage j
+        return H(s.grid.t0 + j * (s.grid.dt / 2.0)).mat
+
+    dense = rk4_samples(lambda j, y: -1j * (y @ at_half_step(j)), eta0.mat, s.grid)
     assert np.max(np.abs(banded.etas - dense)) < 1e-12
     psi0 = basis_state(1, s.dim)
     a = propagate_state(H, psi0, s.grid, options=opts).amplitudes
-    b = rk4_samples(lambda t, y: -1j * (H(t).mat @ y), psi0.vec, s.grid)
+    b = rk4_samples(lambda j, y: -1j * (at_half_step(j) @ y), psi0.vec, s.grid)
     assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -96,14 +96,13 @@ def row_layout_deriv(H, grid):
     n = np.arange(H.dim, dtype=float)
     root = np.sqrt(n[1:])
 
-    def deriv(t, y):
-        j = int(round((t - grid.t0) / half))
+    def stage(j, y):
         out = y * (d[j] * n)
         out[:, 1:] += (u[j] * root) * y[:, :-1]
         out[:, :-1] += (l[j] * root) * y[:, 1:]
         return out
 
-    return deriv
+    return stage
 
 
 def single_state_deriv(H, grid):
@@ -113,14 +112,13 @@ def single_state_deriv(H, grid):
     n = np.arange(H.dim, dtype=float)
     root = np.sqrt(n[1:])
 
-    def deriv(t, y):
-        j = int(round((t - grid.t0) / half))
+    def stage(j, y):
         out = (d[j] * n) * y
         out[:-1] += (u[j] * root) * y[1:]
         out[1:] += (l[j] * root) * y[:-1]
         return out
 
-    return deriv
+    return stage
 
 
 def assert_close(got, want, scale):
@@ -332,6 +330,18 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
     assert all(np.array_equal(rho0.mat, whole.rho0.mat) for *_, rho0 in windows)
     with pytest.raises(IndexError):
         part.at(1)
+
+
+def test_held_samples_are_read_by_grid_index(tiny_run):
+    s, H, whole = tiny_run
+    keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, s.grid.steps])
+    part = propagate_dyson(H, whole.eta0, s.grid, options=whole.options, keep=keep)
+    lr = lr_pipeline(s)
+    for k in keep:
+        t = float(s.grid.points[k])
+        assert np.array_equal(part.at(k), whole.at(k))
+        held = quadrature_observables(s, lr, t, traj=part)
+        assert held.direct_discrepancy == quadrature_observables(s, lr, t, traj=whole).direct_discrepancy
 
 
 def assert_streamed_workup_is_exact(workup, traj, stride=None):

@@ -210,6 +210,21 @@ class TestConfigErrors:
         assert re.search(r"\d{21,}", proc.stderr) is None, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("diagnose", "s1", "--set", "grid.steps=1000000000000"),
+            ("pt-phase", "s1", "--axis", "kappa:0:1:1000000000000"),
+        ],
+        ids=["diagnose", "pt-phase"],
+    )
+    def test_impossible_size_maps_to_exit_3(self, work, args):
+        # a 7.28 TiB grid, which the allocator refuses at once
+        proc = run_cli(*args, "--out", str(work / "impossible"))
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_coefficient_maps_to_exit_3(self):
         proc = run_cli(
             "diagnose", "s1", "--set", "dim=8", "--set", "guard=2", "--set", "grid.steps=400",

@@ -1,6 +1,7 @@
 """Scenario validation and the closed-form solution pipeline."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dysonmap import (
     quadrature_observables,
     validated_scenario,
 )
+from dysonmap.model_oscillator import _intertwining_residual
 
 from conftest import load_bundled, rebuild, tiny_scenario
 
@@ -104,16 +106,18 @@ class TestScenarioValidation:
         rep = ei.value.report
         assert rep.checks["iii"].passed is False
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the point
     def test_overflowing_intertwining_residual_fails(self):
-        # ||H† rho0 - rho0 H|| overflows to inf at this frequency; check (v)
-        # must not pass on inf <= 1e-8 inf
+        # ||H† rho0 - rho0 H|| squares entries beyond floating-point range at
+        # this frequency unless the coefficients are scaled first; the
+        # residual is then measured, and 2% of its scale is a failure
         s = rebuild(load_bundled("s1"), omega=CoefficientSpec.constant(1e160 + 1e158j))
         with pytest.raises(ScenarioInvalidError) as ei:
             validated_scenario(s)
         v = ei.value.report.checks["v"]
         assert v.passed is False
-        assert v.value == np.inf
+        assert math.isfinite(v.value)
+        num, den = _intertwining_residual(s, 0j, 0j)
+        assert math.isfinite(num) and math.isfinite(den)
 
     def test_closed_forms_gated_on_validation(self):
         s = load_bundled("s2")

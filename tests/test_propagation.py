@@ -56,7 +56,7 @@ class TestTimeGrid:
 
 def test_rk4_scalar_exponential_decay():
     g = TimeGrid(0.0, 2.0, 200)
-    samples = rk4_samples(lambda t, y: -y, np.asarray(1.0 + 0j), g)
+    samples = rk4_samples(lambda j, y: -y, np.asarray(1.0 + 0j), g)
     assert samples.shape == (201,)
     err = np.max(np.abs(samples - np.exp(-g.points)))
     assert err < 1e-8
