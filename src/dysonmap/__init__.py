@@ -69,6 +69,7 @@ from .model_oscillator import (
     lr_pipeline,
     matrix_elements,
     pt_analysis,
+    pt_symmetry,
     quadrature_observables,
     validated_scenario,
 )

@@ -48,6 +48,7 @@ from .model_oscillator import (
     Scenario,
     lr_phase,
     pt_analysis,
+    pt_symmetry,
 )
 from .propagation import TimeGrid
 
@@ -343,7 +344,6 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
     validation = {
         "gamma0": complex(report.validation.gamma0),
         "lambda0": complex(report.validation.lambda0),
-        "sign_flipped": report.validation.sign_flipped,
         "checks": {
             k: {"passed": c.passed, "value": c.value, "detail": c.note}
             for k, c in report.validation.checks.items()
@@ -535,7 +535,7 @@ def _cmd_pt_phase(args) -> int:
         pt = pt_analysis(s)
         header = ["scenario", "pt_label", "im_energy_max", "boundary_quantity"]
         rows = [[s.name or stem, pt.label, _fmt(max(pt.im_energy_max)), _fmt(pt.boundary_quantity)]]
-        for name, (ok, value) in pt.symmetry.items():
+        for name, (ok, value) in pt_symmetry(s).items():
             print(f"  {name}: {'yes' if ok else 'no'} (deviation {value:.3g})")
         print(f"  label: {pt.label}")
     out = Path(args.out)

@@ -10,9 +10,8 @@ PT-symmetry analysis.
 Conventions fixed here and relied on everywhere else:
 
 * initial map ansatz eta(t0) = exp[gamma0 a + lambda0 a†], lambda0 = 0 by
-  default so gamma0 carries the whole constraint;
-* the constraint sign is settled empirically against the intertwining
-  residual, which is the ground truth (see derive_initial_map_params);
+  default; the constant-metric constraint fixes gamma0 + lambda0* =
+  kappa [beta* - alpha]/omega (see derive_initial_map_params);
 * the level spacing of the Hermitian counterpart is 2 omega, so rotation
   phases enter doubled and the phase integrand uses 2 omega m.
 """
@@ -55,7 +54,7 @@ _FORMS = ("constant", "polynomial", "sinusoid", "exp_ramp")
 _REAL_TOL = 1e-10          # reality/symmetry checks on sampled coefficients
 _INTERTWINING_RTOL = 1e-8  # check (v), the authoritative residual
 _OMEGA_FLOOR = 1e-12       # |omega| below this counts as a division singularity
-_SYMMETRY_SAMPLES = 513    # points of the symmetric window [-T, T] in pt_analysis
+_SYMMETRY_SAMPLES = 513    # points of the symmetric window [-T, T] in pt_symmetry
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,6 @@ class ValidationReport:
     checks: dict[str, CheckOutcome]
     gamma0: complex
     lambda0: complex
-    sign_flipped: bool
 
     @property
     def passed(self) -> bool:
@@ -296,14 +294,15 @@ def derive_initial_map_params(
 ) -> tuple[complex, complex, ValidationReport]:
     """Fix (gamma0, lambda0) and validate the constant-metric constraints.
 
-    With lambda0 = 0 the printed constraint gives gamma0 = kappa [beta*(t0)
-    - alpha(t0)] / omega(t0).  Checks sampled on the grid: (i) omega real,
-    (ii) alpha beta real, (iii) the gamma0 formula time-independent,
-    (iv) [gamma0* + lambda0] alpha real, (v) the intertwining residual
-    ||H† rho0 - rho0 H|| <= 1e-8 ||rho0 H||.  Check (v) is authoritative:
-    if it fails under the printed sign while (i)-(iv) pass, the negated
-    sign is tried and the flip recorded.  Raises ScenarioInvalidError when
-    no sign satisfies (v), listing the failed checks.
+    For eta0 = exp[gamma0 a + lambda0 a†], rho0 = eta0† eta0 is a positive
+    multiple of exp[c* a†] exp[c a] with c = gamma0 + lambda0*, and
+    rho0 H rho0^-1 = H† holds exactly when omega and alpha beta are real
+    and c = kappa [beta* - alpha]/omega.  An unset gamma0 is derived from
+    that at t0.  Checks sampled on the grid: (i) omega real, (ii) alpha
+    beta real, (iii) kappa [beta* - alpha]/omega time-independent, (iv)
+    [gamma0* + lambda0] alpha real, (v) the intertwining residual
+    ||H† rho0 - rho0 H|| <= 1e-8 ||rho0 H||, which is authoritative.
+    Raises ScenarioInvalidError listing the failed checks.
     """
     ts = s.grid.points
     om = np.asarray(s.omega(ts))
@@ -315,7 +314,11 @@ def derive_initial_map_params(
 
     lambda0 = complex(s.lambda0)
     ratio = s.kappa * (np.conj(be) - al) / om
-    primary = complex(s.gamma0) if s.gamma0 is not None else complex(ratio[0])
+    # gamma0* = c* - lambda0, which keeps the signed zeros of c when lambda0 = 0
+    gamma0 = (
+        complex(s.gamma0) if s.gamma0 is not None
+        else (complex(ratio[0]).conjugate() - lambda0).conjugate()
+    )
 
     checks: dict[str, CheckOutcome] = {}
     v = float(np.max(np.abs(om.imag)))
@@ -326,36 +329,17 @@ def derive_initial_map_params(
     checks["iii"] = CheckOutcome(
         "(iii)", v <= _REAL_TOL, v, None, "kappa [beta* - alpha]/omega time-independent"
     )
-
-    def gauge_check(g0: complex) -> CheckOutcome:
-        v = float(np.max(np.abs(((np.conj(g0) + lambda0) * al).imag)))
-        return CheckOutcome("(iv)", v <= _REAL_TOL, v, None, "[gamma0* + lambda0] alpha(t) real")
-
-    def residual_check(g0: complex) -> CheckOutcome:
-        num, den = _intertwining_residual(s, g0, lambda0)
-        tol = _INTERTWINING_RTOL * max(den, 1e-300)
-        # a residual that overflowed was not evaluated, so it cannot pass
-        passed = math.isfinite(num) and math.isfinite(den) and num <= tol
-        return CheckOutcome(
-            "(v)", passed, num, None, "||H† rho0 - rho0 H|| intertwining residual"
-        )
-
-    checks["iv"] = gauge_check(primary)
-    checks["v"] = residual_check(primary)
-    flipped = False
-
-    prelim_ok = all(checks[k].passed for k in ("i", "ii", "iii", "iv"))
-    if not checks["v"].passed and prelim_ok and s.gamma0 is None:
-        alt = -primary
-        alt_iv = gauge_check(alt)
-        alt_v = residual_check(alt)
-        if alt_iv.passed and alt_v.passed:
-            primary, flipped = alt, True
-            checks["iv"], checks["v"] = alt_iv, alt_v
-
-    report = ValidationReport(
-        checks=checks, gamma0=primary, lambda0=lambda0, sign_flipped=flipped
+    v = float(np.max(np.abs(((np.conj(gamma0) + lambda0) * al).imag)))
+    checks["iv"] = CheckOutcome("(iv)", v <= _REAL_TOL, v, None, "[gamma0* + lambda0] alpha(t) real")
+    num, den = _intertwining_residual(s, gamma0, lambda0)
+    # a residual that overflowed was not evaluated, so it cannot pass
+    passed = (math.isfinite(num) and math.isfinite(den)
+              and num <= _INTERTWINING_RTOL * max(den, 1e-300))
+    checks["v"] = CheckOutcome(
+        "(v)", passed, num, None, "||H† rho0 - rho0 H|| intertwining residual"
     )
+
+    report = ValidationReport(checks=checks, gamma0=gamma0, lambda0=lambda0)
     if not report.passed:
         raise ScenarioInvalidError(
             "scenario violates constant-metric constraints: "
@@ -363,7 +347,7 @@ def derive_initial_map_params(
             failed_checks=report.failed_names(),
             report=report,
         )
-    return primary, lambda0, report
+    return gamma0, lambda0, report
 
 
 def validated_scenario(s: Scenario) -> tuple[Scenario, ValidationReport]:
@@ -609,27 +593,18 @@ def counterpart_energy(s: Scenario, m, t) -> np.ndarray | complex:
 
 @dataclass(frozen=True)
 class PTReport:
-    """Symmetry flags, phase label, and spectral-reality evidence."""
+    """Phase label and spectral-reality evidence."""
 
-    symmetry: dict[str, tuple[bool, float]]
     label: str
     im_energy_max: tuple[float, ...]
     boundary_quantity: float
 
-    @property
-    def symmetric(self) -> bool:
-        return all(ok for ok, _ in self.symmetry.values())
 
+def pt_symmetry(s: Scenario) -> dict[str, tuple[bool, float]]:
+    """PT symmetry flags (holds, max deviation) of the coefficient functions.
 
-def pt_analysis(s: Scenario) -> PTReport:
-    """Classify the PT phase of a scenario.
-
-    Symmetry flags sample omega*(-t) = omega(t) and alpha*(-t) = -alpha(t)
-    (likewise beta) on a symmetric window [-T, T]; the phase label is
-    UNBROKEN exactly when omega(t) and alpha(t) beta(t) stay real on the
-    scenario grid, which is the condition for the counterpart spectrum to
-    stay real; the evidence column reports max_t |Im E_m| for m = 0..3.
-    Each coefficient is sampled once per sample set.
+    Samples omega*(-t) = omega(t) and alpha*(-t) = -alpha(t) (likewise
+    beta) on a symmetric window [-T, T] covering the scenario grid.
     """
     big_t = max(abs(s.grid.t0), abs(s.grid.t1))
     ts_sym = np.linspace(-big_t, big_t, _SYMMETRY_SAMPLES)
@@ -639,7 +614,18 @@ def pt_analysis(s: Scenario) -> PTReport:
     for label, fn in (("alpha_conjugate_odd", s.alpha), ("beta_conjugate_odd", s.beta)):
         v = float(np.max(np.abs(np.conj(np.asarray(fn(-ts_sym))) + np.asarray(fn(ts_sym)))))
         symmetry[label] = (v <= _REAL_TOL, v)
+    return symmetry
 
+
+def pt_analysis(s: Scenario) -> PTReport:
+    """Classify the PT phase of a scenario.
+
+    The phase label is UNBROKEN exactly when omega(t) and alpha(t) beta(t)
+    stay real on the scenario grid, which is the condition for the
+    counterpart spectrum to stay real; the evidence column reports
+    max_t |Im E_m| for m = 0..3.  Each coefficient is sampled once per
+    call; the symmetry flags are pt_symmetry's.
+    """
     ts = s.grid.points
     step = max(1, s.grid.steps // 1024)
     samples = ts[::step] if ts.size > 2 else ts
@@ -650,7 +636,6 @@ def pt_analysis(s: Scenario) -> PTReport:
     unbroken = float(np.max(np.abs(om.imag))) <= _REAL_TOL and boundary <= _REAL_TOL
     energy = _level_energies(s.kappa, om, al, be, np.arange(4))
     return PTReport(
-        symmetry=symmetry,
         label="UNBROKEN" if unbroken else "BROKEN",
         im_energy_max=tuple(float(v) for v in np.max(np.abs(energy.imag), axis=0)),
         boundary_quantity=boundary,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,13 +118,7 @@ class DysonTrajectory:
     rcond: np.ndarray             # (steps+1,)
     options: SolverOptions
     ks: np.ndarray
-    rho0: FockOperator = field(init=False)
-
-    def __post_init__(self):
-        if self.ks[0] != 0:
-            raise ValueError("a trajectory holds its first sample")
-        e0 = self.etas[0]
-        object.__setattr__(self, "rho0", FockOperator(e0.conj().T @ e0))
+    rho0: FockOperator            # eta0† eta0, the metric at t0
 
     @property
     def dim(self) -> int:
@@ -399,17 +393,17 @@ def propagate_dyson(
     rcond = np.empty(grid.steps + 1)
     held = np.empty((len(keep), H.dim, H.dim), dtype=complex).transpose(0, 2, 1)
     carry: dict = {}
-    rho0 = None
     for lo, block in _rk4_windows(stage, np.ascontiguousarray(eta0.mat.T), grid, MAP_WINDOW):
         etas = block.transpose(0, 2, 1)
+        if lo == 0:
+            rho0 = FockOperator(etas[0].conj().T @ etas[0])
         first, stop = np.searchsorted(keep, (lo, lo + len(etas)))
         held[first:stop] = etas[keep[first:stop] - lo]
         rcond[lo : lo + len(etas)] = _rcond_series(etas)
         if on_window is not None:
-            if rho0 is None:
-                rho0 = FockOperator(etas[0].conj().T @ etas[0])
             on_window(MapWindow(grid, options, rho0, lo, etas, carry))
-    return DysonTrajectory(grid=grid, etas=held, rcond=rcond, options=options, ks=keep)
+    return DysonTrajectory(grid=grid, etas=held, rcond=rcond, options=options, ks=keep,
+                           rho0=rho0)
 
 
 def propagate_state(

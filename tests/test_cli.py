@@ -162,6 +162,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["validation"]["gamma0"] == [0.0, -0.2]
 
+    def test_lambda0_shifts_the_derived_gamma0(self, work):
+        # the constraint fixes gamma0 + lambda0* = kappa [beta* - alpha]/omega = -0.2i
+        out = work / "lambda0"
+        proc = run_cli("diagnose", "s1", "--set", "lambda0=[0,0.1]", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["validation"]["gamma0"] == [0.0, -0.1]
+        assert all(c["passed"] for c in summary["validation"]["checks"].values())
+        assert summary["passed"] is True
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("kappa", ["-0.2", ".nan", ".inf"])
@@ -348,6 +358,8 @@ class TestPtPhase:
         proc = run_cli("pt-phase", "s1", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "label: UNBROKEN" in proc.stdout
+        for flag in ("omega_conjugate_even", "alpha_conjugate_odd", "beta_conjugate_odd"):
+            assert f"  {flag}: yes" in proc.stdout
         lines = (out / "pt_phase.csv").read_text().rstrip("\n").split("\n")
         assert len(lines) == 2
 

@@ -16,7 +16,6 @@ REPORT = ValidationReport(
     checks={"iii": CheckOutcome("(iii)", False, 0.25, None, "ratio time-independent")},
     gamma0=-0.2j,
     lambda0=0j,
-    sign_flipped=False,
 )
 
 

@@ -1,5 +1,6 @@
 """Scenario validation and the closed-form solution pipeline."""
 
+import cmath
 import dataclasses
 import math
 
@@ -27,6 +28,7 @@ from dysonmap import (
     lr_pipeline,
     matrix_elements,
     pt_analysis,
+    pt_symmetry,
     quadrature_observables,
     validated_scenario,
 )
@@ -86,7 +88,6 @@ class TestScenarioValidation:
         g0, l0, rep = derive_initial_map_params(load_bundled("s1"))
         assert abs(g0 - (-0.2j)) < 1e-12
         assert abs(l0) < 1e-12
-        assert rep.sign_flipped is False
         assert all(item.passed for item in rep.checks.values())
 
     def test_derived_map_params_vanish_without_drive(self):
@@ -344,6 +345,43 @@ def test_energy_levels_in_one_call_equal_per_level_calls(omega, alpha, beta, kap
         assert np.array_equal(together, stacked)
 
 
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+_small = st.floats(-0.1, 0.1, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=st.floats(0.5, 2.0, allow_nan=False),
+    a=_unit,
+    b=_unit,
+    phi=st.floats(-math.pi, math.pi, allow_nan=False),
+    kappa=st.floats(0.0, 0.2, allow_nan=False),
+    lambda0=st.builds(complex, _small, _small),
+)
+def test_derived_gamma0_intertwines_and_its_negation_does_not(omega, a, b, phi, kappa, lambda0):
+    # |lambda0| stays at 0.1 or below because the truncated exp[gamma0 a +
+    # lambda0 a†] stops intertwining H as it grows: at dim 12, |lambda0| near
+    # 0.2 already reads up to 4.7e-7 on check (v) with the exact gamma0.
+    alpha, beta = a * cmath.exp(1j * phi), b * cmath.exp(-1j * phi)
+    s = tiny_scenario(
+        omega=CoefficientSpec.constant(omega),
+        alpha=CoefficientSpec.constant(alpha),
+        beta=CoefficientSpec.constant(beta),
+        kappa=kappa,
+        lambda0=lambda0,
+        grid=TimeGrid(0.0, 1.0, 8),
+        dim=20,
+        guard=6,
+    )
+    g0, _, rep = derive_initial_map_params(s)
+    assert rep.passed, rep.failed_names()
+    assert abs(g0 + lambda0.conjugate() - kappa * (beta.conjugate() - alpha) / omega) < 1e-15
+    # the sign the constraint does not fix leaves rho0 far from intertwining
+    if abs(g0) > 1e-3:
+        num, den = _intertwining_residual(s, -g0, lambda0)
+        assert num > 1e-8 * den
+
+
 def _pt_per_level(s):
     """pt_analysis as it read with the coefficients resampled for every energy level."""
     big_t = max(abs(s.grid.t0), abs(s.grid.t1))
@@ -377,24 +415,36 @@ class TestPhaseAnalysis:
         s = load_bundled(name)
         pt = pt_analysis(s)
         symmetry, label, im_max, boundary = _pt_per_level(s)
-        assert pt.symmetry == symmetry
+        assert pt_symmetry(s) == symmetry
         assert pt.label == label
         assert pt.im_energy_max == im_max
         assert pt.boundary_quantity == boundary
+
+    def test_each_coefficient_is_sampled_once(self, monkeypatch):
+        calls = []
+        call = CoefficientSpec.__call__
+
+        def counted(spec, t):
+            calls.append(spec)
+            return call(spec, t)
+
+        monkeypatch.setattr(CoefficientSpec, "__call__", counted)
+        s = tiny_scenario()
+        pt_analysis(s)
+        assert [sum(c is spec for c in calls) for spec in (s.omega, s.alpha, s.beta)] == [1, 1, 1]
 
     def test_constant_imaginary_drive_is_symmetric(self, s1_workup):
         _, s, _ = s1_workup
         pt = pt_analysis(s)
         assert pt.label == "UNBROKEN"
-        assert pt.symmetric
-        assert all(ok for ok, _ in pt.symmetry.values())
+        assert all(ok for ok, _ in pt_symmetry(s).values())
         assert max(pt.im_energy_max) < 1e-10
 
     def test_mixed_phase_drive_breaks(self, s2_workup):
         _, s, _ = s2_workup
         pt = pt_analysis(s)
         assert pt.label == "BROKEN"
-        ok, dev = pt.symmetry["alpha_conjugate_odd"]
+        ok, dev = pt_symmetry(s)["alpha_conjugate_odd"]
         assert ok is False
         assert dev == pytest.approx(2.0, rel=1e-6)
         assert max(pt.im_energy_max) > 1e-3
@@ -403,7 +453,8 @@ class TestPhaseAnalysis:
         _, s, _ = gamma_drift_workup
         pt = pt_analysis(s)
         assert pt.label == "UNBROKEN"
-        assert not pt.symmetric
-        ok, dev = pt.symmetry["omega_conjugate_even"]
+        flags = pt_symmetry(s)
+        assert not all(ok for ok, _ in flags.values())
+        ok, dev = flags["omega_conjugate_even"]
         assert ok is False
         assert dev == pytest.approx(0.4, rel=1e-6)
