@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioInvalidError
-from .fock_algebra import basis_state, displacements, low_block
+from .fock_algebra import _exact_displacements, basis_state, low_block
 from .model_oscillator import (
     AnalyticEvolution,
     CheckOutcome,
@@ -457,9 +457,11 @@ def isospectrality_check(
     """r_m(t) = ||H w - (E_m/2) w|| / ||w|| with w = eta^-1 zeta_m.
 
     The mapped displaced Fock states diagonalize H up to third order in
-    kappa.  Each sampled eta is factored once for all of ms, after its
-    reciprocal condition number is checked against the trajectory's
-    rcond_floor.  traj must hold the sampled grid indices.
+    kappa.  zeta_m = D[-xi*]|m> is column m of the normal-ordered, exact
+    displacement, built for the columns ms only.  Each sampled eta is
+    factored once for all of ms, after its reciprocal condition number is
+    checked against the trajectory's rcond_floor.  traj must hold the
+    sampled grid indices.
     """
     grid = s.grid
     ks = _strided_indices(grid.steps, stride, target=_ISOSPECTRAL_TARGET)
@@ -469,7 +471,7 @@ def isospectrality_check(
     cols = list(ms)
     out = np.empty((len(cols), ks.size))
     for sl in sample_chunks(ks.size):
-        zetas = displacements(-np.conj(lr.xi[ks[sl]]), s.dim)[:, :, cols]
+        zetas = _exact_displacements(-np.conj(lr.xi[ks[sl]]), s.dim, cols)
         w = np.linalg.solve(traj.at(ks[sl]), zetas)
         energy = counterpart_energy(s, cols, ts[sl])
         defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)

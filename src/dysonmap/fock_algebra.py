@@ -3,8 +3,9 @@
 Dense complex matrices on an N-level truncation, with the primitives the
 rest of the library is assembled from: ladder operators, displacement and
 rotation operators, a matrix exponential valid for non-normal input that
-refuses a result that overflows, pivoted linear solves with condition
-reporting, and truncation-quality measures.
+refuses a result that overflows, normal-ordered products e^{x a†} e^{y a}
+that are exact blocks of the infinite-space operators, pivoted linear
+solves with condition reporting, and truncation-quality measures.
 
 Units: hbar = 1; everything dimensionless.
 
@@ -137,7 +138,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
     this library exponentiates (displacements with complex amplitude,
     non-unitary Dyson factors) are non-normal.
     """
-    from scipy.linalg import expm  # 0.37 s to import; commands without exponentials skip it
+    from scipy.linalg import expm  # 0.37 s to import; no CLI command calls _expm
 
     with np.errstate(over="ignore", invalid="ignore"):  # the typed error below reports it
         out = expm(m)
@@ -147,13 +148,45 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normal_ordered(xs, ys, dim: int, cols=slice(None)) -> np.ndarray:
+    """Stack of e^{x a†} e^{y a} on the truncation, one per pair (xs[i], ys[i]); columns cols.
+
+    Both factors are nilpotent on the truncation, so each is a finite
+    triangular polynomial: e^{x a†} has the entries x^(m-n) sqrt(m!/n!)/(m-n)!
+    for m >= n, and e^{y a} is that matrix at y, transposed.  Their product
+    sums only over k <= min(m, n), so it is the exact block of the
+    infinite-space operator, not a truncated exponential; by normal
+    ordering, D(theta) = e^{-|theta|^2/2} N(theta, -theta*) and
+    exp(gamma a + lambda a†) = e^{gamma lambda/2} N(lambda, gamma).
+    """
+    n = np.arange(dim)
+    k = n[:, None] - n  # m - n
+    # sqrt(m!/n!)/(m-n)!, the product of sqrt(j)/(j - n) over j = n+1 .. m
+    coeff = np.cumprod(np.where(k > 0, np.sqrt(n)[:, None] / np.maximum(k, 1), 1.0), axis=0)
+    coeff[k < 0] = 0.0
+
+    def lower(zs, rows):
+        powers = np.asarray(zs, dtype=complex)[:, None] ** n
+        return powers[:, np.maximum(k[rows], 0)] * coeff[rows]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite result
+        return lower(xs, slice(None)) @ np.swapaxes(lower(ys, cols), -1, -2)
+
+
+def _exact_displacements(thetas, dim: int, cols=slice(None)) -> np.ndarray:
+    """Columns cols of the exact blocks of D(theta), one per amplitude in thetas."""
+    thetas = np.asarray(thetas, dtype=complex)
+    scale = np.exp(-np.abs(thetas) ** 2 / 2.0)[:, None, None]
+    return scale * _normal_ordered(thetas, -np.conj(thetas), dim, cols)
+
+
 def matrix_exponential(m: FockOperator) -> FockOperator:
     """exp(M) for a dense, possibly non-normal operator."""
     return FockOperator(_expm(m.mat))
 
 
 def displacement(theta: complex, dim: int) -> FockOperator:
-    """exp(theta a† - theta* a); unitary up to truncation error."""
+    """exp(theta a† - theta* a) of the truncated ladders; unitary up to truncation error."""
     return FockOperator(displacements(np.array([theta]), dim)[0])
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import (
+    ExponentialRangeError,
     InvalidDimensionError,
     ScenarioInvalidError,
     SingularityError,
@@ -32,13 +33,13 @@ from .fock_algebra import (
     DEFAULT_GUARD,
     FockOperator,
     StateVector,
+    _exact_displacements,
+    _normal_ordered,
     basis_state,
     displacement,
-    displacements,
     identity,
     ladder_operators,
     low_block,
-    matrix_exponential,
     number_operator,
 )
 from .propagation import (
@@ -251,9 +252,20 @@ def hamiltonian_fn(s: Scenario) -> GeneratorFn:
 
 
 def initial_map(s: Scenario, gamma0: complex, lambda0: complex) -> FockOperator:
-    """eta(t0) = exp[gamma0 a + lambda0 a†]."""
-    a, ad = ladder_operators(s.dim)
-    return matrix_exponential(FockOperator(gamma0 * a.mat + lambda0 * ad.mat))
+    """eta(t0) = exp[gamma0 a + lambda0 a†] = e^{gamma0 lambda0/2} e^{lambda0 a†} e^{gamma0 a}.
+
+    The normal-ordered product is the exact block of the infinite-space
+    operator; with lambda0 = 0 it is the finite Taylor sum of the
+    nilpotent gamma0 a.  Raises ExponentialRangeError when it overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the typed error below reports it
+        eta0 = np.exp(gamma0 * lambda0 / 2.0) * _normal_ordered([lambda0], [gamma0], s.dim)[0]
+    if not np.all(np.isfinite(eta0)):
+        raise ExponentialRangeError(
+            f"eta0 = exp[gamma0 a + lambda0 a†] with gamma0 = {gamma0:.3e}, "
+            f"lambda0 = {lambda0:.3e} overflows"
+        )
+    return FockOperator(eta0)
 
 
 def _intertwining_residual(
@@ -265,10 +277,13 @@ def _intertwining_residual(
     injects an O(1) artifact unrelated to the constraint being tested.
     With H = omega a†a + kappa alpha a + kappa beta a† and rho0 fixed, both
     sides are combinations of three fixed guard blocks each, weighted per
-    sample by the band coefficients.  Those are scaled by 2^-e, with
-    max |coeff| < 2^e, before the norms square anything, and the results
-    by 2^e after: powers of two scale exactly, so num <= tol den decides
-    as on the scaled pair unless a result leaves the floating-point range.
+    sample by the band coefficients, and combined by broadcast
+    multiply-adds: as a (chunk, 3) @ (3, k^2) product, BLAS would hand the
+    few microseconds of work to its threads, at a cost of milliseconds.
+    The coefficients are scaled by 2^-e, with max |coeff| < 2^e, before the
+    norms square anything, and the results by 2^e after: powers of two
+    scale exactly, so num <= tol den decides as on the scaled pair unless
+    a result leaves the floating-point range.
     """
     eta0 = initial_map(s, gamma0, lambda0)
     rho0 = (eta0.dagger() @ eta0).mat
@@ -281,9 +296,13 @@ def _intertwining_residual(
     coeffs = np.ldexp(table.view(float), -e).view(complex).T
     num = np.empty(coeffs.shape[0])
     den = np.empty(coeffs.shape[0])
+
+    def combined(c, blocks):
+        return c[:, 0, None] * blocks[0] + c[:, 1, None] * blocks[1] + c[:, 2, None] * blocks[2]
+
     for sl in sample_chunks(coeffs.shape[0]):
-        rho_h = coeffs[sl] @ right
-        num[sl] = np.linalg.norm(np.conj(coeffs[sl]) @ left - rho_h, axis=1)
+        rho_h = combined(coeffs[sl], right)
+        num[sl] = np.linalg.norm(combined(np.conj(coeffs[sl]), left) - rho_h, axis=1)
         den[sl] = np.linalg.norm(rho_h, axis=1)
     worst = int(np.argmax(num))
     return float(np.ldexp(num[worst], e)), float(np.ldexp(den[worst], e))
@@ -383,7 +402,8 @@ class AnalyticEvolution:
     """Evolution operators assembled from the closed-form pipeline.
 
     V(t_k) = upsilon(t_k) D[theta(t_k)] R[chi(t_k)]; U(t_k) = V(t_k) V(t0)†.
-    With theta0 = 0 (the default) V(t0) is the identity and U = V.
+    With theta0 = 0 (the default) V(t0) is the identity and U = V.  D is
+    the exact block of the infinite-space displacement, by normal ordering.
     """
 
     scenario: Scenario
@@ -397,7 +417,7 @@ class AnalyticEvolution:
         s, lr = self.scenario, self.lr
         ks = np.asarray(ks)
         phases = np.exp(-2j * lr.chi[ks][:, None] * np.arange(s.dim))
-        return lr.upsilon[ks][:, None, None] * (displacements(lr.theta[ks], s.dim)
+        return lr.upsilon[ks][:, None, None] * (_exact_displacements(lr.theta[ks], s.dim)
                                                 * phases[:, None, :])
 
     def Us(self, ks) -> np.ndarray:
@@ -406,7 +426,7 @@ class AnalyticEvolution:
         vs = self.Vs(ks)
         if s.theta0 == 0:
             return vs
-        return vs @ displacement(complex(s.theta0), s.dim).mat.conj().T
+        return vs @ _exact_displacements([s.theta0], s.dim)[0].conj().T
 
 
 def grid_index(grid: TimeGrid, t: float) -> int:
@@ -642,6 +662,31 @@ def pt_analysis(s: Scenario) -> PTReport:
     )
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative composite Simpson of equally spaced samples y, from 0 at y[0].
+
+    scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0) for 1-d y,
+    bit for bit: each interval gets the three-point rule over the pair it
+    starts (h1) or, on every second interval and the last, over the pair
+    it ends (h2); fewer than 3 samples fall back to the trapezoid rule.
+    It spares lr_pipeline the import of scipy.integrate, about 0.2 s.
+    """
+    if y.size < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        def h1(f):
+            return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+        first, second = h1(y), h1(y[::-1])[::-1]
+        sub = np.empty(y.size - 1, dtype=np.result_type(y, dx))
+        sub[:-1:2] = first[::2]
+        sub[1::2] = second[::2]
+        sub[-1] = second[-1]
+        res = np.cumsum(sub)
+    res += 0.0  # as scipy adds `initial`, which turns a -0.0 sum into +0.0
+    return np.concatenate((np.zeros(1, dtype=res.dtype), res))
+
+
 def lr_pipeline(s: Scenario) -> LRQuantities:
     """The displaced-number solution on the scenario grid, built whole.
 
@@ -649,7 +694,8 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     so the theta stepper's stage j reads the j-th sample, the exact value
     at its RK4 half-step time.  chi comes from the exact antiderivative of
     omega (all coefficient forms have one); the drive integrals
-    alpha_tilde, beta_tilde use composite Simpson.  Then
+    alpha_tilde, beta_tilde and the phase base use composite Simpson, in
+    _cumulative_simpson's numpy port of scipy's rule.  Then
 
         u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi},
         f = [|u|^2 - kappa^2 alpha beta]/omega (|u|^2/omega at first order),
@@ -659,8 +705,6 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     package, and the phase base int [f + Re(u theta)] with upsilon =
     exp(-i phase base).
     """
-    from scipy.integrate import cumulative_simpson  # 0.26 s to import; only LR needs it
-
     _require_validated(s)
     grid = s.grid
     ts = np.linspace(grid.t0, grid.t1, 2 * grid.steps + 1)
@@ -676,8 +720,8 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     om = np.asarray(s.omega(ts))
     al = np.asarray(s.alpha(ts))
     be = np.asarray(s.beta(ts))
-    at = cumulative_simpson(al * np.exp(1j * chi), dx=half_dt, initial=0.0)
-    bt = cumulative_simpson(be * np.exp(-1j * chi), dx=half_dt, initial=0.0)
+    at = _cumulative_simpson(al * np.exp(1j * chi), half_dt)
+    bt = _cumulative_simpson(be * np.exp(-1j * chi), half_dt)
 
     if np.min(np.abs(om)) < _OMEGA_FLOOR:
         raise SingularityError("omega(t) vanishes on the grid; drive functions divide by it")
@@ -692,7 +736,7 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
 
     theta = rk4_samples(stage, np.asarray(complex(s.theta0)), grid)
     u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
-    phase_base = cumulative_simpson(f_grid + (u_grid * theta).real, dx=grid.dt, initial=0.0)
+    phase_base = _cumulative_simpson(f_grid + (u_grid * theta).real, grid.dt)
     return LRQuantities(
         grid=grid,
         chi=chi[::2].copy(),

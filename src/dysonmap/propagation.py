@@ -49,6 +49,10 @@ SAMPLE_CHUNK = 32
 # trajectory.
 MAP_WINDOW = 8 * SAMPLE_CHUNK
 
+# Half-steps whose ladder columns an RK4 stage builds at once (see
+# _rk4_deriv): 512 x 3 columns of 32 complex levels are 0.8 MB.
+STAGE_CHUNK = 512
+
 
 def sample_chunks(n: int):
     """Consecutive slices of at most SAMPLE_CHUNK covering range(n)."""
@@ -344,14 +348,24 @@ def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
     The right-sided map equation i d eta/dt = eta H is stepped as its
     transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  The
     generator is sampled once on the half-step lattice t_j = t0 + j dt/2
-    that the RK4 stages visit, and stage j reads the j-th sample.
+    that the RK4 stages visit, and stage j reads the j-th sample.  The
+    stages visit j in order, so their ladder columns are built for
+    STAGE_CHUNK half-steps at a time, not once per stage call; the
+    products are elementwise, so the columns have the same bits either way.
     """
     half = grid.dt / 2.0
     table = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
     d, u, l = table[:, :, None, None]
+    lo, cols = -STAGE_CHUNK, None
 
     def stage(j, y):
-        return ladder_rows(y, ladder_columns(d[j], u[j], l[j], H.dim), transpose=right)
+        nonlocal lo, cols
+        if not lo <= j < lo + STAGE_CHUNK:
+            lo = j - j % STAGE_CHUNK
+            sl = slice(lo, lo + STAGE_CHUNK)
+            cols = ladder_columns(d[sl], u[sl], l[sl], H.dim)
+        i = j - lo
+        return ladder_rows(y, (cols[0][i], cols[1][i], cols[2][i]), transpose=right)
 
     return stage
 

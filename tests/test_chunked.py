@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +30,13 @@ from dysonmap import (
     analytic_vs_numeric,
     basis_state,
     counterpart_energy,
-    displacement,
     equivalence_checks,
     hamiltonian_fn,
     hermitian_counterpart,
     initial_map,
     invert_apply,
     isospectrality_check,
+    ladder_operators,
     lr_pipeline,
     metric_constancy,
     propagate_dyson,
@@ -50,7 +51,7 @@ from dysonmap import (
 from dysonmap.diagnostics import _commutator_scale
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
-from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, _band_table, band_matrix
+from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, STAGE_CHUNK, _band_table, band_matrix
 
 from conftest import load_bundled, rebuild, tiny_scenario, workup_trajectory
 
@@ -161,6 +162,29 @@ def test_block_state_stepping_is_bit_identical(run, seed):
         assert np.array_equal(traj.amplitudes, alone.amplitudes)
 
 
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # random states fill the guard
+@pytest.mark.parametrize("steps", [STAGE_CHUNK // 2 - 1, STAGE_CHUNK // 2, STAGE_CHUNK + 3])
+def test_stepping_is_bit_identical_across_stage_chunks(steps):
+    # the stages read ladder columns built STAGE_CHUNK half-steps at a time;
+    # these step counts end just before, on and past the edges of those chunks
+    s = dataclasses.replace(
+        tiny_scenario(dim=5, guard=1, grid=TimeGrid(0.0, 1.3, steps)),
+        omega=CoefficientSpec.sinusoid(0.3, 0.2j, 2.0, c=1.0),
+        alpha=CoefficientSpec.polynomial(0.5, 0.1j, -0.2),
+        beta=CoefficientSpec.exp_ramp(0.4 - 0.3j, 0.7),
+    )
+    H = hamiltonian_fn(s)
+    rng = np.random.default_rng(steps)
+    eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
+    assert np.array_equal(traj.etas, rk4_samples(row_layout_deriv(H, s.grid), eta0, s.grid))
+    psis = [StateVector(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)) for _ in range(2)]
+    first = propagate_state(H, psis[0], s.grid, options=UNGUARDED, companions=psis[1:])
+    deriv = single_state_deriv(H, s.grid)
+    for psi, states in zip(psis, (first, *first.companions)):
+        assert np.array_equal(states.amplitudes, rk4_samples(deriv, psi.vec, s.grid))
+
+
 # -- chunked residual passes ---------------------------------------------------
 
 
@@ -232,6 +256,18 @@ def test_hermitian_counterpart_matches_dense_formula(run, seed):
     assert_close(hermitian_counterpart(traj, H), want, np.array(scale)[:, None, None])
 
 
+def dense_displacement(theta: complex, dim: int) -> np.ndarray:
+    """The dim x dim block of the infinite-space D(theta), from dense exponentials.
+
+    D(theta) = e^{-|theta|^2/2} e^{theta a†} e^{-theta* a}; both factors
+    are nilpotent on the truncation, so their exponentials, and the
+    product of the two, carry no truncation error.
+    """
+    a, ad = ladder_operators(dim)
+    return np.exp(-abs(theta) ** 2 / 2) * (
+        scipy.linalg.expm(theta * ad.mat) @ scipy.linalg.expm(-np.conj(theta) * a.mat))
+
+
 @pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
 @settings(max_examples=15, deadline=None)
 @given(steps=st.integers(50, 3 * SAMPLE_CHUNK + 5), stride=st.integers(1, 4),
@@ -274,7 +310,7 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     for m, ser in iso.items():
         want = []
         for k, t in zip(ks, ts):
-            zeta = displacement(-np.conj(complex(lr.xi[k])), s.dim).mat[:, m]
+            zeta = dense_displacement(-np.conj(complex(lr.xi[k])), s.dim)[:, m]
             w, _ = invert_apply(FockOperator(traj.etas[k]), StateVector(zeta))
             energy = complex(counterpart_energy(s, m, float(t)))
             defect = H(float(t)).mat @ w.vec - (energy / 2.0) * w.vec
@@ -284,11 +320,11 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     avn = analytic_vs_numeric(s, lr, traj, psi, stride=stride)
     ev = AnalyticEvolution(s, lr)
     phi0 = traj.eta0.mat @ basis_state(0, s.dim).vec
-    v0 = displacement(complex(s.theta0), s.dim).mat
+    v0 = dense_displacement(complex(s.theta0), s.dim)
     want = []
     for k, stacked in zip(ks, ev.Us(ks)):
         # U(t_k) = upsilon D[theta] R[chi] D[theta0]†, as dense products
-        v = lr.upsilon[k] * (displacement(complex(lr.theta[k]), s.dim).mat
+        v = lr.upsilon[k] * (dense_displacement(complex(lr.theta[k]), s.dim)
                              @ rotation(float(lr.chi[k]), s.dim).mat)
         u = v @ v0.conj().T
         assert np.max(np.abs(stacked - u)) <= 1e-13

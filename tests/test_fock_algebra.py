@@ -24,7 +24,7 @@ from dysonmap import (
     rotation,
     tail_mass,
 )
-from dysonmap.fock_algebra import displacements
+from dysonmap.fock_algebra import _exact_displacements, _normal_ordered, displacements
 
 from conftest import tiny_scenario
 
@@ -133,6 +133,62 @@ def test_stacked_displacements_make_coherent_states():
             -(x**2) / 2 + dim * math.log(x) - math.lgamma(dim + 1) / 2
         )
         assert np.max(np.abs(col - expect)) <= leak + 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05j, 0.7 - 0.2j, 1.5 + 1.0j, -2.0, 1.2 - 1.6j])
+def test_normal_ordered_displacement_makes_coherent_states(theta):
+    # column 0 of e^{-|theta|^2/2} e^{theta a†} e^{-theta* a} is e^{theta a†}|0>
+    # times the prefactor on every level, with no truncation leak
+    dim = 40
+    col = _exact_displacements([theta], dim)[0, :, 0]
+    ns = np.arange(dim)
+    root_fact = np.sqrt([float(math.factorial(n)) for n in ns])
+    expect = np.exp(-abs(theta) ** 2 / 2) * complex(theta) ** ns / root_fact
+    assert np.max(np.abs(col - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [32, 40])
+@pytest.mark.parametrize("theta", [0.4j, 0.4 * np.exp(2.5j), 1.0, np.exp(0.7j),
+                                   2.0 * np.exp(2.5j)])
+def test_normal_ordered_displacement_is_the_infinite_space_block(dim, theta):
+    # A dim-200 truncated expm stands in for the infinite-space D on the
+    # guard block.  The normal-ordered product sums at most dim terms, each
+    # bounded by M^2 with M the largest entry of e^{theta a†} (e^{-theta* a}
+    # has the same entry magnitudes), so it rounds by at most dim eps M^2.
+    guard = 6
+    big_a, big_ad = ladder_operators(200)
+    ref = scipy.linalg.expm(theta * big_ad.mat - np.conj(theta) * big_a.mat)
+    big_m = np.max(np.abs(_normal_ordered([theta], [0.0], dim)[0]))
+    bound = dim * np.finfo(float).eps * big_m**2
+    exact = _exact_displacements([theta], dim)[0]
+    assert np.max(np.abs(low_block(exact - ref[:dim, :dim], guard))) <= bound
+    # the dim-level truncated exponential misses that block by far more
+    truncated = displacement(theta, dim).mat
+    assert np.max(np.abs(low_block(truncated - ref[:dim, :dim], guard))) > 100 * bound
+
+
+@pytest.mark.parametrize("gamma0", [0.3, -1.0, 0.6 + 0.8j, -0.05j])
+def test_initial_map_without_lambda0_is_the_taylor_sum(gamma0):
+    s = tiny_scenario(dim=32, guard=6)
+    a, _ = ladder_operators(s.dim)
+    ref = scipy.linalg.expm(gamma0 * a.mat)
+    eta0 = initial_map(s, gamma0, 0j).mat
+    assert np.linalg.norm(eta0 - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_initial_map_is_normal_ordered():
+    # exp(gamma a + lambda a†) = e^{gamma lambda/2} e^{lambda a†} e^{gamma a}:
+    # on the guard block it is the block of a dim-200 truncated exponential
+    gamma0, lambda0, dim = 0.3 - 0.1j, -0.2 + 0.25j, 24
+    big_a, big_ad = ladder_operators(200)
+    ref = scipy.linalg.expm(gamma0 * big_a.mat + lambda0 * big_ad.mat)[:dim, :dim]
+    eta0 = initial_map(tiny_scenario(dim=dim, guard=6), gamma0, lambda0).mat
+    assert np.max(np.abs(low_block(eta0 - ref, 6))) <= 1e-14
+
+
+def test_overflowing_initial_map_is_refused():
+    with pytest.raises(ExponentialRangeError, match="overflows"):
+        initial_map(tiny_scenario(dim=8, guard=2), 1.0e3, 1.0e3)
 
 
 def test_only_an_overflowing_exponential_is_refused():

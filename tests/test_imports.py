@@ -1,4 +1,4 @@
-"""Imports of the package: every module-level one is used, and scipy stays lazy.
+"""Imports of the package: every module-level one is used, and scipy stays lazy and small.
 
 Deleting code can leave an import behind that nothing reads; this finds it
 with the standard library's ast, so it needs no linter.  ``__init__.py``
@@ -41,6 +41,32 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
 
 
+def _cli_subprocess(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_run_needs_no_exponential_and_no_scipy_integrate(tmp_path):
+    # eta0 and the displacements are normal-ordered and the Simpson rule is
+    # numpy's; only the rcond estimate reaches into scipy.linalg
+    code = (
+        "import sys\n"
+        "import scipy.linalg\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('scipy.linalg.expm called')\n"
+        "scipy.linalg.expm = refuse\n"
+        "from dysonmap.cli import main\n"
+        "code = main(['run', 's1', '--set', 'dim=12', '--set', 'grid.steps=2000',\n"
+        f"             '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+        "sys.exit(code)\n"
+    )
+    proc = _cli_subprocess(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_pt_phase_never_imports_scipy(tmp_path):
     # scipy.linalg and scipy.integrate take about 0.6 s to import, which pt-phase never needs
     code = (
@@ -49,8 +75,6 @@ def test_pt_phase_never_imports_scipy(tmp_path):
         f"main(['pt-phase', 's1', '--axis', 'alpha.c.arg:0:3.14:5', '--out', {str(tmp_path)!r}])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = _cli_subprocess(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

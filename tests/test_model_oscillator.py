@@ -32,7 +32,7 @@ from dysonmap import (
     quadrature_observables,
     validated_scenario,
 )
-from dysonmap.model_oscillator import _intertwining_residual
+from dysonmap.model_oscillator import _cumulative_simpson, _intertwining_residual
 
 from conftest import load_bundled, rebuild, tiny_scenario
 
@@ -240,6 +240,22 @@ class TestConvergenceOrders:
         e_coarse, e_fine = theta_error(800), theta_error(1600)
         assert e_coarse < 1e-8
         assert 12.0 < e_coarse / e_fine < 20.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8001, 16001])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(n, dtype):
+    # lr_pipeline's quadrature reproduces scipy's equal-interval rule, the
+    # trapezoid fallback below 3 samples included
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=n)
+    if dtype is complex:
+        y = y + 1j * rng.normal(size=n)
+    dx = 2 * np.pi / 8000
+    want = scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)
+    got = _cumulative_simpson(y, dx)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()  # signed zeros too
 
 
 def test_singular_frequency_refused():
