@@ -6,10 +6,11 @@ one DiagnosticsReport, skipping the stages whose preconditions a scenario
 cannot meet (an invalid scenario still gets trajectory-level residuals, so
 negative controls show exactly which claims break) and the checks whose
 series took no sample.  The checks are functions of the trajectories they
-are given.  The per-sample checks also take one window of a streamed map:
-scenario_workup steps the |0>, |1> pair once, then has propagate_dyson
-stream the map through them and hold only the samples that the other
-checks read again, so it never holds the whole trajectory.
+are given.  Each per-sample check takes a whole trajectory or one window
+of a streamed map: scenario_workup steps the |0>, |1> pair once, holding
+only the samples its checks read, then has propagate_dyson stream the map
+through every check and hold only the three samples of the r2 scale, so
+it holds no array as long as the trajectory.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -369,19 +370,23 @@ def quasi_hermiticity_residuals(
         H, traj.grid, traj.options.guard, traj.dim, stride, spacing))
 
 
+_EQUIVALENCE_TARGET = 1600  # default sample counts of the strided checks
+_ISOSPECTRAL_TARGET = 400
+_DEVIATION_TARGET = 800
+
+
 class _EquivalencePass(_StridedPass):
     """equivalence_checks' three series at strided samples."""
 
     def __init__(self, s: Scenario, rho0: np.ndarray,
                  states: tuple[StateTrajectory, StateTrajectory],
                  lr: LRQuantities | None, stride: int | None):
-        psi, psit = states
+        self.psi, self.psit = states
         grid = s.grid
-        self.ks = _strided_indices(grid.steps, stride, target=1600)
+        self.ks = _strided_indices(grid.steps, stride, target=_EQUIVALENCE_TARGET)
         self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
-        self.a, self.b = psi.amplitudes, psit.amplitudes
         self.rho0 = rho0
-        self.ref = complex(self.a[0].conj() @ (rho0 @ self.b[0]))
+        self.ref = complex(self.psi.at(0).conj() @ (rho0 @ self.psit.at(0)))
         self.x1, self.x2 = (q.mat for q in quadratures(s.dim))
         self.frame = quadrature_frame(s, lr, self.ks)[:2] if lr is not None else None
         self.sanity = np.empty(self.ks.size)
@@ -393,7 +398,7 @@ class _EquivalencePass(_StridedPass):
         x1, x2 = self.x1, self.x2
         while True:
             sl, ks, es = yield
-            a, b = self.a[ks], self.b[ks]
+            a, b = self.psi.at(ks), self.psit.at(ks)
             ea, eb = _matvec(es, a), _matvec(es, b)
             rho = _metrics(es)
             self.sanity[sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
@@ -429,27 +434,54 @@ def equivalence_checks(
 ) -> tuple[ResidualSeries, ResidualSeries, ResidualSeries | None]:
     """Pairing identities between the two descriptions, as series.
 
-    ``states`` holds psi and psi~ stepped under H on the scenario grid.
-    sanity: <psi|rho(t)|psi~> equals <eta psi|eta psi~> (same algebra, two
-    evaluation orders); fixed_metric: <psi(t)|rho0|psi~(t)> stays at its
-    initial value when the metric is constant; observable: rho-weighted
-    matrix elements of the closed-form X1 against bare x1 between the
-    mapped states, expected to agree to second order in kappa (needs lr,
-    else None).  Given a MapWindow, the series hold the samples that
-    window completes.
+    ``states`` holds psi and psi~ stepped under H on the scenario grid,
+    holding at least the sampled grid indices.  sanity: <psi|rho(t)|psi~>
+    equals <eta psi|eta psi~> (same algebra, two evaluation orders);
+    fixed_metric: <psi(t)|rho0|psi~(t)> stays at its initial value when
+    the metric is constant; observable: rho-weighted matrix elements of
+    the closed-form X1 against bare x1 between the mapped states, expected
+    to agree to second order in kappa (needs lr, else None).  Given a
+    MapWindow, the series hold the samples that window completes.
     """
     return _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
         s, traj.rho0.mat, states, lr, stride))
 
 
-_ISOSPECTRAL_TARGET = 400   # default sample counts of the two solve-based checks
-_DEVIATION_TARGET = 800
+class _IsospectralPass(_StridedPass):
+    """isospectrality_check's r_m at strided samples."""
+
+    def __init__(self, s: Scenario, lr: LRQuantities, ms: Sequence[int], stride: int | None):
+        grid = s.grid
+        self.ks = _strided_indices(grid.steps, stride, target=_ISOSPECTRAL_TARGET)
+        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
+        self.s, self.lr, self.cols = s, lr, list(ms)
+        self.H = hamiltonian_fn(s)
+        self.out = np.empty((len(self.cols), self.ks.size))
+        super().__init__(self.ks.size, self.ks.__getitem__)
+
+    def evaluate(self):
+        s, cols = self.s, self.cols
+        while True:
+            sl, ks, es = yield
+            ts = self.ts[sl]
+            zetas = _exact_displacements(-np.conj(self.lr.xi[ks]), s.dim, cols)
+            w = np.linalg.solve(es, zetas)
+            energy = counterpart_energy(s, cols, ts)
+            defect = apply_generator(self.H, ts, w) - w * (energy[:, None, :] / 2.0)
+            self.out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
+
+    def series(self, sl: slice) -> dict[int, ResidualSeries]:
+        return {
+            m: ResidualSeries(name=f"isospectrality_m{m}", times=self.ts[sl],
+                              samples=self.out[i, sl])
+            for i, m in enumerate(self.cols)
+        }
 
 
 def isospectrality_check(
     s: Scenario,
     lr: LRQuantities,
-    traj: DysonTrajectory,
+    traj: DysonTrajectory | MapWindow,
     ms: Sequence[int] = (0, 1, 2),
     *,
     stride: int | None = None,
@@ -459,63 +491,75 @@ def isospectrality_check(
     The mapped displaced Fock states diagonalize H up to third order in
     kappa.  zeta_m = D[-xi*]|m> is column m of the normal-ordered, exact
     displacement, built for the columns ms only.  Each sampled eta is
-    factored once for all of ms, after its reciprocal condition number is
-    checked against the trajectory's rcond_floor.  traj must hold the
-    sampled grid indices.
+    factored once for all of ms.  traj is a whole trajectory, whose
+    reciprocal condition numbers at the sampled indices are first checked
+    against its rcond_floor, or one window of a streamed map, whose caller
+    applies the floor; given a window, the series hold the samples that
+    window completes.
     """
-    grid = s.grid
-    ks = _strided_indices(grid.steps, stride, target=_ISOSPECTRAL_TARGET)
-    ts = grid.t0 + ks * grid.dt
-    check_conditioning(traj, ks)
-    H = hamiltonian_fn(s)
-    cols = list(ms)
-    out = np.empty((len(cols), ks.size))
-    for sl in sample_chunks(ks.size):
-        zetas = _exact_displacements(-np.conj(lr.xi[ks[sl]]), s.dim, cols)
-        w = np.linalg.solve(traj.at(ks[sl]), zetas)
-        energy = counterpart_energy(s, cols, ts[sl])
-        defect = apply_generator(H, ts[sl], w) - w * (energy[:, None, :] / 2.0)
-        out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
-    return {
-        m: ResidualSeries(name=f"isospectrality_m{m}", times=ts.astype(float), samples=out[i])
-        for i, m in enumerate(cols)
-    }
+    if isinstance(traj, DysonTrajectory):
+        check_conditioning(traj, _strided_indices(s.grid.steps, stride, _ISOSPECTRAL_TARGET))
+    return _fed(traj, ("isospectrality", tuple(ms), stride),
+                lambda: _IsospectralPass(s, lr, ms, stride))
+
+
+class _DeviationPass(_StridedPass):
+    """analytic_vs_numeric's deviations at strided samples."""
+
+    def __init__(self, s: Scenario, lr: LRQuantities, numeric: StateTrajectory,
+                 stride: int | None):
+        grid = s.grid
+        self.ks = _strided_indices(grid.steps, stride, target=_DEVIATION_TARGET)
+        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
+        self.ev = AnalyticEvolution(s, lr)
+        self.numeric = numeric
+        self.devs = np.empty(self.ks.size)
+        super().__init__(self.ks.size, self.ks.__getitem__)
+
+    def feed(self, lo: int, etas: np.ndarray):
+        if lo == 0:  # eta(t0) |psi0>, from the first window
+            self.phi0 = etas[0] @ self.numeric.at(0)
+        return super().feed(lo, etas)
+
+    def evaluate(self):
+        while True:
+            sl, ks, es = yield
+            w = np.linalg.solve(es, self.ev.Us(ks) @ self.phi0[:, None])[:, :, 0]
+            self.devs[sl] = np.linalg.norm(w - self.numeric.at(ks), axis=1)
+
+    def series(self, sl: slice) -> ResidualSeries:
+        return ResidualSeries(name="analytic_vs_numeric", times=self.ts[sl],
+                              samples=self.devs[sl])
 
 
 def analytic_vs_numeric(
     s: Scenario,
     lr: LRQuantities,
-    traj: DysonTrajectory,
+    traj: DysonTrajectory | MapWindow,
     numeric: StateTrajectory,
     *,
     stride: int | None = None,
 ) -> ResidualSeries:
     """||eta^-1(t) U(t) eta(t0) |psi0> - psi(t)|| for psi stepped under H.
 
-    ``numeric`` is psi stepped on the scenario grid; psi0 is its first
-    sample.  The deviation is first order in the drive strength at generic
-    interior times and second order at times where the accumulated drive
-    phase closes (the bundled grids end at such a time); the series'
-    terminal value is the figure of merit for scaling checks.  traj must
-    hold the sampled grid indices.
+    ``numeric`` is psi stepped on the scenario grid, holding index 0 and
+    the sampled grid indices; psi0 is its first sample.  The deviation is
+    first order in the drive strength at generic interior times and second
+    order at times where the accumulated drive phase closes (the bundled
+    grids end at such a time); the series' terminal value is the figure of
+    merit for scaling checks.  traj is a whole trajectory or one window of
+    a streamed map; given a window, the series holds the samples that
+    window completes.
     """
     if not s.validated:
         raise ScenarioInvalidError(
             "analytic route needs a validated scenario",
             failed_checks=("not_validated",),
         )
-    grid = s.grid
-    if numeric.grid != grid:
+    if numeric.grid != s.grid:
         raise ValueError("numeric trajectory is not on the scenario grid")
-    ks = _strided_indices(grid.steps, stride, target=_DEVIATION_TARGET)
-    ev = AnalyticEvolution(s, lr)
-    phi0 = traj.eta0.mat @ numeric.amplitudes[0]
-    devs = np.empty(ks.size)
-    for sl in sample_chunks(ks.size):
-        w = np.linalg.solve(traj.at(ks[sl]), ev.Us(ks[sl]) @ phi0[:, None])[:, :, 0]
-        devs[sl] = np.linalg.norm(w - numeric.amplitudes[ks[sl]], axis=1)
-    ts = grid.t0 + ks * grid.dt
-    return ResidualSeries(name="analytic_vs_numeric", times=ts.astype(float), samples=devs)
+    return _fed(traj, ("analytic_vs_numeric", stride),
+                lambda: _DeviationPass(s, lr, numeric, stride))
 
 
 def _bounded(
@@ -549,12 +593,14 @@ def scenario_workup(
     preconditions cannot be met (closed forms on a non-validated scenario)
     or whose series took no sample are recorded as skipped.
 
-    The |0>, |1> pair is stepped first; it applies the step guard.  The map
-    is then streamed a window at a time through the per-sample checks, and
-    only the samples that isospectrality, analytic-vs-numeric and the r2
-    scale read again are held, so the (steps+1, dim, dim) trajectory never
-    is.  The conditioning floor is applied to the whole rcond series after
-    the last window, so a refusal names the worst sample.
+    The |0>, |1> pair is stepped first; it applies the step guard, and it
+    holds only the samples that its checks read.  The map is then streamed
+    a window at a time through every per-sample check, and only the three
+    samples of the r2 scale are held, so no array as long as the
+    trajectory is.  The conditioning floor is applied to the whole rcond
+    series after the last window, so a refusal names the worst sample; the
+    solve-based checks are fed no window from the first one that holds a
+    map below the floor.
     """
     tol = tol or Tolerances()
     try:
@@ -569,30 +615,35 @@ def scenario_workup(
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     options = s_run.solver_options(rcond_floor=tol.min_rcond)
     grid, dim = s_run.grid, s_run.dim
+    reads = [np.zeros(1, dtype=int), _strided_indices(grid.steps, stride, _EQUIVALENCE_TARGET)]
+    if s_run.validated:
+        reads.append(_strided_indices(grid.steps, None, target=_DEVIATION_TARGET))
     psi = propagate_state(H, basis_state(0, dim), grid, options=options,
-                          companions=(basis_state(1, dim),))
+                          companions=(basis_state(1, dim),), keep=np.unique(np.concatenate(reads)))
     states = (psi, *psi.companions)
     lr = None
     if s_run.validated:
         lr = lr_pipeline(s_run)
 
     run_iso = lr is not None and s_run.perturbation_order == 2
-    reread = [_scale_indices(grid)]
-    if lr is not None:
-        reread.append(_strided_indices(grid.steps, None, target=_DEVIATION_TARGET))
-    if run_iso:
-        reread.append(_strided_indices(grid.steps, None, target=_ISOSPECTRAL_TARGET))
-    parts = []
+    parts, iso_parts, avn_parts = [], [], []
+    solvable = lr is not None
 
     def check_window(window: MapWindow):
+        nonlocal solvable
         parts.append((
             metric_constancy(window),
             *quasi_hermiticity_residuals(window, H, stride=stride),
             *equivalence_checks(s_run, window, states, lr, stride=stride),
         ))
+        solvable = solvable and not np.any(window.rcond < options.rcond_floor)
+        if solvable and run_iso:
+            iso_parts.append(isospectrality_check(s_run, lr, window))
+        if solvable:
+            avn_parts.append(analytic_vs_numeric(s_run, lr, window, psi))
 
     traj = propagate_dyson(H, eta0, grid, options=options,
-                           keep=np.unique(np.concatenate(reread)), on_window=check_window)
+                           keep=np.unique(_scale_indices(grid)), on_window=check_window)
     check_conditioning(traj)
     mc, r2, r7, sanity, fixed, observable = (_joined(list(col)) for col in zip(*parts))
 
@@ -619,9 +670,9 @@ def scenario_workup(
         checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
 
     if run_iso:
-        iso = isospectrality_check(s_run, lr, traj)
         worst = 0.0
-        for m, ser in iso.items():
+        for m in iso_parts[0]:
+            ser = _joined([part[m] for part in iso_parts])
             series[ser.name] = ser
             worst = max(worst, ser.max)
         iso_tol = tol.isospectral_floor + tol.envelope_coeff * s_run.kappa**3
@@ -630,7 +681,7 @@ def scenario_workup(
         checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
 
     if lr is not None:
-        avn = analytic_vs_numeric(s_run, lr, traj, psi)
+        avn = _joined(avn_parts)
         series[avn.name] = avn
         checks.append(
             _bounded(

@@ -294,16 +294,20 @@ def _intertwining_residual(
     table = np.array(hamiltonian_fn(s).bands(s.grid.points), dtype=complex)
     e = int(np.frexp(np.max(np.abs(table)))[1])
     coeffs = np.ldexp(table.view(float), -e).view(complex).T
-    num = np.empty(coeffs.shape[0])
-    den = np.empty(coeffs.shape[0])
+    # each distinct coefficient triple is evaluated once and scattered back
+    # to its samples, so the argmax breaks ties in grid order
+    distinct, inverse = np.unique(coeffs, axis=0, return_inverse=True)
+    num = np.empty(distinct.shape[0])
+    den = np.empty(distinct.shape[0])
 
     def combined(c, blocks):
         return c[:, 0, None] * blocks[0] + c[:, 1, None] * blocks[1] + c[:, 2, None] * blocks[2]
 
-    for sl in sample_chunks(coeffs.shape[0]):
-        rho_h = combined(coeffs[sl], right)
-        num[sl] = np.linalg.norm(combined(np.conj(coeffs[sl]), left) - rho_h, axis=1)
+    for sl in sample_chunks(distinct.shape[0]):
+        rho_h = combined(distinct[sl], right)
+        num[sl] = np.linalg.norm(combined(np.conj(distinct[sl]), left) - rho_h, axis=1)
         den[sl] = np.linalg.norm(rho_h, axis=1)
+    num, den = num[inverse], den[inverse]
     worst = int(np.argmax(num))
     return float(np.ldexp(num[worst], e)), float(np.ldexp(den[worst], e))
 

@@ -12,16 +12,16 @@ sampled once per grid and applied as a tridiagonal update.  The map is
 stepped as eta^T, so the banded update shifts contiguous rows;
 trajectories expose eta through a transposed view of that storage.
 RK4 stages are addressed by their index on the half-step lattice, and
-trajectories by grid index.  ``propagate_dyson`` steps the map a window
-of samples at a time, can hand each window to a callback, and holds only
-the samples asked for.
+trajectories by grid index.  ``propagate_dyson`` and ``propagate_state``
+step a window of samples at a time and hold only the samples asked for;
+``propagate_dyson`` can hand each window to a callback.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,8 +43,9 @@ _TAIL_WARN = 1e-8      # guard-band population fraction above which a state warn
 # temporaries stay a few MB above the trajectory itself.
 SAMPLE_CHUNK = 32
 
-# Samples per window of a stepped map (see propagate_dyson): 256 complex
-# 40 x 40 matrices are 6.6 MB, against 246 MB for a whole 9,600-step map.
+# Samples per window of a stepped map or state block (see _stepped): 256
+# complex 40 x 40 matrices are 6.6 MB, against 246 MB for a whole
+# 9,600-step map.
 # A multiple of SAMPLE_CHUNK, so windows split into the chunks of a whole
 # trajectory.
 MAP_WINDOW = 8 * SAMPLE_CHUNK
@@ -110,6 +111,14 @@ class SolverOptions:
     rcond_floor: float = 1e-12
 
 
+def _held_at(held: np.ndarray, samples: np.ndarray, ks):
+    """samples at grid indices ks (an index or an array), which held (sorted) must list."""
+    pos = np.searchsorted(held, ks)
+    if not np.array_equal(held[np.minimum(pos, len(held) - 1)], ks):
+        raise IndexError(f"grid indices {ks} are not all held")
+    return samples[pos]
+
+
 @dataclass(frozen=True)
 class DysonTrajectory:
     """The map at the sorted grid indices ``ks`` (0 always); read it with ``at``.
@@ -139,10 +148,7 @@ class DysonTrajectory:
 
     def at(self, ks):
         """The maps at grid indices ks (an index or an array of them), which must be held."""
-        pos = np.searchsorted(self.ks, ks)
-        if not np.array_equal(self.ks[np.minimum(pos, len(self.ks) - 1)], ks):
-            raise IndexError(f"grid indices {ks} are not all held")
-        return self.etas[pos]
+        return _held_at(self.ks, self.etas, ks)
 
 
 @dataclass(frozen=True)
@@ -161,36 +167,32 @@ class MapWindow:
     lo: int
     etas: np.ndarray              # in DysonTrajectory.etas's layout
     carry: dict
+    rcond: np.ndarray             # the rcond series of etas
 
     @property
     def dim(self) -> int:
         return self.etas.shape[1]
 
 
+@dataclass(frozen=True)
 class StateTrajectory:
-    """Stepped state amplitudes, (steps+1, dim), with truncation bookkeeping.
+    """A stepped state at the sorted grid indices ``ks`` (0 always); read it with ``at``.
 
-    ``companions`` holds the trajectories of states stepped in the same
-    block (see propagate_state).
+    tail_mass_max is the largest guard-band population fraction over every
+    stepped sample, held or not.  ``companions`` holds the trajectories of
+    states stepped in the same block (see propagate_state).
     """
 
-    def __init__(self, grid: TimeGrid, amplitudes: np.ndarray, options: SolverOptions):
-        self.grid = grid
-        self.amplitudes = amplitudes
-        self.options = options
-        self.companions: tuple[StateTrajectory, ...] = ()
-        g = options.guard
-        mass = np.abs(amplitudes) ** 2
-        tail = mass[:, amplitudes.shape[1] - g :].sum(axis=1)
-        total = mass.sum(axis=1)
-        self.tail_mass_max = float(np.max(tail / np.where(total > 0, total, 1.0)))
-        if self.tail_mass_max > _TAIL_WARN:
-            warnings.warn(
-                f"guard-band mass reached {self.tail_mass_max:.3e}; "
-                "truncation dimension may be too small",
-                TruncationWarning,
-                stacklevel=3,
-            )
+    grid: TimeGrid
+    amplitudes: np.ndarray        # (len(ks), dim)
+    options: SolverOptions
+    ks: np.ndarray
+    tail_mass_max: float
+    companions: tuple[StateTrajectory, ...] = ()
+
+    def at(self, ks):
+        """The amplitudes at grid indices ks (an index or an array of them), which must be held."""
+        return _held_at(self.ks, self.amplitudes, ks)
 
 
 def _rk4_windows(stage, y0: np.ndarray, grid: TimeGrid, width: int):
@@ -378,6 +380,26 @@ def _rcond_series(etas: np.ndarray) -> np.ndarray:
     return np.array([rcond_1norm(m, a) for m, a in zip(etas, anorms)])
 
 
+def _stepped(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverOptions,
+             keep: np.ndarray | None, right: bool, on_window) -> tuple[np.ndarray, np.ndarray]:
+    """Step y0 under H (see _rk4_deriv) a window at a time; returns (keep, held samples).
+
+    Refuses grids violating the step guard.  ``keep`` is sorted distinct
+    grid indices starting at 0 (None: every index); on_window(lo, block)
+    gets each window after its kept samples are copied out.
+    """
+    keep = np.arange(grid.steps + 1) if keep is None else np.asarray(keep)
+    if not (keep[0] == 0 and keep[-1] <= grid.steps and np.all(np.diff(keep) > 0)):
+        raise ValueError("keep must be sorted distinct grid indices starting at 0")
+    _check_step_guard(H, grid, options.step_guard)
+    held = np.empty((len(keep),) + y0.shape, dtype=complex)
+    for lo, block in _rk4_windows(_rk4_deriv(H, grid, right), y0, grid, MAP_WINDOW):
+        first, stop = np.searchsorted(keep, (lo, lo + len(block)))
+        held[first:stop] = block[keep[first:stop] - lo]
+        on_window(lo, block)
+    return keep, held
+
+
 def propagate_dyson(
     H: GeneratorFn,
     eta0: FockOperator,
@@ -399,25 +421,22 @@ def propagate_dyson(
     options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    keep = np.arange(grid.steps + 1) if keep is None else np.asarray(keep)
-    if not (keep[0] == 0 and keep[-1] <= grid.steps and np.all(np.diff(keep) > 0)):
-        raise ValueError("keep must be sorted distinct grid indices starting at 0")
-    _check_step_guard(H, grid, options.step_guard)
-    stage = _rk4_deriv(H, grid, right=True)
     rcond = np.empty(grid.steps + 1)
-    held = np.empty((len(keep), H.dim, H.dim), dtype=complex).transpose(0, 2, 1)
     carry: dict = {}
-    for lo, block in _rk4_windows(stage, np.ascontiguousarray(eta0.mat.T), grid, MAP_WINDOW):
+    rho0 = None
+
+    def window(lo: int, block: np.ndarray):
+        nonlocal rho0
         etas = block.transpose(0, 2, 1)
         if lo == 0:
             rho0 = FockOperator(etas[0].conj().T @ etas[0])
-        first, stop = np.searchsorted(keep, (lo, lo + len(etas)))
-        held[first:stop] = etas[keep[first:stop] - lo]
         rcond[lo : lo + len(etas)] = _rcond_series(etas)
         if on_window is not None:
-            on_window(MapWindow(grid, options, rho0, lo, etas, carry))
-    return DysonTrajectory(grid=grid, etas=held, rcond=rcond, options=options, ks=keep,
-                           rho0=rho0)
+            on_window(MapWindow(grid, options, rho0, lo, etas, carry, rcond[lo : lo + len(etas)]))
+
+    keep, held = _stepped(H, np.ascontiguousarray(eta0.mat.T), grid, options, keep, True, window)
+    return DysonTrajectory(grid=grid, etas=held.transpose(0, 2, 1), rcond=rcond,
+                           options=options, ks=keep, rho0=rho0)
 
 
 def propagate_state(
@@ -427,28 +446,43 @@ def propagate_state(
     options: SolverOptions | None = None,
     *,
     companions: Sequence[StateVector] = (),
+    keep: np.ndarray | None = None,
 ) -> StateTrajectory:
     """Integrate i d/dt psi = H(t) psi on the grid.
 
     States in ``companions`` are stepped with psi0 as further columns of
     one (dim, n) block, each exactly as it would be on its own; the block
     shares the generator samples and the per-step overhead.  Their
-    trajectories are the result's ``companions``, in order.
+    trajectories are the result's ``companions``, in order.  As in
+    propagate_dyson, the block is stepped a window at a time and each
+    trajectory holds the samples at ``keep`` (default: every index).
     """
     options = options or SolverOptions()
     psis = (psi0, *companions)
     for psi in psis:
         if H.dim != psi.dim:
             raise ValueError(f"dimension mismatch: generator {H.dim}, state {psi.dim}")
-    _check_step_guard(H, grid, options.step_guard)
-    stage = _rk4_deriv(H, grid, right=False)
-    block = rk4_samples(stage, np.stack([psi.vec for psi in psis], axis=1), grid)
-    trajectories = []
-    for i in range(len(psis)):  # a plain loop keeps TruncationWarning pointing at the caller
-        trajectories.append(StateTrajectory(grid, block[:, :, i], options))
-    first = trajectories[0]
-    first.companions = tuple(trajectories[1:])
-    return first
+    tails = [0.0] * len(psis)  # the largest guard-band population fraction of each state
+
+    def window(lo: int, block: np.ndarray):
+        for i in range(len(psis)):
+            mass = np.abs(block[:, :, i]) ** 2
+            tail = mass[:, H.dim - options.guard :].sum(axis=1)
+            total = mass.sum(axis=1)
+            tails[i] = max(tails[i], float(np.max(tail / np.where(total > 0, total, 1.0))))
+
+    y0 = np.stack([psi.vec for psi in psis], axis=1)
+    keep, held = _stepped(H, y0, grid, options, keep, False, window)
+    for tail in tails:  # warned here, after the last window, so that it points at the caller
+        if tail > _TAIL_WARN:
+            warnings.warn(
+                f"guard-band mass reached {tail:.3e}; truncation dimension may be too small",
+                TruncationWarning,
+                stacklevel=2,
+            )
+    trajectories = [StateTrajectory(grid, held[:, :, i], options, keep, tails[i])
+                    for i in range(len(psis))]
+    return replace(trajectories[0], companions=tuple(trajectories[1:]))
 
 
 def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):

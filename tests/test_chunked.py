@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dysonmap import (
@@ -29,6 +29,7 @@ from dysonmap import (
     Tolerances,
     analytic_vs_numeric,
     basis_state,
+    diagnostics,
     counterpart_energy,
     equivalence_checks,
     hamiltonian_fn,
@@ -222,6 +223,8 @@ def test_trajectory_residuals_match_dense_formulas(run, stride, spacing):
 
 @settings(max_examples=40, deadline=None)
 @given(run=generic_runs(), g0=amplitudes, l0=amplitudes)
+# gamma_drift's coefficient triples repeat, but not on consecutive samples
+@example(run=(load_bundled("gamma_drift"), None, None), g0=0.05j, l0=0.02 - 0.01j)
 def test_intertwining_residual_matches_dense_formula(run, g0, l0):
     s, _, _ = run
     num, den = _intertwining_residual(s, g0, l0)
@@ -346,6 +349,27 @@ def test_min_rcond_is_the_applied_floor(s1_trajectory):
     assert ei.value.rcond == pytest.approx(worst)
 
 
+def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch):
+    # a floor between the first window's worst map and the run's worst: the
+    # solve-based checks stop at the first window below it, and the refusal
+    # still names the worst sample of the whole run
+    s = tiny_scenario()
+    rcond = workup_trajectory(validated_scenario(s)[0]).rcond
+    floor = float(np.min(rcond[:MAP_WINDOW]))
+    assert np.min(rcond) < floor
+    fed = []
+    for name in ("isospectrality_check", "analytic_vs_numeric"):
+        def spy(s, lr, window, *args, check=getattr(diagnostics, name), **kwargs):
+            fed.append(float(np.min(window.rcond)))
+            return check(s, lr, window, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, name, spy)
+    with pytest.raises(IllConditionedError) as ei:
+        scenario_workup(s, tol=Tolerances(min_rcond=floor))
+    assert ei.value.rcond == float(np.min(rcond))
+    assert fed and min(fed) >= floor
+
+
 # -- the streamed workup -------------------------------------------------------
 
 
@@ -366,6 +390,17 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
     assert all(np.array_equal(rho0.mat, whole.rho0.mat) for *_, rho0 in windows)
     with pytest.raises(IndexError):
         part.at(1)
+    # the |0>, |1> block, on the same keep
+    pair = (basis_state(0, s.dim), basis_state(1, s.dim))
+    states = propagate_state(H, pair[0], s.grid, options=whole.options, companions=pair[1:])
+    held = propagate_state(H, pair[0], s.grid, options=whole.options, companions=pair[1:],
+                           keep=keep)
+    for got, want in zip((held, *held.companions), (states, *states.companions)):
+        assert np.array_equal(got.amplitudes, want.amplitudes[keep])
+        assert np.array_equal(got.at(keep[1:3]), want.amplitudes[keep[1:3]])
+        assert got.tail_mass_max == want.tail_mass_max
+        with pytest.raises(IndexError):
+            got.at(1)
 
 
 def test_held_samples_are_read_by_grid_index(tiny_run):
@@ -431,4 +466,4 @@ def test_streamed_workup_holds_no_whole_trajectory(s1_workup):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < whole / 2, f"peak {peak / 1e6:.1f} MB against {whole / 1e6:.1f} MB held whole"
+    assert peak < whole / 4, f"peak {peak / 1e6:.1f} MB against {whole / 1e6:.1f} MB held whole"

@@ -135,8 +135,10 @@ def test_guard_band_population_warns():
     H = ladder_generator(dim, 1.0, 0.01, 0.01)
     grid = TimeGrid(0.0, 1.0, 400)
     options = SolverOptions(guard=guard)
-    with pytest.warns(TruncationWarning, match="guard-band mass"):
+    with pytest.warns(TruncationWarning, match="guard-band mass") as record:
         propagate_state(H, basis_state(dim - guard, dim), grid, options=options)
+    # the warning points at the caller
+    assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         traj = propagate_state(H, basis_state(0, dim), grid, options=options)
