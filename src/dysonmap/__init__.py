@@ -18,22 +18,15 @@ from .errors import (
     SingularityError,
     StepSizeError,
     TruncationWarning,
-    UndefinedNormError,
 )
 from .fock_algebra import (
     DEFAULT_GUARD,
     FockOperator,
     StateVector,
     basis_state,
-    displacement,
-    identity,
-    invert_apply,
     ladder_operators,
     low_block,
-    matrix_exponential,
     number_operator,
-    rotation,
-    tail_mass,
 )
 from .propagation import (
     DysonTrajectory,
@@ -46,31 +39,24 @@ from .propagation import (
     propagate_dyson,
     propagate_state,
     rk4_samples,
-    unitary_transform_propagate,
 )
 from .model_oscillator import (
     AnalyticEvolution,
     CheckOutcome,
     CoefficientSpec,
-    EigenPair,
     LRQuantities,
     PTReport,
-    QuadraturePair,
     Scenario,
     ValidationReport,
     closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
-    eigensystem,
-    grid_index,
     hamiltonian_fn,
     initial_map,
     lr_phase,
     lr_pipeline,
-    matrix_elements,
     pt_analysis,
     pt_symmetry,
-    quadrature_observables,
     validated_scenario,
 )
 from .diagnostics import (

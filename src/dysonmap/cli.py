@@ -24,6 +24,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -203,8 +204,13 @@ def scenario_from_doc(doc, default_name: str = "") -> Scenario:
         kwargs["dim"] = _integer(doc["dim"], "dim")
     if "guard" in doc:
         kwargs["guard"] = _integer(doc["guard"], "guard")
-    if "perturbation_order" in doc:
-        kwargs["perturbation_order"] = _integer(doc["perturbation_order"], "perturbation_order")
+    # files written for the removed first-order closed forms may still say 2
+    if "perturbation_order" in doc and _integer(doc["perturbation_order"],
+                                                "perturbation_order") != 2:
+        raise ConfigError(
+            "perturbation_order: the first-order closed forms were removed; the closed "
+            "forms are exact, so the key may only be 2, which changes nothing"
+        )
     if doc.get("gamma0") is not None:
         kwargs["gamma0"] = _complex_leaf(doc["gamma0"], "gamma0")
     if "lambda0" in doc:
@@ -371,48 +377,52 @@ def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _series_columns(report, s_run, lr):
-    """Per-grid-point table: closed forms then residual series."""
+_RESIDUAL_COLUMNS = (
+    "metric_constancy", "r2", "r7",
+    "equivalence_sanity", "equivalence_fixed_metric", "equivalence_observable",
+)
+
+
+def _series_table(report, s_run, lr) -> tuple[list[str], Iterator[list[str]]]:
+    """Header and rows of the per-grid-point table: closed forms then residual series.
+
+    The values sit in one (points, columns) array, with a mask of the cells
+    that hold one (a strided series leaves the others blank); each row is
+    formatted as it is read, so only one row of text is held at a time.
+    """
     grid = s_run.grid
-    npts = grid.steps + 1
-    cols: list[tuple[str, list[str]]] = [("t", [_fmt(t) for t in grid.points])]
-
-    def complex_cols(name, arr):
-        if arr is None:
-            blank = [""] * npts
-            return [(f"{name}_re", blank), (f"{name}_im", list(blank))]
-        return [
-            (f"{name}_re", [_fmt(v) for v in np.asarray(arr).real]),
-            (f"{name}_im", [_fmt(v) for v in np.asarray(arr).imag]),
-        ]
-
-    cols += complex_cols("u", lr.u if lr else None)
-    cols += complex_cols("f", lr.f if lr else None)
-    cols += complex_cols("theta", lr.theta if lr else None)
-    cols.append(("chi", [_fmt(v) for v in lr.chi] if lr else [""] * npts))
-    for m in range(4):
-        if lr is not None:
-            cols.append((f"Phi_{m}", [_fmt(v) for v in lr_phase(s_run, lr, m)]))
-        else:
-            cols.append((f"Phi_{m}", [""] * npts))
-    for name in (
-        "metric_constancy", "r2", "r7",
-        "equivalence_sanity", "equivalence_fixed_metric", "equivalence_observable",
-    ):
-        cells = [""] * npts
+    header = ["t", "u_re", "u_im", "f_re", "f_im", "theta_re", "theta_im", "chi",
+              *(f"Phi_{m}" for m in range(4)), *_RESIDUAL_COLUMNS]
+    values = np.zeros((grid.steps + 1, len(header)))
+    held = np.zeros(values.shape, dtype=bool)
+    values[:, 0] = grid.points
+    held[:, 0] = True
+    if lr is not None:
+        closed = (lr.u.real, lr.u.imag, lr.f.real, lr.f.imag, lr.theta.real, lr.theta.imag,
+                  lr.chi, *(lr_phase(s_run, lr, m) for m in range(4)))
+        for j, col in enumerate(closed, start=1):
+            values[:, j] = col
+        held[:, 1 : len(closed) + 1] = True
+    for j, name in enumerate(_RESIDUAL_COLUMNS, start=len(header) - len(_RESIDUAL_COLUMNS)):
         ser = report.series.get(name)
         if ser is not None:
             ks = np.rint((ser.times - grid.t0) / grid.dt).astype(int)
-            for k, v in zip(ks, ser.samples):
-                cells[int(k)] = _fmt(v)
-        cols.append((name, cells))
-    return cols
+            values[ks, j] = ser.samples
+            held[ks, j] = True
+
+    def rows():
+        for k in range(grid.steps + 1):
+            yield [_fmt(v) if h else "" for v, h in zip(values[k].tolist(), held[k].tolist())]
+
+    return header, rows()
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[str]]):
+    """Write the header and then each row as it comes, one line each."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 def _cmd_run(args) -> int:
@@ -422,9 +432,7 @@ def _cmd_run(args) -> int:
     report, s_run, lr = scenario_workup(s, stride=1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cols = _series_columns(report, s_run, lr)
-    header = [name for name, _ in cols]
-    rows = [[col[1][k] for col in cols] for k in range(s_run.grid.steps + 1)]
+    header, rows = _series_table(report, s_run, lr)
     _write_csv(out / "series.csv", header, rows)
     _write_json(out / "summary.json", _summary_doc(report, "run"))
     print(f"wrote {out / 'series.csv'}")

@@ -65,11 +65,11 @@ class Tolerances:
 
     Defaults follow the ledgered calibration at the bundled grids (dim 32,
     8000 steps over one drive period): integrator-limited residuals at
-    1e-6, the static intertwining residual at 1e-7, and perturbative
-    envelopes max(floor, C kappa^order+1) with C a per-family calibration
-    constant.  ``min_rcond`` is the one floor on eta's reciprocal condition
-    number: the workup refuses a trajectory below it, and the
-    isospectrality solves apply it.
+    1e-6, the static intertwining residual at 1e-7, and the drive-strength
+    envelope max(floor, C kappa^2) with C a calibration constant.
+    ``min_rcond`` is the one floor on eta's reciprocal condition number:
+    the workup refuses a trajectory below it, and the isospectrality
+    solves apply it.
     """
 
     sanity: float = 1e-12
@@ -82,9 +82,9 @@ class Tolerances:
     isospectral_floor: float = 1e-9
     min_rcond: float = 1e-12
 
-    def envelope(self, kappa: float, order: int) -> float:
-        """max(floor, C kappa^(order+1)) for perturbative comparisons."""
-        return max(self.perturbative_floor, self.envelope_coeff * kappa ** (order + 1))
+    def envelope(self, kappa: float) -> float:
+        """max(floor, C kappa^2), the bound of the closed-form comparisons."""
+        return max(self.perturbative_floor, self.envelope_coeff * kappa**2)
 
 
 @dataclass(frozen=True)
@@ -439,9 +439,10 @@ def equivalence_checks(
     equals <eta psi|eta psi~> (same algebra, two evaluation orders);
     fixed_metric: <psi(t)|rho0|psi~(t)> stays at its initial value when
     the metric is constant; observable: rho-weighted matrix elements of
-    the closed-form X1 against bare x1 between the mapped states, expected
-    to agree to second order in kappa (needs lr, else None).  Given a
-    MapWindow, the series hold the samples that window completes.
+    the closed-form X1 against bare x1 between the mapped states, which
+    agree exactly, so the residual measures the stepped map's error
+    (needs lr, else None).  Given a MapWindow, the series hold the
+    samples that window completes.
     """
     return _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
         s, traj.rho0.mat, states, lr, stride))
@@ -488,14 +489,15 @@ def isospectrality_check(
 ) -> dict[int, ResidualSeries]:
     """r_m(t) = ||H w - (E_m/2) w|| / ||w|| with w = eta^-1 zeta_m.
 
-    The mapped displaced Fock states diagonalize H up to third order in
-    kappa.  zeta_m = D[-xi*]|m> is column m of the normal-ordered, exact
-    displacement, built for the columns ms only.  Each sampled eta is
-    factored once for all of ms.  traj is a whole trajectory, whose
-    reciprocal condition numbers at the sampled indices are first checked
-    against its rcond_floor, or one window of a streamed map, whose caller
-    applies the floor; given a window, the series hold the samples that
-    window completes.
+    E_m is the exact spectrum of 2H, and zeta_m = D[-xi*]|m> is an exact
+    eigenvector of the closed-form counterpart, so w is one of H and r_m
+    measures the stepped map's error.  zeta_m is column m of the
+    normal-ordered, exact displacement, built for the columns ms only.
+    Each sampled eta is factored once for all of ms.  traj is a whole
+    trajectory, whose reciprocal condition numbers at the sampled indices
+    are first checked against its rcond_floor, or one window of a streamed
+    map, whose caller applies the floor; given a window, the series hold
+    the samples that window completes.
     """
     if isinstance(traj, DysonTrajectory):
         check_conditioning(traj, _strided_indices(s.grid.steps, stride, _ISOSPECTRAL_TARGET))
@@ -625,7 +627,6 @@ def scenario_workup(
     if s_run.validated:
         lr = lr_pipeline(s_run)
 
-    run_iso = lr is not None and s_run.perturbation_order == 2
     parts, iso_parts, avn_parts = [], [], []
     solvable = lr is not None
 
@@ -637,9 +638,8 @@ def scenario_workup(
             *equivalence_checks(s_run, window, states, lr, stride=stride),
         ))
         solvable = solvable and not np.any(window.rcond < options.rcond_floor)
-        if solvable and run_iso:
-            iso_parts.append(isospectrality_check(s_run, lr, window))
         if solvable:
+            iso_parts.append(isospectrality_check(s_run, lr, window))
             avn_parts.append(analytic_vs_numeric(s_run, lr, window, psi))
 
     traj = propagate_dyson(H, eta0, grid, options=options,
@@ -662,14 +662,14 @@ def scenario_workup(
     series[fixed.name] = fixed
     checks.append(_bounded("equivalence_sanity", sanity, tol.sanity))
     checks.append(_bounded("equivalence_fixed_metric", fixed, tol.fixed_metric))
-    env2 = tol.envelope(s_run.kappa, 1)
+    env = tol.envelope(s_run.kappa)
     if observable is not None:
         series[observable.name] = observable
-        checks.append(_bounded("equivalence_observable", observable, env2))
+        checks.append(_bounded("equivalence_observable", observable, env))
     else:
         checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
 
-    if run_iso:
+    if lr is not None:
         worst = 0.0
         for m in iso_parts[0]:
             ser = _joined([part[m] for part in iso_parts])
@@ -677,22 +677,19 @@ def scenario_workup(
             worst = max(worst, ser.max)
         iso_tol = tol.isospectral_floor + tol.envelope_coeff * s_run.kappa**3
         checks.append(CheckOutcome("isospectrality", worst <= iso_tol, worst, iso_tol))
-    else:
-        checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
-
-    if lr is not None:
         avn = _joined(avn_parts)
         series[avn.name] = avn
         checks.append(
             _bounded(
                 "analytic_vs_numeric",
                 avn,
-                env2,
+                env,
                 f"terminal deviation; interior max {avn.max:.3e}",
                 value=avn.terminal,
             )
         )
     else:
+        checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
         checks.append(CheckOutcome("analytic_vs_numeric", None, float("nan"), None, "skipped"))
 
     pt = pt_analysis(s_run)

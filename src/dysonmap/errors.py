@@ -31,15 +31,11 @@ class InvalidDimensionError(DysonMapError):
 
 
 class ExponentialRangeError(DysonMapError):
-    """Matrix exponential result overflows."""
+    """An initial map exp[gamma0 a + lambda0 a†] overflows."""
 
 
 class SingularityError(DysonMapError):
     """A coefficient function hits a value that divides something."""
-
-
-class UndefinedNormError(DysonMapError):
-    """Operation needs a nonzero vector norm and got zero."""
 
 
 class IllConditionedError(DysonMapError):

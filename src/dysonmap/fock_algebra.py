@@ -1,19 +1,19 @@
 """Truncated Fock-space operator algebra.
 
 Dense complex matrices on an N-level truncation, with the primitives the
-rest of the library is assembled from: ladder operators, displacement and
-rotation operators, a matrix exponential valid for non-normal input that
-refuses a result that overflows, normal-ordered products e^{x a†} e^{y a}
-that are exact blocks of the infinite-space operators, pivoted linear
-solves with condition reporting, and truncation-quality measures.
+rest of the library is assembled from: ladder and number operators, basis
+states, normal-ordered products e^{x a†} e^{y a} that are exact blocks of
+the infinite-space operators (the package's only exponentials, among them
+the displacements D(theta)), the guard-block restriction and the
+reciprocal condition estimate.  No matrix exponential is computed.
 
 Units: hbar = 1; everything dimensionless.
 
 The truncated ladder algebra is exact except at the top level, where
 [a, a†] = I fails by construction.  All algebraic identity checks in this
 package therefore restrict to the bottom block that excludes a guard band
-of `guard` levels (default 6); states are kept honest separately via
-`tail_mass`.
+of `guard` levels (default 6); states are kept honest separately by the
+guard-band population that propagate_state tracks.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ExponentialRangeError,
-    IllConditionedError,
-    InvalidDimensionError,
-    UndefinedNormError,
-)
+from .errors import InvalidDimensionError
 
 DEFAULT_GUARD = 6
 
@@ -118,10 +113,6 @@ def number_operator(dim: int) -> FockOperator:
     return FockOperator(np.diag(np.arange(dim, dtype=float).astype(complex)))
 
 
-def identity(dim: int) -> FockOperator:
-    return FockOperator(np.eye(dim, dtype=complex))
-
-
 def basis_state(n: int, dim: int) -> StateVector:
     """Fock basis state |n>."""
     if not 0 <= n < dim:
@@ -129,23 +120,6 @@ def basis_state(n: int, dim: int) -> StateVector:
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return StateVector(v)
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """exp of a stack (..., n, n); raises ExponentialRangeError if the result overflows.
-
-    scipy's scaling and squaring, not an eigendecomposition, because the maps
-    this library exponentiates (displacements with complex amplitude,
-    non-unitary Dyson factors) are non-normal.
-    """
-    from scipy.linalg import expm  # 0.37 s to import; no CLI command calls _expm
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the typed error below reports it
-        out = expm(m)
-    if not np.all(np.isfinite(out)):
-        norm = np.max(np.linalg.norm(m, 1, axis=(-2, -1)))
-        raise ExponentialRangeError(f"exponential of a matrix with 1-norm {norm:.3e} overflows")
-    return out
 
 
 def _normal_ordered(xs, ys, dim: int, cols=slice(None)) -> np.ndarray:
@@ -180,40 +154,6 @@ def _exact_displacements(thetas, dim: int, cols=slice(None)) -> np.ndarray:
     return scale * _normal_ordered(thetas, -np.conj(thetas), dim, cols)
 
 
-def matrix_exponential(m: FockOperator) -> FockOperator:
-    """exp(M) for a dense, possibly non-normal operator."""
-    return FockOperator(_expm(m.mat))
-
-
-def displacement(theta: complex, dim: int) -> FockOperator:
-    """exp(theta a† - theta* a) of the truncated ladders; unitary up to truncation error."""
-    return FockOperator(displacements(np.array([theta]), dim)[0])
-
-
-def displacements(thetas: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of displacement matrices, one per amplitude in thetas."""
-    thetas = np.asarray(thetas, dtype=complex)
-    if not np.all(np.isfinite(thetas)):
-        bad = thetas[~np.isfinite(thetas)][0]
-        raise InvalidDimensionError(f"displacement amplitude must be finite, got {bad}")
-    a, ad = ladder_operators(dim)
-    gen = thetas[:, None, None] * ad.mat - np.conj(thetas)[:, None, None] * a.mat
-    return _expm(gen)
-
-
-def rotation(angle: float, dim: int) -> FockOperator:
-    """Diagonal exp(-i 2 angle a†a).
-
-    The factor 2 is deliberate: the Hermitian counterpart's level spacing is
-    twice the oscillator frequency, so the accumulated frequency phase enters
-    the rotation doubled.
-    """
-    if not np.isfinite(angle):
-        raise InvalidDimensionError(f"rotation angle must be finite, got {angle}")
-    n = np.arange(dim, dtype=float)
-    return FockOperator(np.diag(np.exp(-2j * angle * n)))
-
-
 def rcond_1norm(m: np.ndarray, anorm: float | None = None) -> float:
     """Reciprocal 1-norm condition estimate of M from its LU factorization.
 
@@ -230,39 +170,3 @@ def rcond_1norm(m: np.ndarray, anorm: float | None = None) -> float:
     if info < 0:
         raise ValueError(f"internal condition estimate failed (info={info})")
     return float(rcond)
-
-
-def invert_apply(
-    m: FockOperator,
-    x: FockOperator | StateVector,
-    *,
-    rcond_floor: float = 1e-12,
-):
-    """Apply M^{-1} to an operator or state via pivoted LU.
-
-    Returns (result, rcond) where rcond is the reciprocal 1-norm condition
-    estimate of M.  Raises IllConditionedError below `rcond_floor`; callers
-    holding a time stamp re-raise with it attached.  The solve goes through
-    numpy, whose result does not depend on the BLAS thread count.
-    """
-    if m.dim != x.dim:
-        raise InvalidDimensionError(f"dimension mismatch: {m.dim} vs {x.dim}")
-    rcond = rcond_1norm(m.mat)
-    if rcond < rcond_floor:
-        raise IllConditionedError(
-            f"reciprocal condition estimate {rcond:.3e} below floor {rcond_floor:.1e}",
-            rcond=rcond,
-        )
-    if isinstance(x, FockOperator):
-        return FockOperator(np.linalg.solve(m.mat, x.mat)), rcond
-    return StateVector(np.linalg.solve(m.mat, x.vec)), rcond
-
-
-def tail_mass(v: StateVector, guard: int) -> float:
-    """Fraction of |amplitude|^2 in the top `guard` levels."""
-    if not 0 < guard < v.dim:
-        raise InvalidDimensionError(f"guard band {guard} incompatible with dim {v.dim}")
-    total = float(np.sum(np.abs(v.vec) ** 2))
-    if total == 0.0:
-        raise UndefinedNormError("tail mass of the zero vector is undefined")
-    return float(np.sum(np.abs(v.vec[v.dim - guard :]) ** 2)) / total

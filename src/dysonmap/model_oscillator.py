@@ -3,9 +3,9 @@
 Everything specific to this model lives here: closed-form coefficient
 functions, derivation and validation of the initial-map parameters, the
 drive functions entering the Hermitian counterpart, the displaced-number
-solution pipeline (theta, phases, evolution operators), quadrature
-observables, matrix elements, the counterpart eigensystem, and the
-PT-symmetry analysis.
+solution pipeline (theta, phases, evolution operators), the frame of the
+closed-form quadratures, the counterpart spectrum, and the PT-symmetry
+analysis.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -32,18 +32,13 @@ from .errors import (
 from .fock_algebra import (
     DEFAULT_GUARD,
     FockOperator,
-    StateVector,
     _exact_displacements,
     _normal_ordered,
-    basis_state,
-    displacement,
-    identity,
     ladder_operators,
     low_block,
     number_operator,
 )
 from .propagation import (
-    DysonTrajectory,
     GeneratorFn,
     SolverOptions,
     TimeGrid,
@@ -162,7 +157,6 @@ class Scenario:
     gamma0: complex | None = None
     lambda0: complex = 0j
     theta0: complex = 0j
-    perturbation_order: int = 2
     name: str = ""
     validated: bool = False
 
@@ -174,10 +168,6 @@ class Scenario:
         if not 0 <= self.guard < self.dim:
             raise InvalidDimensionError(
                 f"guard band {self.guard} incompatible with dim {self.dim}"
-            )
-        if self.perturbation_order not in (1, 2):
-            raise ValueError(
-                f"perturbation_order must be 1 or 2, got {self.perturbation_order}"
             )
 
     def solver_options(self, **overrides) -> SolverOptions:
@@ -433,16 +423,6 @@ class AnalyticEvolution:
         return vs @ _exact_displacements([s.theta0], s.dim)[0].conj().T
 
 
-def grid_index(grid: TimeGrid, t: float) -> int:
-    """Index of a grid point, refusing times off the grid."""
-    k = round((t - grid.t0) / grid.dt)
-    if not 0 <= k <= grid.steps or abs(grid.t0 + k * grid.dt - t) > 1e-9 * max(
-        1.0, abs(grid.t1 - grid.t0)
-    ):
-        raise ValueError(f"t = {t} is not a grid point of {grid}")
-    return int(k)
-
-
 def quadratures(dim: int) -> tuple[FockOperator, FockOperator]:
     """x1 = (a† + a)/2 and x2 = (a† - a)/2i."""
     a, ad = ladder_operators(dim)
@@ -450,24 +430,6 @@ def quadratures(dim: int) -> tuple[FockOperator, FockOperator]:
         FockOperator((ad.mat + a.mat) / 2.0),
         FockOperator((ad.mat - a.mat) / 2j),
     )
-
-
-@dataclass(frozen=True)
-class QuadraturePair:
-    """Counterpart quadrature observables at one time sample.
-
-    `x1`, `x2` are the closed forms: the bare quadratures rotated by chi
-    plus a constant drive-induced shift.  When a trajectory is supplied the
-    direct conjugations eta^-1 x_l eta are evaluated too and the
-    guard-block relative discrepancies attached (expected second order in
-    kappa).
-    """
-
-    x1: FockOperator
-    x2: FockOperator
-    t: float
-    k: int
-    direct_discrepancy: tuple[float, float] | None = None
 
 
 def quadrature_frame(s: Scenario, lr: LRQuantities, k):
@@ -483,37 +445,6 @@ def quadrature_frame(s: Scenario, lr: LRQuantities, k):
     return lr.chi[k], shift1, shift2
 
 
-def quadrature_observables(
-    s: Scenario,
-    lr: LRQuantities,
-    t: float,
-    traj: DysonTrajectory | None = None,
-) -> QuadraturePair:
-    """Closed-form X1, X2 at grid time t, optionally checked against eta."""
-    _require_validated(s)
-    k = grid_index(s.grid, t)
-    x1, x2 = quadratures(s.dim)
-    chi, shift1, shift2 = quadrature_frame(s, lr, k)
-    eye = identity(s.dim).mat
-    c, sn = math.cos(chi), math.sin(chi)
-    X1 = FockOperator(c * x1.mat - sn * x2.mat + shift1 * eye)
-    X2 = FockOperator(sn * x1.mat + c * x2.mat + shift2 * eye)
-    disc = None
-    if traj is not None:
-        e = traj.at(k)
-        d1 = np.linalg.solve(e, x1.mat @ e)
-        d2 = np.linalg.solve(e, x2.mat @ e)
-        g = s.guard
-
-        def rel(diff, ref):
-            num = np.linalg.norm(low_block(diff, g))
-            den = np.linalg.norm(low_block(ref, g))
-            return float(num / den) if den > 1e-14 else float(num)
-
-        disc = (rel(X1.mat - d1, d1), rel(X2.mat - d2, d2))
-    return QuadraturePair(x1=X1, x2=X2, t=t, k=k, direct_discrepancy=disc)
-
-
 def closed_form_counterpart(s: Scenario, lr: LRQuantities, k: int) -> FockOperator:
     """h(t_k) = 2 [omega a†a + u a + u* a† + f] from the drive functions."""
     a, ad = ladder_operators(s.dim)
@@ -526,71 +457,12 @@ def closed_form_counterpart(s: Scenario, lr: LRQuantities, k: int) -> FockOperat
     )
 
 
-def matrix_elements(s: Scenario, lr: LRQuantities, m: int, n: int, t: float) -> complex:
-    """Observable matrix element between the m-th and n-th basis solutions.
-
-    Tridiagonal closed form: (A delta_mn + sqrt(n+1) B delta_{m,n+1} +
-    sqrt(n) B* delta_{m,n-1}) e^{i 2 chi (m-n)} with A = omega [n + |theta|^2]
-    + 2 Re(u theta) + f and B = omega theta + u*.  Exactly zero beyond the
-    first off-diagonals.
-    """
-    band = s.dim - s.guard
-    if not (0 <= m < band and 0 <= n < band):
-        raise InvalidDimensionError(f"indices ({m},{n}) inside the guard band of dim {s.dim}")
-    if abs(m - n) > 1:
-        return 0j
-    k = grid_index(s.grid, t)
-    om = complex(s.omega(t))
-    th = complex(lr.theta[k])
-    u = complex(lr.u[k])
-    f = float(lr.f[k])
-    phase = np.exp(1j * 2.0 * float(lr.chi[k]) * (m - n))
-    if m == n:
-        val = om * (n + abs(th) ** 2) + 2.0 * (u * th).real + f
-    elif m == n + 1:
-        val = math.sqrt(n + 1) * (om * th + np.conj(u))
-    else:
-        val = math.sqrt(n) * np.conj(om * th + np.conj(u))
-    return complex(val * phase)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Instantaneous counterpart eigenpair with its residual."""
-
-    energy: complex
-    zeta: StateVector
-    residual: float
-
-
-def eigensystem(s: Scenario, lr: LRQuantities, m: int, t: float) -> EigenPair:
-    """E_m = 2 omega m - 2 kappa^2 alpha beta / omega and the displaced state.
-
-    The eigenvalue formula carries the second-order drive shift, so the
-    scenario must use perturbation_order = 2; the displaced Fock state is
-    zeta_m = D[-xi*]|m> with xi = u/omega.  The defect against the
-    closed-form counterpart is attached (expected bounded by C kappa^3 plus
-    the truncation floor).
-    """
-    if s.perturbation_order != 2:
-        raise ValueError("eigensystem needs perturbation_order = 2 (second-order drive shift)")
-    if not 0 <= m < s.dim - s.guard:
-        raise InvalidDimensionError(
-            f"eigenindex m={m} too close to the truncation edge (dim {s.dim}, guard {s.guard})"
-        )
-    k = grid_index(s.grid, t)
-    energy = counterpart_energy(s, m, t)
-    zeta = displacement(-np.conj(complex(lr.xi[k])), s.dim) @ basis_state(m, s.dim)
-    h = closed_form_counterpart(s, lr, k)
-    defect = h.mat @ zeta.vec - energy * zeta.vec
-    residual = float(np.linalg.norm(defect) / np.linalg.norm(zeta.vec))
-    return EigenPair(energy=complex(energy), zeta=zeta, residual=residual)
-
-
 def _level_energies(kappa: float, om, al, be, m):
     """E_m = 2 omega m - 2 kappa^2 alpha beta / omega from sampled coefficients.
 
-    m is one level or a 1-d array of levels; an array adds a trailing level
+    This is the exact spectrum of 2H, not a truncated expansion in kappa:
+    the drive term is removed by one displacement, which shifts every
+    level by the same -2 kappa^2 alpha beta / omega.  m is one level or a 1-d array of levels; an array adds a trailing level
     axis.  The levels are evaluated along a leading axis, so the arithmetic
     runs over whole sample rows, and returned as a view with that axis moved
     last.
@@ -702,12 +574,14 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     _cumulative_simpson's numpy port of scipy's rule.  Then
 
         u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi},
-        f = [|u|^2 - kappa^2 alpha beta]/omega (|u|^2/omega at first order),
+        f = [|u|^2 - kappa^2 alpha beta]/omega,
         xi = u/omega,  i theta' = 2 omega theta + u*,
 
     with theta on the same RK4 stepper as every other equation in the
     package, and the phase base int [f + Re(u theta)] with upsilon =
-    exp(-i phase base).
+    exp(-i phase base).  f keeps the whole kappa^2 alpha beta term, so
+    2 omega m + 2 f - 2|u|^2/omega is the exact level E_m of
+    counterpart_energy.
     """
     _require_validated(s)
     grid = s.grid
@@ -730,10 +604,7 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     if np.min(np.abs(om)) < _OMEGA_FLOOR:
         raise SingularityError("omega(t) vanishes on the grid; drive functions divide by it")
     u = om * (complex(s.gamma0) - 1j * s.kappa * at) + s.kappa * al * np.exp(1j * chi)
-    if s.perturbation_order == 1:
-        f = (np.abs(u) ** 2) / om
-    else:
-        f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
+    f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
 
     def stage(j, y):
         return -1j * (2.0 * om[j] * y + np.conj(u[j]))

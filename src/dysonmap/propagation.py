@@ -4,8 +4,8 @@ The central object is the invertible map eta(t) obeying the right-sided
 matrix equation i d/dt eta = eta H(t), integrated as a time-ordered product
 by fixed-step classical RK4 (never by exponentiating an integral: H(t) at
 different times need not commute).  From the sampled trajectory this module
-derives the Hermitian counterpart 2 eta H eta^-1.  A unitary variant
-integrates i d/dt U = U Hh(t) for Hermitian generators.
+derives the Hermitian counterpart 2 eta H eta^-1.  For a Hermitian
+generator and a unitary eta0 the same flow is the unitary one.
 
 A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
@@ -35,8 +35,7 @@ from .errors import (
 )
 from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, rcond_1norm
 
-_ABS_FALLBACK = 1e-14  # relative norms switch to absolute below this denominator
-_TAIL_WARN = 1e-8      # guard-band population fraction above which a state warns
+_TAIL_WARN = 1e-8  # guard-band population fraction above which a state warns
 
 # Samples per stacked pass over a trajectory.  32 complex 32 x 32 matrices
 # are 0.5 MB; a pass holds about ten such stacks at once, so its
@@ -316,14 +315,6 @@ def _band_norms(table: np.ndarray, dim: int) -> np.ndarray:
     return np.hypot(d * np.sqrt(np.sum(n**2)), np.hypot(u, l) * np.sqrt(np.sum(n)))
 
 
-def _hermiticity_residuals(table: np.ndarray, dim: int) -> np.ndarray:
-    """||H - H†||_F / ||H||_F per column; H - H† has bands (d - d*, u - l*, l - u*)."""
-    d, u, l = table
-    scale = _band_norms(table, dim)
-    skew = _band_norms(np.array([d - np.conj(d), u - np.conj(l), l - np.conj(u)]), dim)
-    return skew / np.where(scale > _ABS_FALLBACK, scale, 1.0)
-
-
 def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
     """Refuse too-coarse grids, naming a workable step count when one exists."""
     max_norm = float(np.max(_band_norms(_band_table(H, grid.points), H.dim)))
@@ -519,28 +510,3 @@ def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray:
         hs[sl] = 2.0 * np.swapaxes(half, -1, -2)
     return hs
 
-
-def unitary_transform_propagate(
-    Hh: GeneratorFn,
-    U0: FockOperator,
-    grid: TimeGrid,
-    options: SolverOptions | None = None,
-) -> DysonTrajectory:
-    """Integrate i d/dt U = U Hh(t) for a Hermitian generator.
-
-    Preconditions checked at the sampled grid points: Hh Hermitian within
-    1e-10 and U0 unitary within 1e-10.  The flow then stays unitary up to
-    integrator error, which makes this the Hermitian-to-Hermitian special
-    case of the map equation.
-    """
-    rel = _hermiticity_residuals(_band_table(Hh, grid.points), Hh.dim)
-    worst = int(np.argmax(rel))
-    if rel[worst] > 1e-10:
-        raise ValueError(
-            f"generator not Hermitian: residual {rel[worst]:.3e} at "
-            f"t = {grid.points[worst]:.6g}"
-        )
-    uerr = float(np.linalg.norm(U0.mat.conj().T @ U0.mat - np.eye(U0.dim)))
-    if uerr > 1e-10:
-        raise ValueError(f"U0 not unitary: ||U0†U0 - I|| = {uerr:.3e}")
-    return propagate_dyson(Hh, U0, grid, options)

@@ -20,22 +20,20 @@ from dysonmap import (
     analytic_vs_numeric,
     basis_state,
     closed_form_counterpart,
-    eigensystem,
+    counterpart_energy,
     hamiltonian_fn,
     hermitian_counterpart,
-    identity,
     initial_map,
-    invert_apply,
     low_block,
     lr_pipeline,
     propagate_dyson,
     propagate_state,
     pt_analysis,
-    quadrature_observables,
     quasi_hermiticity_residuals,
-    unitary_transform_propagate,
     validated_scenario,
 )
+from dysonmap.fock_algebra import _exact_displacements
+from dysonmap.model_oscillator import quadrature_frame, quadratures
 
 from conftest import ladder_generator, load_bundled, rebuild
 
@@ -153,9 +151,8 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
 
     _, s1, lr1 = s1_workup
     u_err = float(np.max(np.abs(lr1.u - (-0.1j))))
-    s_o1 = rebuild(s1, perturbation_order=1)
-    lr_o1 = lr_pipeline(s_o1)
-    f_err = float(np.max(np.abs(lr_o1.f - 0.01)))
+    # f = [|u|^2 - kappa^2 alpha beta]/omega = 0.01 + 0.01
+    f_err = float(np.max(np.abs(lr1.f - 0.02)))
     theta_closed = -0.05j * (1.0 - np.exp(-2j * s1.grid.points))
     th_err = float(np.max(np.abs(lr1.theta - theta_closed)))
     hand = max(u_err, f_err, th_err)
@@ -169,14 +166,25 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
     )
 
 
+def _quadrature_discrepancies(s, lr, traj, k):
+    """Guard-block relative misses of the closed-form X1, X2 against eta^-1 x_l eta at index k."""
+    chi, shift1, shift2 = quadrature_frame(s, lr, k)
+    x1, x2 = (q.mat for q in quadratures(s.dim))
+    eye = np.eye(s.dim)
+    closed = (np.cos(chi) * x1 - np.sin(chi) * x2 + shift1 * eye,
+              np.sin(chi) * x1 + np.cos(chi) * x2 + shift2 * eye)
+    e = traj.at(k)
+    direct = [np.linalg.solve(e, x @ e) for x in (x1, x2)]
+    return [_rel_block(X - d, d, s.guard) for X, d in zip(closed, direct)]
+
+
 def test_criterion_06_observables(kappa_sweep, s1_workup):
     ok = True
     details = []
     for kappa in SWEEP_KAPPAS:
         s, lr, traj = kappa_sweep[kappa]
         bound = max(1e-6, TOL.envelope_coeff * kappa**2)
-        qp = quadrature_observables(s, lr, float(s.grid.points[-1]), traj=traj)
-        d = max(qp.direct_discrepancy)
+        d = max(_quadrature_discrepancies(s, lr, traj, s.grid.steps))
         ok = ok and d <= bound
         details.append(f"kappa={kappa}: X discrepancy {d:.2e} <= {bound:.2e}")
     route = s1_workup[0].series["equivalence_observable"].max
@@ -187,28 +195,28 @@ def test_criterion_06_observables(kappa_sweep, s1_workup):
 
 
 def test_criterion_07_eigensystem(kappa_sweep):
+    # zeta_m = D[-xi*]|m> (column m of the exact displacement) and E_m =
+    # 2 omega m - 2 kappa^2 alpha beta / omega are an exact eigenpair of the
+    # closed-form h, so the residual is bounded at rounding level, far below
+    # the cubic envelope C kappa^3
     ok = True
     details = []
-    floor_hit = False
+    bound = 1e-12
     for kappa in SWEEP_KAPPAS:
         s, lr, _ = kappa_sweep[kappa]
-        t = float(s.grid.points[s.grid.steps // 4])
-        res = max(eigensystem(s, lr, m, t).residual for m in (0, 1, 2))
-        bound = TOL.envelope_coeff * kappa**3 + 1e-9
+        k = s.grid.steps // 4
+        t = float(s.grid.points[k])
+        h = closed_form_counterpart(s, lr, k).mat
+        zetas = _exact_displacements(-np.conj(lr.xi[[k]]), s.dim, [0, 1, 2])[0]
+        energies = counterpart_energy(s, [0, 1, 2], t)
+        res = max(float(np.linalg.norm(h @ z - e * z) / np.linalg.norm(z))
+                  for z, e in zip(zetas.T, energies))
         ok = ok and res <= bound
-        if kappa == 0.1:
-            ok = ok and res <= 1e-3
-        floor_hit = floor_hit or res < 1e-12
-        details.append(f"kappa={kappa}: residual {res:.2e} <= {bound:.2e}")
-    s1, lr1, _ = kappa_sweep[0.1]
-    t = float(s1.grid.points[s1.grid.steps // 4])
-    e_err = max(
-        abs(eigensystem(s1, lr1, 0, t).energy - 0.02),
-        abs(eigensystem(s1, lr1, 1, t).energy - 2.02),
-    )
+        details.append(f"kappa={kappa}: residual {res:.2e} <= {bound:.0e}")
+    s1 = kappa_sweep[0.1][0]
+    e0, e1 = counterpart_energy(s1, [0, 1], float(s1.grid.points[s1.grid.steps // 4]))
+    e_err = max(abs(e0 - 0.02), abs(e1 - 2.02))
     ok = ok and e_err < 1e-12
-    if floor_hit:
-        details.append("residuals sit at the roundoff floor, below the cubic envelope")
     details.append(f"E0/E1 defect {e_err:.1e}")
     assert _line(7, ok, "isospectral eigensystem", "; ".join(details))
 
@@ -240,17 +248,14 @@ def test_criterion_09_time_independent_recovery(time_independent_workup,
     traj = time_independent_trajectory
     hmat = hamiltonian_fn(s)(0.0).mat
     eta0 = traj.etas[0]
-    inv0, _ = invert_apply(FockOperator(eta0), identity(s.dim))
-    h0 = 2.0 * eta0 @ hmat @ inv0.mat
+    h0 = 2.0 * eta0 @ hmat @ np.linalg.solve(eta0, np.eye(s.dim))
     eta_dev = 0.0
     h_dev = 0.0
     for k in range(0, s.grid.steps + 1, 500):
         t = float(s.grid.points[k])
         closed = eta0 @ scipy.linalg.expm(-1j * t * hmat)
         eta_dev = max(eta_dev, _rel_block(traj.etas[k] - closed, closed, s.guard))
-        ek = FockOperator(traj.etas[k])
-        invk, _ = invert_apply(ek, identity(s.dim))
-        hk = 2.0 * traj.etas[k] @ hmat @ invk.mat
+        hk = 2.0 * traj.etas[k] @ hmat @ np.linalg.solve(traj.etas[k], np.eye(s.dim))
         h_dev = max(h_dev, _rel_block(hk - h0, h0, s.guard))
     ok = eta_dev <= 1e-7 and h_dev <= 1e-8
     assert _line(
@@ -265,7 +270,8 @@ def test_criterion_10_unitary_transform():
     dim = 16
     Hh = ladder_generator(dim, lambda t: 1.0 + 0.25 * np.sin(t), 0.3, 0.3)
     grid = TimeGrid(0.0, 2 * np.pi, 4000)
-    traj = unitary_transform_propagate(Hh, identity(dim), grid, options=SolverOptions(guard=4))
+    # the map flow of a Hermitian generator from the identity is the unitary one
+    traj = propagate_dyson(Hh, FockOperator(np.eye(dim)), grid, options=SolverOptions(guard=4))
     dev = max(
         float(np.linalg.norm(u @ u.conj().T - np.eye(dim))) for u in traj.etas[::50]
     )

@@ -35,17 +35,14 @@ from dysonmap import (
     hamiltonian_fn,
     hermitian_counterpart,
     initial_map,
-    invert_apply,
     isospectrality_check,
     ladder_operators,
     lr_pipeline,
     metric_constancy,
     propagate_dyson,
     propagate_state,
-    quadrature_observables,
     quasi_hermiticity_residuals,
     rk4_samples,
-    rotation,
     scenario_workup,
     validated_scenario,
 )
@@ -294,13 +291,17 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     rho0 = traj.rho0.mat
     a, b = psi.amplitudes, psit.amplitudes
     ref = complex(a[0].conj() @ (rho0 @ b[0]))
-    x1 = quadratures(s.dim)[0].mat
+    x1, x2 = (q.mat for q in quadratures(s.dim))
     sanity, fixed, obs, scale = [], [], [], []
     for k, t in zip(ks, ts):
         e = traj.etas[k]
         ea, eb = e @ a[k], e @ b[k]
         rho = e.conj().T @ e
-        X1 = quadrature_observables(s, lr, float(t)).x1.mat
+        # the closed-form X1 = cos chi x1 - sin chi x2 + shift1
+        chi = lr.chi[k]
+        shift1 = 0.5 * (1j * s.kappa * (lr.alpha_tilde[k] - lr.beta_tilde[k])
+                        - complex(s.gamma0) + complex(s.lambda0))
+        X1 = np.cos(chi) * x1 - np.sin(chi) * x2 + shift1 * np.eye(s.dim)
         sanity.append(abs(complex(a[k].conj() @ (rho @ b[k])) - complex(ea.conj() @ eb)))
         fixed.append(abs(complex(a[k].conj() @ (rho0 @ b[k])) - ref))
         obs.append(abs(complex(a[k].conj() @ (rho @ (X1 @ b[k]))) - complex(ea.conj() @ (x1 @ eb))))
@@ -314,10 +315,10 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
         want = []
         for k, t in zip(ks, ts):
             zeta = dense_displacement(-np.conj(complex(lr.xi[k])), s.dim)[:, m]
-            w, _ = invert_apply(FockOperator(traj.etas[k]), StateVector(zeta))
+            w = np.linalg.solve(traj.etas[k], zeta)
             energy = complex(counterpart_energy(s, m, float(t)))
-            defect = H(float(t)).mat @ w.vec - (energy / 2.0) * w.vec
-            want.append(np.linalg.norm(defect) / np.linalg.norm(w.vec))
+            defect = H(float(t)).mat @ w - (energy / 2.0) * w
+            want.append(np.linalg.norm(defect) / np.linalg.norm(w))
         assert_close(ser.samples, want, 1.0)
 
     avn = analytic_vs_numeric(s, lr, traj, psi, stride=stride)
@@ -327,8 +328,8 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     want = []
     for k, stacked in zip(ks, ev.Us(ks)):
         # U(t_k) = upsilon D[theta] R[chi] D[theta0]†, as dense products
-        v = lr.upsilon[k] * (dense_displacement(complex(lr.theta[k]), s.dim)
-                             @ rotation(float(lr.chi[k]), s.dim).mat)
+        rotation = np.diag(np.exp(-2j * lr.chi[k] * np.arange(s.dim)))
+        v = lr.upsilon[k] * (dense_displacement(complex(lr.theta[k]), s.dim) @ rotation)
         u = v @ v0.conj().T
         assert np.max(np.abs(stacked - u)) <= 1e-13
         want.append(np.linalg.norm(np.linalg.solve(traj.etas[k], u @ phi0) - a[k]))
@@ -407,12 +408,13 @@ def test_held_samples_are_read_by_grid_index(tiny_run):
     s, H, whole = tiny_run
     keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, s.grid.steps])
     part = propagate_dyson(H, whole.eta0, s.grid, options=whole.options, keep=keep)
-    lr = lr_pipeline(s)
+    x1 = quadratures(s.dim)[0].mat
     for k in keep:
-        t = float(s.grid.points[k])
         assert np.array_equal(part.at(k), whole.at(k))
-        held = quadrature_observables(s, lr, t, traj=part)
-        assert held.direct_discrepancy == quadrature_observables(s, lr, t, traj=whole).direct_discrepancy
+        # a conjugation eta^-1 x1 eta read through at() sees the sample at k
+        e = part.at(k)
+        assert np.array_equal(np.linalg.solve(e, x1 @ e),
+                              np.linalg.solve(whole.etas[k], x1 @ whole.etas[k]))
 
 
 def assert_streamed_workup_is_exact(workup, traj, stride=None):

@@ -205,6 +205,14 @@ class TestConfigErrors:
         assert proc.returncode == 2, proc.stderr
         assert "must contain a mapping at top level" in proc.stderr
 
+    def test_first_order_closed_forms_are_refused(self, work):
+        bad = work / "first_order.yaml"
+        bad.write_text(TINY.replace("perturbation_order: 2", "perturbation_order: 1"))
+        proc = run_cli("run", str(bad), "--out", str(work / "first_order"))
+        assert proc.returncode == 2, proc.stderr
+        assert "first-order closed forms were removed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_step_guard_maps_to_exit_3(self, work):
         proc = run_cli("run", str(work / "tiny.yaml"), "--set", "grid.steps=50")
         assert proc.returncode == 3
@@ -399,3 +407,23 @@ def test_outputs_do_not_depend_on_blas_threads(work):
         outs.append(out)
     for name in ("summary.json", "series.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestLegacyPerturbationOrder:
+    """perturbation_order only selected the removed first-order closed forms."""
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "kappa_zero", "gamma_drift", "time_independent"])
+    def test_bundled_scenarios_do_not_set_it(self, name):
+        doc, _ = cli._load_doc(name)
+        assert "perturbation_order" not in doc
+
+    def test_second_order_is_a_no_op(self):
+        doc, stem = cli._load_doc("s1")
+        legacy = dict(doc, perturbation_order=2)
+        assert cli.scenario_from_doc(legacy, stem) == cli.scenario_from_doc(doc, stem)
+
+    @pytest.mark.parametrize("value", [0, 3, "2"])
+    def test_any_other_value_is_a_config_error(self, value):
+        doc, stem = cli._load_doc("s1")
+        with pytest.raises(cli.ConfigError, match="perturbation_order"):
+            cli.scenario_from_doc(dict(doc, perturbation_order=value), stem)

@@ -43,10 +43,10 @@ GAMMA_DRIFT_FAILING = (
 class TestTolerances:
     def test_envelope_scales_with_drive(self):
         tol = Tolerances()
-        assert tol.envelope(0.1, 1) == pytest.approx(tol.envelope_coeff * 0.1**2)
-        assert tol.envelope(0.1, 2) == pytest.approx(tol.envelope_coeff * 0.1**3)
+        assert tol.envelope(0.1) == pytest.approx(tol.envelope_coeff * 0.1**2)
+        assert tol.envelope(0.05) == pytest.approx(tol.envelope_coeff * 0.05**2)
         # far below the floor the envelope stops shrinking
-        assert tol.envelope(1e-4, 1) == tol.perturbative_floor
+        assert tol.envelope(1e-4) == tol.perturbative_floor
 
     def test_defaults_are_sane(self):
         tol = Tolerances()

@@ -17,22 +17,24 @@ from dysonmap import (
     ScenarioInvalidError,
     SingularityError,
     TimeGrid,
-    basis_state,
     closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
-    eigensystem,
-    grid_index,
     hamiltonian_fn,
+    low_block,
     lr_phase,
     lr_pipeline,
-    matrix_elements,
     pt_analysis,
     pt_symmetry,
-    quadrature_observables,
     validated_scenario,
 )
-from dysonmap.model_oscillator import _cumulative_simpson, _intertwining_residual
+from dysonmap.fock_algebra import _exact_displacements
+from dysonmap.model_oscillator import (
+    _cumulative_simpson,
+    _intertwining_residual,
+    quadrature_frame,
+    quadratures,
+)
 
 from conftest import load_bundled, rebuild, tiny_scenario
 
@@ -81,8 +83,6 @@ class TestScenarioValidation:
             tiny_scenario(kappa=-0.2)
         with pytest.raises(InvalidDimensionError, match="guard band 6 incompatible with dim 4"):
             tiny_scenario(dim=4, guard=6)
-        with pytest.raises(ValueError, match="perturbation_order must be 1 or 2"):
-            tiny_scenario(perturbation_order=3)
 
     def test_derived_map_params_constant_drive(self):
         g0, l0, rep = derive_initial_map_params(load_bundled("s1"))
@@ -155,7 +155,8 @@ class TestClosedFormPipeline:
         ts = s.grid.points
         assert np.max(np.abs(lr.chi - ts)) < 1e-12
         assert np.max(np.abs(lr.alpha_tilde - (np.exp(1j * ts) - 1.0))) < 1e-10
-        k_half = grid_index(s.grid, np.pi)
+        k_half = s.grid.steps // 2
+        assert s.grid.points[k_half] == pytest.approx(np.pi, rel=1e-15)
         assert abs(lr.alpha_tilde[k_half] - (-2.0)) < 1e-10
         assert lr.chi[0] == 0.0
         assert lr.alpha_tilde[0] == 0j
@@ -166,12 +167,6 @@ class TestClosedFormPipeline:
         assert np.max(np.abs(lr.u - (-0.1j))) < 1e-12
         assert np.max(np.abs(lr.f - 0.02)) < 1e-10
         assert np.max(np.abs(lr.xi - (-0.1j))) < 1e-12
-
-    def test_drive_shift_halves_at_first_order(self, s1_workup):
-        _, s, _ = s1_workup
-        s1o = rebuild(s, perturbation_order=1)
-        lr = lr_pipeline(s1o)
-        assert np.max(np.abs(lr.f - 0.01)) < 1e-10
 
     def test_theta_reaches_steady_spiral(self, s1_workup):
         _, s, lr = s1_workup
@@ -269,63 +264,85 @@ def test_singular_frequency_refused():
         counterpart_energy(stamped, 0, 2.0)
 
 
+def eigenpair(s, lr, m, k):
+    """(E_m, zeta_m, ||h zeta_m - E_m zeta_m||) of the closed-form counterpart at grid index k.
+
+    zeta_m = D[-xi*]|m> is column m of the exact displacement.
+    """
+    energy = complex(counterpart_energy(s, m, s.grid.points[k]))
+    zeta = _exact_displacements(-np.conj(lr.xi[[k]]), s.dim, [m])[0, :, 0]
+    h = closed_form_counterpart(s, lr, k).mat
+    return energy, zeta, float(np.linalg.norm(h @ zeta - energy * zeta) / np.linalg.norm(zeta))
+
+
 class TestSpectralQuantities:
     def test_matrix_elements_tridiagonal(self, s1_workup):
+        # <m| V†(t) (h(t)/2) V(t) |n> for V = upsilon D[theta] R[chi] is A
+        # delta_mn + sqrt(n+1) B delta_{m,n+1} + sqrt(n) B* delta_{m,n-1},
+        # times e^{i 2 chi (m-n)}, with A = omega [n + |theta|^2] + 2 Re(u
+        # theta) + f and B = omega theta + u*: zero beyond the first
+        # off-diagonals
         _, s, lr = s1_workup
         k = s.grid.steps // 4
-        t = s.grid.points[k]
-        assert matrix_elements(s, lr, 0, 2, t) == 0j
-        assert matrix_elements(s, lr, 3, 1, t) == 0j
-        # dense reference <m| V†(t) (h(t)/2) V(t) |n>
+        om = complex(s.omega(s.grid.points[k]))
+        th, u, f, chi = complex(lr.theta[k]), complex(lr.u[k]), float(lr.f[k]), float(lr.chi[k])
+        b = om * th + np.conj(u)
+
+        def closed(m, n):
+            phase = np.exp(2j * chi * (m - n))
+            if m == n:
+                return (om * (n + abs(th) ** 2) + 2.0 * (u * th).real + f) * phase
+            if m == n + 1:
+                return math.sqrt(n + 1) * b * phase
+            if m == n - 1:
+                return math.sqrt(n) * np.conj(b) * phase
+            return 0j
+
         v = AnalyticEvolution(s, lr).Vs([k])[0]
-        half_h = closed_form_counterpart(s, lr, k).mat / 2.0
-        for m, n in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3)):
-            closed = matrix_elements(s, lr, m, n, t)
-            direct = complex(v[:, m].conj() @ (half_h @ v[:, n]))
-            assert abs(closed - direct) < 1e-12
-        with pytest.raises(InvalidDimensionError):
-            matrix_elements(s, lr, s.dim - s.guard, 0, t)
+        direct = v.conj().T @ (closed_form_counterpart(s, lr, k).mat / 2.0) @ v
+        for m, n in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (0, 2), (3, 1)):
+            assert abs(closed(m, n) - direct[m, n]) < 1e-12
 
     def test_eigensystem_energies_and_residuals(self, s1_workup):
+        # E_m is the exact spectrum of h, so the residual sits at rounding level
         _, s, lr = s1_workup
-        t = s.grid.points[s.grid.steps // 4]
+        k = s.grid.steps // 4
         for m, expect in ((0, 0.02), (1, 2.02)):
-            pair = eigensystem(s, lr, m, t)
-            assert abs(pair.energy - expect) < 1e-12
-            assert abs(np.linalg.norm(pair.zeta.vec) - 1.0) < 1e-10
-            assert pair.residual < 1e-9
-        with pytest.raises(InvalidDimensionError):
-            eigensystem(s, lr, s.dim - s.guard, t)
-
-    def test_eigensystem_needs_second_order(self, s1_workup):
-        _, s, lr = s1_workup
-        s1o = rebuild(s, perturbation_order=1)
-        with pytest.raises(ValueError, match="perturbation_order = 2"):
-            eigensystem(s1o, lr, 0, 0.0)
+            energy, zeta, residual = eigenpair(s, lr, m, k)
+            assert abs(energy - expect) < 1e-12
+            assert abs(np.linalg.norm(zeta) - 1.0) < 1e-10
+            assert residual < 1e-12
 
     def test_counterpart_energy_direct_formula(self, s1_workup):
+        # s1: omega = 1, kappa = 0.1, alpha beta = -1, so E_m = 2m + 0.02
         _, s, lr = s1_workup
         t = s.grid.points[s.grid.steps // 4]
         for m in (0, 1, 2):
-            assert abs(counterpart_energy(s, m, t) - eigensystem(s, lr, m, t).energy) < 1e-12
+            assert abs(counterpart_energy(s, m, t) - (2.0 * m + 0.02)) < 1e-12
         arr = counterpart_energy(s, 1, s.grid.points[:5])
         assert arr.shape == (5,)
         assert np.max(np.abs(arr - arr[0])) < 1e-14
 
     def test_quadrature_observables(self, s1_workup, s1_trajectory):
+        # X1 = cos chi x1 - sin chi x2 + shift1 and X2 = sin chi x1 + cos chi
+        # x2 + shift2 against the direct conjugations eta^-1 x_l eta
         _, s, lr = s1_workup
-        traj = s1_trajectory
-        t_end = float(s.grid.points[-1])
-        bare = quadrature_observables(s, lr, t_end)
-        assert bare.direct_discrepancy is None
-        assert bare.k == s.grid.steps
-        checked = quadrature_observables(s, lr, t_end, traj=traj)
-        d1, d2 = checked.direct_discrepancy
-        assert d1 < 1e-4 and d2 < 1e-4
+        k = s.grid.steps
+        chi, shift1, shift2 = quadrature_frame(s, lr, k)
+        x1, x2 = (q.mat for q in quadratures(s.dim))
+        eye = np.eye(s.dim)
+        closed = (np.cos(chi) * x1 - np.sin(chi) * x2 + shift1 * eye,
+                  np.sin(chi) * x1 + np.cos(chi) * x2 + shift2 * eye)
+        e = s1_trajectory.at(k)
+        for x, X in zip((x1, x2), closed):
+            direct = np.linalg.solve(e, x @ e)
+            rel = (np.linalg.norm(low_block(X - direct, s.guard))
+                   / np.linalg.norm(low_block(direct, s.guard)))
+            assert rel < 1e-4
         # non-Hermitian only through the c-number shift: the asymmetry must
         # be a pure multiple of the identity
-        asym = checked.x1.mat - checked.x1.mat.conj().T
-        assert np.max(np.abs(asym - asym[0, 0] * np.eye(s.dim))) < 1e-10
+        asym = closed[0] - closed[0].conj().T
+        assert np.max(np.abs(asym - asym[0, 0] * eye)) < 1e-10
 
 
 _amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

@@ -7,7 +7,14 @@ pinned by the closed form it breaks instead.
 
 import numpy as np
 
-from dysonmap import SolverOptions, TimeGrid, diagnostics, identity, propagation, scenario_workup
+from dysonmap import (
+    FockOperator,
+    SolverOptions,
+    TimeGrid,
+    diagnostics,
+    propagation,
+    scenario_workup,
+)
 
 from conftest import ladder_generator, tiny_scenario
 
@@ -42,8 +49,8 @@ def ramp_end_error():
     """test_propagation's linear-ramp map against its closed form at t = 1."""
     dim = 12
     traj = propagation.propagate_dyson(
-        ladder_generator(dim, lambda t: 1.0 + t), identity(dim), TimeGrid(0.0, 1.0, 1200),
-        options=SolverOptions(guard=4),
+        ladder_generator(dim, lambda t: 1.0 + t), FockOperator(np.eye(dim, dtype=complex)),
+        TimeGrid(0.0, 1.0, 1200), options=SolverOptions(guard=4),
     )
     closed = np.diag(np.exp(-1j * 1.5 * np.arange(dim)))
     return float(np.max(np.abs(traj.at(traj.grid.steps) - closed)))
