@@ -146,13 +146,9 @@ def default_stride(steps: int, target: int = 1600) -> int:
     return max(1, steps // target)
 
 
-def _strided_indices(steps: int, stride: int | None, target: int) -> np.ndarray:
-    """Every stride-th grid index (default from target), ending on the last."""
-    st = default_stride(steps, target) if stride is None else stride
-    ks = np.arange(0, steps + 1, st)
-    if ks[-1] != steps:
-        ks = np.append(ks, steps)
-    return ks
+def _strided_indices(grid: TimeGrid, stride: int | None, target: int) -> np.ndarray:
+    """grid.strided at stride, or at the default stride for target when stride is None."""
+    return grid.strided(default_stride(grid.steps, target) if stride is None else stride)
 
 
 def _metrics(etas: np.ndarray) -> np.ndarray:
@@ -383,7 +379,7 @@ class _EquivalencePass(_StridedPass):
                  lr: LRQuantities | None, stride: int | None):
         self.psi, self.psit = states
         grid = s.grid
-        self.ks = _strided_indices(grid.steps, stride, target=_EQUIVALENCE_TARGET)
+        self.ks = _strided_indices(grid, stride, target=_EQUIVALENCE_TARGET)
         self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
         self.rho0 = rho0
         self.ref = complex(self.psi.at(0).conj() @ (rho0 @ self.psit.at(0)))
@@ -453,7 +449,7 @@ class _IsospectralPass(_StridedPass):
 
     def __init__(self, s: Scenario, lr: LRQuantities, ms: Sequence[int], stride: int | None):
         grid = s.grid
-        self.ks = _strided_indices(grid.steps, stride, target=_ISOSPECTRAL_TARGET)
+        self.ks = _strided_indices(grid, stride, target=_ISOSPECTRAL_TARGET)
         self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
         self.s, self.lr, self.cols = s, lr, list(ms)
         self.H = hamiltonian_fn(s)
@@ -500,7 +496,7 @@ def isospectrality_check(
     the samples that window completes.
     """
     if isinstance(traj, DysonTrajectory):
-        check_conditioning(traj, _strided_indices(s.grid.steps, stride, _ISOSPECTRAL_TARGET))
+        check_conditioning(traj, _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
     return _fed(traj, ("isospectrality", tuple(ms), stride),
                 lambda: _IsospectralPass(s, lr, ms, stride))
 
@@ -511,7 +507,7 @@ class _DeviationPass(_StridedPass):
     def __init__(self, s: Scenario, lr: LRQuantities, numeric: StateTrajectory,
                  stride: int | None):
         grid = s.grid
-        self.ks = _strided_indices(grid.steps, stride, target=_DEVIATION_TARGET)
+        self.ks = _strided_indices(grid, stride, target=_DEVIATION_TARGET)
         self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
         self.ev = AnalyticEvolution(s, lr)
         self.numeric = numeric
@@ -617,9 +613,9 @@ def scenario_workup(
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     options = s_run.solver_options(rcond_floor=tol.min_rcond)
     grid, dim = s_run.grid, s_run.dim
-    reads = [np.zeros(1, dtype=int), _strided_indices(grid.steps, stride, _EQUIVALENCE_TARGET)]
+    reads = [np.zeros(1, dtype=int), _strided_indices(grid, stride, _EQUIVALENCE_TARGET)]
     if s_run.validated:
-        reads.append(_strided_indices(grid.steps, None, target=_DEVIATION_TARGET))
+        reads.append(_strided_indices(grid, None, target=_DEVIATION_TARGET))
     psi = propagate_state(H, basis_state(0, dim), grid, options=options,
                           companions=(basis_state(1, dim),), keep=np.unique(np.concatenate(reads)))
     states = (psi, *psi.companions)

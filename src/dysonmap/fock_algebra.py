@@ -154,18 +154,13 @@ def _exact_displacements(thetas, dim: int, cols=slice(None)) -> np.ndarray:
     return scale * _normal_ordered(thetas, -np.conj(thetas), dim, cols)
 
 
-def rcond_1norm(m: np.ndarray, anorm: float | None = None) -> float:
-    """Reciprocal 1-norm condition estimate of M from its LU factorization.
-
-    ``anorm`` passes in M's 1-norm when the caller has it already.
-    """
+def rcond_1norm(m: np.ndarray, anorm: float) -> float:
+    """Reciprocal 1-norm condition estimate of M, whose 1-norm is anorm, from its LU factors."""
     from scipy.linalg import lapack  # 0.37 s to import; commands without solves skip it
 
     lu, _, info = lapack.zgetrf(m)
     if info > 0:
         return 0.0
-    if anorm is None:
-        anorm = float(np.linalg.norm(m, 1))
     rcond, info = lapack.zgecon(lu, anorm, norm="1")
     if info < 0:
         raise ValueError(f"internal condition estimate failed (info={info})")

@@ -42,7 +42,6 @@ from .propagation import (
     GeneratorFn,
     SolverOptions,
     TimeGrid,
-    rk4_samples,
     sample_chunks,
 )
 
@@ -520,11 +519,10 @@ def pt_analysis(s: Scenario) -> PTReport:
     stay real on the scenario grid, which is the condition for the
     counterpart spectrum to stay real; the evidence column reports
     max_t |Im E_m| for m = 0..3.  Each coefficient is sampled once per
-    call; the symmetry flags are pt_symmetry's.
+    call, at every (steps // 1024)-th grid point and the last; the
+    symmetry flags are pt_symmetry's.
     """
-    ts = s.grid.points
-    step = max(1, s.grid.steps // 1024)
-    samples = ts[::step] if ts.size > 2 else ts
+    samples = s.grid.points[s.grid.strided(max(1, s.grid.steps // 1024))]
     om = np.asarray(s.omega(samples))
     al = np.asarray(s.alpha(samples))
     be = np.asarray(s.beta(samples))
@@ -566,19 +564,18 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 def lr_pipeline(s: Scenario) -> LRQuantities:
     """The displaced-number solution on the scenario grid, built whole.
 
-    omega, alpha and beta are sampled once on the doubled grid t0 + j dt/2,
-    so the theta stepper's stage j reads the j-th sample, the exact value
-    at its RK4 half-step time.  chi comes from the exact antiderivative of
-    omega (all coefficient forms have one); the drive integrals
-    alpha_tilde, beta_tilde and the phase base use composite Simpson, in
-    _cumulative_simpson's numpy port of scipy's rule.  Then
+    omega, alpha and beta are sampled once on the doubled grid t0 + j dt/2.
+    chi comes from the exact antiderivative of omega (all coefficient forms
+    have one); every other integral is composite Simpson on the doubled
+    grid, in _cumulative_simpson's numpy port of scipy's rule.  Then
 
         u = omega [gamma0 - i kappa alpha_tilde] + kappa alpha e^{i chi},
         f = [|u|^2 - kappa^2 alpha beta]/omega,
         xi = u/omega,  i theta' = 2 omega theta + u*,
 
-    with theta on the same RK4 stepper as every other equation in the
-    package, and the phase base int [f + Re(u theta)] with upsilon =
+    with theta the exact solution of its linear equation,
+    theta = e^{-2i chi} [theta0 - i int u* e^{2i chi}], so no stepper is
+    involved, and the phase base int [f + Re(u theta)] with upsilon =
     exp(-i phase base).  f keeps the whole kappa^2 alpha beta term, so
     2 omega m + 2 f - 2|u|^2/omega is the exact level E_m of
     counterpart_energy.
@@ -606,10 +603,9 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     u = om * (complex(s.gamma0) - 1j * s.kappa * at) + s.kappa * al * np.exp(1j * chi)
     f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
 
-    def stage(j, y):
-        return -1j * (2.0 * om[j] * y + np.conj(u[j]))
-
-    theta = rk4_samples(stage, np.asarray(complex(s.theta0)), grid)
+    source = _cumulative_simpson(np.conj(u) * np.exp(2j * chi), half_dt)[::2]
+    # + 0j turns a -0.0 part into +0.0, so a zero theta prints as 0
+    theta = np.exp(-2j * chi[::2]) * (complex(s.theta0) - 1j * source) + 0j
     u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
     phase_base = _cumulative_simpson(f_grid + (u_grid * theta).real, grid.dt)
     return LRQuantities(

@@ -11,9 +11,10 @@ A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
 stepped as eta^T, so the banded update shifts contiguous rows;
 trajectories expose eta through a transposed view of that storage.
-RK4 stages are addressed by their index on the half-step lattice, and
-trajectories by grid index.  ``propagate_dyson`` and ``propagate_state``
-step a window of samples at a time and hold only the samples asked for;
+``rk4_samples`` is the one RK4 loop: it reads the generator's samples by
+their index on the half-step lattice, and trajectories are read by grid
+index.  ``propagate_dyson`` and ``propagate_state`` step a window of
+samples at a time through it and hold only the samples asked for;
 ``propagate_dyson`` can hand each window to a callback.
 """
 
@@ -42,15 +43,15 @@ _TAIL_WARN = 1e-8  # guard-band population fraction above which a state warns
 # temporaries stay a few MB above the trajectory itself.
 SAMPLE_CHUNK = 32
 
-# Samples per window of a stepped map or state block (see _stepped): 256
+# Samples per window of a stepped map or state block (see rk4_samples): 256
 # complex 40 x 40 matrices are 6.6 MB, against 246 MB for a whole
 # 9,600-step map.
 # A multiple of SAMPLE_CHUNK, so windows split into the chunks of a whole
 # trajectory.
 MAP_WINDOW = 8 * SAMPLE_CHUNK
 
-# Half-steps whose ladder columns an RK4 stage builds at once (see
-# _rk4_deriv): 512 x 3 columns of 32 complex levels are 0.8 MB.
+# Half-steps whose ladder columns rk4_samples builds at once: 512 x 3
+# columns of 32 complex levels are 0.8 MB.
 STAGE_CHUNK = 512
 
 
@@ -83,6 +84,13 @@ class TimeGrid:
     @property
     def points(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps + 1)
+
+    def strided(self, stride: int) -> np.ndarray:
+        """Every stride-th grid index, ending on the last."""
+        ks = np.arange(0, self.steps + 1, stride)
+        if ks[-1] != self.steps:
+            ks = np.append(ks, self.steps)
+        return ks
 
 
 Bands = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -194,48 +202,6 @@ class StateTrajectory:
         return _held_at(self.ks, self.amplitudes, ks)
 
 
-def _rk4_windows(stage, y0: np.ndarray, grid: TimeGrid, width: int):
-    """Classical RK4 over the grid, yielding its samples as (lo, block) windows.
-
-    Step k calls stage(2k, y), stage(2k + 1, .) twice and stage(2k + 2, .),
-    the stages' indices on the half-step lattice t0 + j dt/2.  block holds
-    samples lo .. lo + len(block) - 1; every window but the last holds
-    ``width`` of them.  All windows share one buffer, so a consumer copies
-    what it keeps before it asks for the next window.
-    """
-    y = np.asarray(y0, dtype=complex)
-    block = np.empty((min(width, grid.steps + 1),) + y.shape, dtype=complex)
-    block[0] = y
-    lo, n = 0, 1
-    dt = grid.dt
-    for k in range(grid.steps):
-        k1 = stage(2 * k, y)
-        k2 = stage(2 * k + 1, y + (dt / 2) * k1)
-        k3 = stage(2 * k + 1, y + (dt / 2) * k2)
-        k4 = stage(2 * k + 2, y + dt * k3)
-        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            t = grid.t0 + (k + 1) * dt
-            raise DivergenceError(f"non-finite values at t = {t:.6g}", t=t)
-        if n == len(block):
-            yield lo, block
-            lo, n = lo + n, 0
-        block[n] = y
-        n += 1
-    yield lo, block[:n]
-
-
-def rk4_samples(stage, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 over the grid; returns all steps+1 samples.
-
-    `stage(j, y)` is the derivative at y and at t0 + j dt/2, the j-th point
-    of the half-step lattice (j = 0 .. 2 steps); it must accept and return
-    arrays of y's shape, matrices, vectors and 0-d scalars alike.
-    """
-    [(_, samples)] = _rk4_windows(stage, y0, grid, grid.steps + 1)
-    return samples
-
-
 def band_matrix(dim: int, d: complex, u: complex, l: complex) -> np.ndarray:
     """Dense d a†a + u a + l a† on a dim-level truncation."""
     n = np.arange(dim, dtype=float)
@@ -335,34 +301,6 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
         )
 
 
-def _rk4_deriv(H: GeneratorFn, grid: TimeGrid, right: bool):
-    """stage(j, y) for rk4_samples on grid: -i H(t_j)^T y (right) or -i H(t_j) y.
-
-    The right-sided map equation i d eta/dt = eta H is stepped as its
-    transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  The
-    generator is sampled once on the half-step lattice t_j = t0 + j dt/2
-    that the RK4 stages visit, and stage j reads the j-th sample.  The
-    stages visit j in order, so their ladder columns are built for
-    STAGE_CHUNK half-steps at a time, not once per stage call; the
-    products are elementwise, so the columns have the same bits either way.
-    """
-    half = grid.dt / 2.0
-    table = -1j * _band_table(H, grid.t0 + half * np.arange(2 * grid.steps + 1))
-    d, u, l = table[:, :, None, None]
-    lo, cols = -STAGE_CHUNK, None
-
-    def stage(j, y):
-        nonlocal lo, cols
-        if not lo <= j < lo + STAGE_CHUNK:
-            lo = j - j % STAGE_CHUNK
-            sl = slice(lo, lo + STAGE_CHUNK)
-            cols = ladder_columns(d[sl], u[sl], l[sl], H.dim)
-        i = j - lo
-        return ladder_rows(y, (cols[0][i], cols[1][i], cols[2][i]), transpose=right)
-
-    return stage
-
-
 def _rcond_series(etas: np.ndarray) -> np.ndarray:
     """Reciprocal 1-norm condition estimate of each map in a stack."""
     anorms = np.empty(len(etas))
@@ -371,23 +309,60 @@ def _rcond_series(etas: np.ndarray) -> np.ndarray:
     return np.array([rcond_1norm(m, a) for m, a in zip(etas, anorms)])
 
 
-def _stepped(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverOptions,
-             keep: np.ndarray | None, right: bool, on_window) -> tuple[np.ndarray, np.ndarray]:
-    """Step y0 under H (see _rk4_deriv) a window at a time; returns (keep, held samples).
+def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverOptions, *,
+                right: bool, keep: np.ndarray | None, on_window) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 of i dy/dt = H(t) y (H^T y when ``right``); returns (keep, held samples).
 
-    Refuses grids violating the step guard.  ``keep`` is sorted distinct
-    grid indices starting at 0 (None: every index); on_window(lo, block)
-    gets each window after its kept samples are copied out.
+    The right-sided map equation i d eta/dt = eta H is stepped as its
+    transpose, i d eta^T/dt = H^T eta^T, so both sides act on rows.  Step k
+    reads H at the half-step lattice points 2k, 2k + 1 (twice) and 2k + 2
+    of t0 + j dt/2, where the generator is sampled once; the ladder columns
+    are built for STAGE_CHUNK half-steps at a time (the products are
+    elementwise, so the columns have the same bits either way).
+
+    Refuses grids violating the step guard.  Samples are stepped into one
+    MAP_WINDOW buffer; ``keep`` is sorted distinct grid indices starting at
+    0 (None: every index), and on_window(lo, block) gets each window, which
+    holds samples lo .. lo + len(block) - 1, after its kept samples are
+    copied out.
     """
     keep = np.arange(grid.steps + 1) if keep is None else np.asarray(keep)
     if not (keep[0] == 0 and keep[-1] <= grid.steps and np.all(np.diff(keep) > 0)):
         raise ValueError("keep must be sorted distinct grid indices starting at 0")
     _check_step_guard(H, grid, options.step_guard)
-    held = np.empty((len(keep),) + y0.shape, dtype=complex)
-    for lo, block in _rk4_windows(_rk4_deriv(H, grid, right), y0, grid, MAP_WINDOW):
-        first, stop = np.searchsorted(keep, (lo, lo + len(block)))
-        held[first:stop] = block[keep[first:stop] - lo]
-        on_window(lo, block)
+    dt = grid.dt
+    table = -1j * _band_table(H, grid.t0 + (dt / 2.0) * np.arange(2 * grid.steps + 1))
+    d, u, l = table[:, :, None, None]
+    y = np.asarray(y0, dtype=complex)
+    held = np.empty((len(keep),) + y.shape, dtype=complex)
+    block = np.empty((min(MAP_WINDOW, grid.steps + 1),) + y.shape, dtype=complex)
+    block[0] = y
+    lo, n = 0, 1
+
+    def emit(window):
+        first, stop = np.searchsorted(keep, (lo, lo + len(window)))
+        held[first:stop] = window[keep[first:stop] - lo]
+        on_window(lo, window)
+
+    for k in range(grid.steps):
+        i = 2 * k % STAGE_CHUNK
+        if i == 0:  # the half-steps 2k .. 2k + STAGE_CHUNK
+            sl = slice(2 * k, 2 * k + STAGE_CHUNK + 1)
+            cols = list(zip(*ladder_columns(d[sl], u[sl], l[sl], H.dim)))
+        k1 = ladder_rows(y, cols[i], transpose=right)
+        k2 = ladder_rows(y + (dt / 2) * k1, cols[i + 1], transpose=right)
+        k3 = ladder_rows(y + (dt / 2) * k2, cols[i + 1], transpose=right)
+        k4 = ladder_rows(y + dt * k3, cols[i + 2], transpose=right)
+        y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            t = grid.t0 + (k + 1) * dt
+            raise DivergenceError(f"non-finite values at t = {t:.6g}", t=t)
+        if n == len(block):
+            emit(block)
+            lo, n = lo + n, 0
+        block[n] = y
+        n += 1
+    emit(block[:n])
     return keep, held
 
 
@@ -425,7 +400,8 @@ def propagate_dyson(
         if on_window is not None:
             on_window(MapWindow(grid, options, rho0, lo, etas, carry, rcond[lo : lo + len(etas)]))
 
-    keep, held = _stepped(H, np.ascontiguousarray(eta0.mat.T), grid, options, keep, True, window)
+    keep, held = rk4_samples(H, np.ascontiguousarray(eta0.mat.T), grid, options,
+                             right=True, keep=keep, on_window=window)
     return DysonTrajectory(grid=grid, etas=held.transpose(0, 2, 1), rcond=rcond,
                            options=options, ks=keep, rho0=rho0)
 
@@ -463,7 +439,7 @@ def propagate_state(
             tails[i] = max(tails[i], float(np.max(tail / np.where(total > 0, total, 1.0))))
 
     y0 = np.stack([psi.vec for psi in psis], axis=1)
-    keep, held = _stepped(H, y0, grid, options, keep, False, window)
+    keep, held = rk4_samples(H, y0, grid, options, right=False, keep=keep, on_window=window)
     for tail in tails:  # warned here, after the last window, so that it points at the caller
         if tail > _TAIL_WARN:
             warnings.warn(

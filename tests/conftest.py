@@ -36,6 +36,26 @@ def rebuild(s, **overrides):
     return dataclasses.replace(s, **overrides)
 
 
+def rk4_reference(stage, y0, grid):
+    """Classical RK4 over the grid, all steps+1 samples, by a generic loop.
+
+    stage(j, y) is the derivative at y and at t0 + j dt/2, the j-th point of
+    the half-step lattice: step k calls stage(2k, y), stage(2k + 1, .) twice
+    and stage(2k + 2, .).  The package's banded loop must reproduce it bit
+    for bit when the stages do its arithmetic.
+    """
+    dt = grid.dt
+    ys = [np.asarray(y0, dtype=complex)]
+    for k in range(grid.steps):
+        y = ys[-1]
+        k1 = stage(2 * k, y)
+        k2 = stage(2 * k + 1, y + (dt / 2) * k1)
+        k3 = stage(2 * k + 1, y + (dt / 2) * k2)
+        k4 = stage(2 * k + 2, y + dt * k3)
+        ys.append(y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(ys)
+
+
 def ladder_generator(dim, d, u=0.0, l=0.0):
     """GeneratorFn for d a†a + u a + l a†; each coefficient a constant or a function of t."""
 

@@ -18,9 +18,10 @@ from dysonmap import (
     initial_map,
     propagate_dyson,
     propagate_state,
-    rk4_samples,
 )
-from dysonmap.propagation import _band_norms, _band_table, _rk4_deriv
+from dysonmap.propagation import _band_norms, _band_table, ladder_columns, ladder_rows
+
+from conftest import rk4_reference
 
 GRID = TimeGrid(0.0, 1.5, 12)
 
@@ -59,9 +60,11 @@ def test_banded_update_matches_dense_product(s, j, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
     hmat = H(t).mat
-    # the map is stepped as eta^T, states as (dim, n) column blocks
-    assert rel_diff(_rk4_deriv(H, GRID, right=True)(j, y.T).T, -1j * (y @ hmat)) <= 1e-13
-    assert rel_diff(_rk4_deriv(H, GRID, right=False)(j, y[:, :2]), -1j * (hmat @ y[:, :2])) <= 1e-13
+    # the columns of -i H(t) that rk4_samples applies; the map is stepped as
+    # eta^T, states as (dim, n) column blocks
+    cols = ladder_columns(*(-1j * _band_table(H, np.array([t]))[:, 0]), s.dim)
+    assert rel_diff(ladder_rows(y.T, cols, transpose=True).T, -1j * (y @ hmat)) <= 1e-13
+    assert rel_diff(ladder_rows(y[:, :2], cols), -1j * (hmat @ y[:, :2])) <= 1e-13
 
 
 def scaled_norm(m):
@@ -153,11 +156,11 @@ def test_banded_trajectories_match_dense():
     def at_half_step(j):  # H at t0 + j dt/2, the time of RK4 stage j
         return H(s.grid.t0 + j * (s.grid.dt / 2.0)).mat
 
-    dense = rk4_samples(lambda j, y: -1j * (y @ at_half_step(j)), eta0.mat, s.grid)
+    dense = rk4_reference(lambda j, y: -1j * (y @ at_half_step(j)), eta0.mat, s.grid)
     assert np.max(np.abs(banded.etas - dense)) < 1e-12
     psi0 = basis_state(1, s.dim)
     a = propagate_state(H, psi0, s.grid, options=opts).amplitudes
-    b = rk4_samples(lambda j, y: -1j * (at_half_step(j) @ y), psi0.vec, s.grid)
+    b = rk4_reference(lambda j, y: -1j * (at_half_step(j) @ y), psi0.vec, s.grid)
     assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -42,7 +42,6 @@ from dysonmap import (
     propagate_dyson,
     propagate_state,
     quasi_hermiticity_residuals,
-    rk4_samples,
     scenario_workup,
     validated_scenario,
 )
@@ -51,7 +50,7 @@ from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
 from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, STAGE_CHUNK, _band_table, band_matrix
 
-from conftest import load_bundled, rebuild, tiny_scenario, workup_trajectory
+from conftest import load_bundled, rk4_reference, tiny_scenario, workup_trajectory
 
 amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 rates = st.floats(-1.0, 1.0, allow_nan=False)
@@ -136,7 +135,7 @@ def test_transposed_map_stepping_is_bit_identical(run, seed):
     H = hamiltonian_fn(s)
     rng = np.random.default_rng(seed)
     eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-    reference = rk4_samples(row_layout_deriv(H, s.grid), eta0, s.grid)
+    reference = rk4_reference(row_layout_deriv(H, s.grid), eta0, s.grid)
     traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
     assert np.array_equal(traj.etas, reference)
     # the trajectory exposes a view of the eta^T storage, not a copy
@@ -155,7 +154,7 @@ def test_block_state_stepping_is_bit_identical(run, seed):
     assert len(first.companions) == len(psis) - 1
     deriv = single_state_deriv(H, s.grid)
     for psi, traj in zip(psis, (first, *first.companions)):
-        assert np.array_equal(traj.amplitudes, rk4_samples(deriv, psi.vec, s.grid))
+        assert np.array_equal(traj.amplitudes, rk4_reference(deriv, psi.vec, s.grid))
         alone = propagate_state(H, psi, s.grid, options=UNGUARDED)
         assert np.array_equal(traj.amplitudes, alone.amplitudes)
 
@@ -163,7 +162,7 @@ def test_block_state_stepping_is_bit_identical(run, seed):
 @pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # random states fill the guard
 @pytest.mark.parametrize("steps", [STAGE_CHUNK // 2 - 1, STAGE_CHUNK // 2, STAGE_CHUNK + 3])
 def test_stepping_is_bit_identical_across_stage_chunks(steps):
-    # the stages read ladder columns built STAGE_CHUNK half-steps at a time;
+    # rk4_samples builds ladder columns STAGE_CHUNK half-steps at a time;
     # these step counts end just before, on and past the edges of those chunks
     s = dataclasses.replace(
         tiny_scenario(dim=5, guard=1, grid=TimeGrid(0.0, 1.3, steps)),
@@ -175,12 +174,12 @@ def test_stepping_is_bit_identical_across_stage_chunks(steps):
     rng = np.random.default_rng(steps)
     eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
     traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
-    assert np.array_equal(traj.etas, rk4_samples(row_layout_deriv(H, s.grid), eta0, s.grid))
+    assert np.array_equal(traj.etas, rk4_reference(row_layout_deriv(H, s.grid), eta0, s.grid))
     psis = [StateVector(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)) for _ in range(2)]
     first = propagate_state(H, psis[0], s.grid, options=UNGUARDED, companions=psis[1:])
     deriv = single_state_deriv(H, s.grid)
     for psi, states in zip(psis, (first, *first.companions)):
-        assert np.array_equal(states.amplitudes, rk4_samples(deriv, psi.vec, s.grid))
+        assert np.array_equal(states.amplitudes, rk4_reference(deriv, psi.vec, s.grid))
 
 
 # -- chunked residual passes ---------------------------------------------------

@@ -1,8 +1,9 @@
-"""Imports of the package: every module-level one is used, and scipy stays lazy and small.
+"""Imports: every module-level one is used, and scipy stays lazy and small.
 
 Deleting code can leave an import behind that nothing reads; this finds it
-with the standard library's ast, so it needs no linter.  ``__init__.py``
-is skipped (its imports are the public re-exports), as are ``__future__``
+with the standard library's ast, so it needs no linter.  It walks the
+package's modules and the test files.  The package's ``__init__.py`` is
+skipped (its imports are the public re-exports), as are ``__future__``
 imports.
 """
 
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 PACKAGE = SRC / "dysonmap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:

@@ -223,7 +223,7 @@ class TestConvergenceOrders:
         assert e_coarse < 1e-7
         assert 12.0 < e_coarse / e_fine < 20.0
 
-    def test_theta_stepper_fourth_order(self):
+    def test_theta_quadrature_fourth_order(self):
         def theta_error(steps):
             s = tiny_scenario(grid=TimeGrid(0.0, 2 * np.pi, steps))
             s_run, _ = validated_scenario(s)
@@ -425,8 +425,8 @@ def _pt_per_level(s):
     for label, fn in (("alpha_conjugate_odd", s.alpha), ("beta_conjugate_odd", s.beta)):
         v = float(np.max(np.abs(np.conj(np.asarray(fn(-ts_sym))) + np.asarray(fn(ts_sym)))))
         symmetry[label] = (v <= 1e-10, v)
-    ts = s.grid.points
-    samples = ts[:: max(1, s.grid.steps // 1024)] if ts.size > 2 else ts
+    step = max(1, s.grid.steps // 1024)
+    samples = s.grid.points[sorted({*range(0, s.grid.steps + 1, step), s.grid.steps})]
     om = np.asarray(s.omega(samples))
     prod = np.asarray(s.alpha(samples)) * np.asarray(s.beta(samples))
     boundary = float(np.max(np.abs(prod.imag)))
@@ -452,6 +452,19 @@ class TestPhaseAnalysis:
         assert pt.label == label
         assert pt.im_energy_max == im_max
         assert pt.boundary_quantity == boundary
+
+    def test_last_grid_point_is_sampled(self):
+        # s1's stride of 8000 // 1024 = 7 grid points stops at index 7994;
+        # Im(alpha beta) = c1 t passes the reality tolerance only after it
+        c1 = 1.0004e-10 / (2 * np.pi)
+        s = rebuild(load_bundled("s1"), alpha=CoefficientSpec.polynomial(1j, c1))
+        pt = pt_analysis(s)
+        assert pt.label == "BROKEN"
+        assert pt.boundary_quantity == pytest.approx(1.0004e-10, rel=1e-12)
+        # the validation samples every grid point, and agrees
+        with pytest.raises(ScenarioInvalidError) as ei:
+            derive_initial_map_params(s)
+        assert "ii" in ei.value.report.failed_names()
 
     def test_each_coefficient_is_sampled_once(self, monkeypatch):
         calls = []

@@ -2,8 +2,12 @@
 
 Each mutant is patched in for one test.  A mutant that a report check sees
 must fail that check on the tiny scenario; one that no report check sees is
-pinned by the closed form it breaks instead.
+pinned by the closed form it breaks instead.  Stepper mutants are
+rk4_samples with one fragment of its source replaced.
 """
+
+import inspect
+import textwrap
 
 import numpy as np
 
@@ -19,20 +23,20 @@ from dysonmap import (
 from conftest import ladder_generator, tiny_scenario
 
 
-def rk2_windows(stage, y0, grid, width):
-    """The explicit midpoint rule in place of _rk4_windows: second order."""
-    dt = grid.dt
-    ys = [np.asarray(y0, dtype=complex)]
-    for k in range(grid.steps):
-        y = ys[-1]
-        ys.append(y + dt * stage(2 * k + 1, y + (dt / 2) * stage(2 * k, y)))
-    samples = np.array(ys)
-    for lo in range(0, len(samples), width):
-        yield lo, samples[lo : lo + width]
+def mutated_rk4(old, new):
+    """rk4_samples with the one occurrence of ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(propagation.rk4_samples))
+    assert source.count(old) == 1, f"rk4_samples no longer contains {old!r} once"
+    namespace = dict(vars(propagation))  # compiled beside, not into, the module
+    exec(compile(source.replace(old, new), propagation.__file__, "exec"), namespace)
+    return namespace["rk4_samples"]
 
 
 def test_second_order_stepper_fails_metric_constancy(monkeypatch):
-    monkeypatch.setattr(propagation, "_rk4_windows", rk2_windows)
+    # the explicit midpoint rule: the step takes only k2, the derivative at
+    # y + (dt/2) k1 and t + dt/2
+    rk2 = mutated_rk4("y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)", "y = y + dt * k2")
+    monkeypatch.setattr(propagation, "rk4_samples", rk2)
     report, _, _ = scenario_workup(tiny_scenario())
     assert "metric_constancy" in report.failing()
 
@@ -60,11 +64,7 @@ def test_stage_one_half_step_late_moves_the_ramp(monkeypatch):
     # No report check sees this shift of the time lattice; the ramp's
     # closed form does, far beyond test_propagation's 1e-8 bound.
     assert ramp_end_error() < 1e-8
-    rk4_deriv = propagation._rk4_deriv
-
-    def late(H, grid, right):  # stage j reads H at t0 + (j + 1) dt/2
-        shifted = TimeGrid(grid.t0 + grid.dt / 2, grid.t1 + grid.dt / 2, grid.steps)
-        return rk4_deriv(H, shifted, right)
-
-    monkeypatch.setattr(propagation, "_rk4_deriv", late)
+    # half-step j reads H at t0 + (j + 1) dt/2
+    late = mutated_rk4("grid.t0 + (dt / 2.0) *", "grid.t0 + dt / 2.0 + (dt / 2.0) *")
+    monkeypatch.setattr(propagation, "rk4_samples", late)
     assert ramp_end_error() > 1e-8

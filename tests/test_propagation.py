@@ -22,10 +22,9 @@ from dysonmap import (
     number_operator,
     propagate_dyson,
     propagate_state,
-    rk4_samples,
 )
 
-from conftest import ladder_generator
+from conftest import ladder_generator, rk4_reference
 
 
 class TestTimeGrid:
@@ -36,6 +35,12 @@ class TestTimeGrid:
         assert g.points[0] == 0.0
         assert g.points[-1] == pytest.approx(1.0)
 
+    def test_strided_ends_on_the_last_index(self):
+        g = TimeGrid(0.0, 1.0, 10)
+        assert g.strided(3).tolist() == [0, 3, 6, 9, 10]
+        assert g.strided(5).tolist() == [0, 5, 10]
+        assert g.strided(20).tolist() == [0, 10]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="need steps >= 1"):
             TimeGrid(0.0, 1.0, 0)
@@ -45,7 +50,7 @@ class TestTimeGrid:
 
 def test_rk4_scalar_exponential_decay():
     g = TimeGrid(0.0, 2.0, 200)
-    samples = rk4_samples(lambda j, y: -y, np.asarray(1.0 + 0j), g)
+    samples = rk4_reference(lambda j, y: -y, np.asarray(1.0 + 0j), g)
     assert samples.shape == (201,)
     err = np.max(np.abs(samples - np.exp(-g.points)))
     assert err < 1e-8
