@@ -377,6 +377,8 @@ def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_PHASES = 4  # series.csv reports Phi_0 .. Phi_3
+
 _RESIDUAL_COLUMNS = (
     "metric_constancy", "r2", "r7",
     "equivalence_sanity", "equivalence_fixed_metric", "equivalence_observable",
@@ -392,14 +394,14 @@ def _series_table(report, s_run, lr) -> tuple[list[str], Iterator[list[str]]]:
     """
     grid = s_run.grid
     header = ["t", "u_re", "u_im", "f_re", "f_im", "theta_re", "theta_im", "chi",
-              *(f"Phi_{m}" for m in range(4)), *_RESIDUAL_COLUMNS]
+              *(f"Phi_{m}" for m in range(_PHASES)), *_RESIDUAL_COLUMNS]
     values = np.zeros((grid.steps + 1, len(header)))
     held = np.zeros(values.shape, dtype=bool)
     values[:, 0] = grid.points
     held[:, 0] = True
     if lr is not None:
         closed = (lr.u.real, lr.u.imag, lr.f.real, lr.f.imag, lr.theta.real, lr.theta.imag,
-                  lr.chi, *(lr_phase(s_run, lr, m) for m in range(4)))
+                  lr.chi, *(lr_phase(s_run, lr, m) for m in range(_PHASES)))
         for j, col in enumerate(closed, start=1):
             values[:, j] = col
         held[:, 1 : len(closed) + 1] = True
@@ -429,6 +431,9 @@ def _cmd_run(args) -> int:
     doc, stem = _load_doc(args.scenario)
     _apply_sets(doc, args.set or [])
     s = scenario_from_doc(doc, stem)
+    if s.dim - s.guard < _PHASES:  # else the workup runs in full before lr_phase refuses
+        raise ConfigError(f"run writes Phi_0..Phi_{_PHASES - 1}, which need dim - guard >= "
+                          f"{_PHASES}; got dim {s.dim}, guard {s.guard}")
     report, s_run, lr = scenario_workup(s, stride=1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -466,7 +471,13 @@ def _print_verdict(report: DiagnosticsReport):
         print(f"FAIL failing={','.join(report.failing())} pt_label={report.pt.label}")
 
 
-def _parse_axis(axis: str) -> tuple[str, np.ndarray]:
+def _parse_axis(axis: str) -> tuple[str, list[float | int]]:
+    """The key and points of an axis.
+
+    A whole-number point is an int, so that integer keys (dim, guard,
+    grid.steps) can be scanned.  -0.0 stays a float: it prints as -0, the
+    int 0 as 0.
+    """
     parts = axis.rsplit(":", 3)
     if len(parts) != 4:
         raise ConfigError(f"--axis expects key:start:stop:count, got {axis!r}")
@@ -477,7 +488,8 @@ def _parse_axis(axis: str) -> tuple[str, np.ndarray]:
         raise ConfigError(f"--axis {axis!r}: {exc}") from exc
     if n < 1:
         raise ConfigError(f"--axis count must be >= 1, got {n}")
-    return key, np.linspace(lo, hi, n)
+    return key, [int(v) if v.is_integer() and (v or math.copysign(1.0, v) > 0) else v
+                 for v in np.linspace(lo, hi, n).tolist()]
 
 
 def _sweep_point(payload) -> tuple[str, str, str, str, str, bool]:
@@ -500,7 +512,7 @@ def _cmd_sweep(args) -> int:
     doc, stem = _load_doc(args.scenario)
     _apply_sets(doc, args.set or [])
     key, values = _parse_axis(args.axis)
-    payloads = [(doc, stem, key, float(v)) for v in values]
+    payloads = [(doc, stem, key, v) for v in values]
     raw = os.environ.get("DYSONMAP_WORKERS", "1")
     try:
         workers = min(int(raw), len(payloads))
@@ -528,7 +540,7 @@ def _cmd_pt_phase(args) -> int:
         rows = []
         labels = []
         for v in values:
-            s = scenario_from_doc(_overridden(doc, key, float(v)), stem)
+            s = scenario_from_doc(_overridden(doc, key, v), stem)
             pt = pt_analysis(s)
             labels.append(pt.label)
             rows.append(

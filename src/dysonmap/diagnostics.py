@@ -6,11 +6,14 @@ one DiagnosticsReport, skipping the stages whose preconditions a scenario
 cannot meet (an invalid scenario still gets trajectory-level residuals, so
 negative controls show exactly which claims break) and the checks whose
 series took no sample.  The checks are functions of the trajectories they
-are given.  Each per-sample check takes a whole trajectory or one window
-of a streamed map: scenario_workup steps the |0>, |1> pair once, holding
-only the samples its checks read, then has propagate_dyson stream the map
-through every check and hold only the three samples of the r2 scale, so
-it holds no array as long as the trajectory.
+are given.  Each per-sample check is a pass that states only the samples
+an output chunk reads and how it evaluates a chunk; one driver owns the
+grid indices, the output series, the chunking and the carry across window
+edges, so a check takes a whole trajectory or one window of a streamed
+map alike.  scenario_workup steps the |0>, |1> pair once, holding only the
+samples its checks read, then has propagate_dyson stream the map through
+every check and hold only the three samples of the r2 scale, so it holds
+no array as long as the trajectory.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -20,6 +23,7 @@ regardless of what it measures.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -171,85 +175,69 @@ def _block_norms(mats: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.norm(mats[..., :k, :k], axis=(-2, -1))
 
 
-# The per-sample checks take a whole DysonTrajectory or one MapWindow of a
-# map that propagate_dyson streams.  A check over strided samples is a pass
-# that evaluates its outputs SAMPLE_CHUNK at a time, grouped exactly as in
-# one pass over the whole trajectory; the windows of one run share the pass,
-# kept in their carry, and each call returns the outputs its window
-# completes.  metric_constancy reads one sample per output and chunks each
-# window from its start, which every window places on a multiple of
-# SAMPLE_CHUNK.
+# Every per-sample check is a _StridedPass, the one driver of the chunking
+# and the carry, fed a whole DysonTrajectory or the MapWindows of a map that
+# propagate_dyson streams.  The windows of one run share each pass, kept in
+# their carry, and each call returns the outputs its window completes.
 
 
-def _window(traj: DysonTrajectory | MapWindow) -> tuple[int, np.ndarray, dict | None]:
-    """(lo, etas, carry) of a window, or of a whole trajectory as its only window."""
-    if isinstance(traj, MapWindow):
-        return traj.lo, traj.etas, traj.carry
-    if len(traj.ks) != traj.grid.steps + 1:
-        raise ValueError("the per-sample checks read every sample of a trajectory")
-    return 0, traj.etas, None
-
-
-def _fed(traj: DysonTrajectory | MapWindow, key: tuple, make):
-    """The outputs that traj's samples complete, of the pass make() builds.
+def _fed(traj: DysonTrajectory | MapWindow, key: tuple, make) -> dict[str, ResidualSeries]:
+    """The series of the outputs that traj's samples complete, of the pass make() builds.
 
     A whole trajectory is fed to a new pass.  The windows of one run share
     one pass per key, kept in their carry.
     """
-    lo, etas, carry = _window(traj)
-    if carry is None:
-        return make().feed(lo, etas)
+    if isinstance(traj, MapWindow):
+        lo, carry = traj.lo, traj.carry
+    elif len(traj.ks) != traj.grid.steps + 1:
+        raise ValueError("the per-sample checks read every sample of a trajectory")
+    else:
+        lo, carry = 0, {}
     if key not in carry:
         carry[key] = make()
-    return carry[key].feed(lo, etas)
-
-
-def metric_constancy(traj: DysonTrajectory | MapWindow) -> ResidualSeries:
-    """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block.
-
-    Given a MapWindow, the series covers the samples of that window.
-    """
-    lo, etas, _ = _window(traj)
-    rho0 = low_block(traj.rho0.mat, traj.options.guard)
-    k = rho0.shape[0]
-    den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
-    out = np.empty(len(etas))
-    for sl in sample_chunks(len(etas)):
-        # the guard block of eta† eta only needs eta's first k columns
-        blocks = _metrics(etas[sl, :, :k])
-        out[sl] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
-    times = traj.grid.points[lo : lo + len(etas)].copy()  # not a view that keeps every point
-    return ResidualSeries(name="metric_constancy", times=times, samples=out)
+    return carry[key].feed(lo, traj.etas)
 
 
 class _StridedPass:
-    """A check over strided samples, evaluated SAMPLE_CHUNK outputs at a time.
+    """The driver of a per-sample check, whose outputs sit at sorted grid indices ks.
 
-    Output chunk sl reads the maps at the sorted grid indices reads(sl).
-    It is evaluated in the window that holds the last of them; the samples
-    it reads from earlier windows are carried over.  The outputs are thus
-    grouped into chunks exactly as in one pass over the whole trajectory,
-    which matters because a product over one row can round differently
-    from the same row in a stack.
+    A subclass states only what it reads and how it evaluates: ``names``,
+    its series; ``reads(sl)``, the sorted grid indices whose maps output
+    chunk sl reads (default ks[sl]); and ``evaluate``, a generator that
+    fills ``out[name][sl]`` for each (sl, reads(sl), maps) chunk sent to
+    it.  One generator for the life of the pass keeps a chunk's
+    temporaries alive until the next chunk replaces them, across window
+    edges too, so the allocator reuses their memory instead of returning
+    it to the system and faulting it in again for every window.
+
+    The driver evaluates the outputs SAMPLE_CHUNK at a time, each chunk in
+    the window that holds the last map it reads, and carries the maps it
+    reads from earlier windows.  The outputs are thus grouped into chunks
+    exactly as in one pass over the whole trajectory, which matters
+    because a product over one row can round differently from the same
+    row in a stack.
     """
 
-    def __init__(self, n: int, reads):
-        self.chunks = [(sl, reads(sl)) for sl in sample_chunks(n)]
-        every = [ks for _, ks in self.chunks]
-        self.read = np.unique(np.concatenate(every)) if every else np.empty(0, dtype=int)
-        self.next = 0                    # first chunk not yet evaluated
+    names: tuple[str, ...]
+
+    def __init__(self, grid: TimeGrid, ks: np.ndarray):
+        self.ks = ks
+        self.ts = grid.t0 + ks * grid.dt
+        self.out = {name: np.empty(ks.size) for name in self.names}
+        self.chunks = deque((sl, self.reads(sl)) for sl in sample_chunks(ks.size))
+        self.read = np.unique(np.concatenate([ks[:0], *(read for _, read in self.chunks)]))
+        self.done = 0                    # the number of outputs evaluated so far
         self.held_ks, self.held = self.read[:0], None
         self.sink = self.evaluate()
         next(self.sink)
 
-    def _done(self) -> int:
-        """The number of outputs evaluated so far."""
-        return self.chunks[self.next - 1][0].stop if self.next else 0
+    def reads(self, sl: slice) -> np.ndarray:
+        """The sorted grid indices whose maps output chunk sl reads."""
+        return self.ks[sl]
 
-    def feed(self, lo: int, etas: np.ndarray):
+    def feed(self, lo: int, etas: np.ndarray) -> dict[str, ResidualSeries]:
         """Evaluate the chunks that the maps at lo, lo + 1, ... complete; returns their outputs."""
-        hi = lo + len(etas)
-        done = self._done()
+        hi, done = lo + len(etas), self.done
 
         def take(ks):
             """The maps at sorted grid indices ks, carried or in this window."""
@@ -259,62 +247,79 @@ class _StridedPass:
                 return here
             return np.concatenate((self.held[np.searchsorted(self.held_ks, ks[:split])], here))
 
-        while self.next < len(self.chunks):
-            sl, ks = self.chunks[self.next]
-            if ks[-1] >= hi:  # the chunk ends in a later window
-                pending = self.read[(self.read >= ks[0]) & (self.read < hi)]
-                self.held_ks, self.held = pending, take(pending)
-                break
+        while self.chunks and self.chunks[0][1][-1] < hi:
+            sl, ks = self.chunks.popleft()
             self.sink.send((sl, ks, take(ks)))
-            self.next += 1
-        return self.series(slice(done, self._done()))
+            self.done = sl.stop
+        if self.chunks:  # the next chunk ends in a later window
+            pending = self.read[(self.read >= self.chunks[0][1][0]) & (self.read < hi)]
+            self.held_ks, self.held = pending, take(pending)
+        sl = slice(done, self.done)
+        return {name: ResidualSeries(name=name, times=self.ts[sl], samples=out[sl])
+                for name, out in self.out.items()}
+
+
+class _ConstancyPass(_StridedPass):
+    """metric_constancy at every grid index.
+
+    It never carries a sample: MAP_WINDOW is a multiple of SAMPLE_CHUNK,
+    so every window starts a chunk.
+    """
+
+    names = ("metric_constancy",)
+
+    def __init__(self, traj: DysonTrajectory | MapWindow):
+        self.rho0 = low_block(traj.rho0.mat, traj.options.guard)
+        super().__init__(traj.grid, np.arange(traj.grid.steps + 1))
 
     def evaluate(self):
-        """A generator that evaluates each (sl, ks, etas) chunk sent to it.
+        rho0, out = self.rho0, self.out["metric_constancy"]
+        k = rho0.shape[0]
+        den = max(float(np.linalg.norm(rho0)), _ABS_FLOOR)
+        while True:
+            sl, _, etas = yield
+            # the guard block of eta† eta only needs eta's first k columns
+            blocks = _metrics(etas[:, :, :k])
+            out[sl] = np.linalg.norm(blocks - rho0, axis=(1, 2)) / den
 
-        One loop for the life of the pass keeps a chunk's temporaries alive
-        until the next chunk replaces them, across window edges too, so the
-        allocator reuses their memory instead of returning it to the system
-        and faulting it in again for every window.
-        """
-        raise NotImplementedError
 
-    def series(self, sl: slice):
-        """The outputs sl, as residual series."""
-        raise NotImplementedError
+def metric_constancy(traj: DysonTrajectory | MapWindow) -> ResidualSeries:
+    """r(t_k) = ||rho(t_k) - rho(t_0)|| / ||rho(t_0)|| on the guard block.
+
+    Given a MapWindow, the series covers the samples of that window.
+    """
+    return _fed(traj, ("metric_constancy",), lambda: _ConstancyPass(traj))["metric_constancy"]
 
 
 class _StencilPass(_StridedPass):
     """quasi_hermiticity_residuals' r2 and r7 at strided centres."""
 
-    def __init__(self, H: GeneratorFn, grid: TimeGrid, guard: int, dim: int,
+    names = ("r2", "r7")
+
+    def __init__(self, traj: DysonTrajectory | MapWindow, H: GeneratorFn,
                  stride: int | None, spacing: int):
         if spacing < 1:
             raise ValueError("stencil spacing must be >= 1")
+        grid = traj.grid
         st = default_stride(grid.steps) if stride is None else stride
-        self.centers = np.arange(max(st, spacing), grid.steps - spacing + 1, st)
-        self.ts = grid.t0 + self.centers * grid.dt
-        self.r2 = np.empty(self.centers.size)
-        self.r7 = np.empty(self.centers.size)
-        self.H, self.dt, self.spacing = H, grid.dt, spacing
-        # a banded H couples neighbouring levels only, so the guard block of
-        # H† rho - rho H needs rho on one level more than the block itself.
-        # rho is still formed in full: a narrower product rounds differently,
-        # and the stencil amplifies that by 1/(2 spacing dt).
-        self.levels = min(dim - guard + 1, dim)
-        self.k = dim - guard
-        super().__init__(self.centers.size, self._touched)
+        self.H, self.dt, self.spacing, self.k = H, grid.dt, spacing, traj.dim - traj.options.guard
+        super().__init__(grid, np.arange(max(st, spacing), grid.steps - spacing + 1, st))
 
-    def _touched(self, sl: slice) -> np.ndarray:
-        cs, sp = self.centers[sl], self.spacing
+    def reads(self, sl: slice) -> np.ndarray:
+        cs, sp = self.ks[sl], self.spacing
         return np.unique(np.concatenate((cs - sp, cs, cs + sp)))
 
     def evaluate(self):
-        sp, levels, k = self.spacing, self.levels, self.k
+        sp, k = self.spacing, self.k
+        r2, r7 = self.out["r2"], self.out["r7"]
         while True:
             sl, touched, etas = yield
-            cs = self.centers[sl]
-            rhos = _metrics(etas)[:, :levels, :levels]
+            cs = self.ks[sl]
+            # a banded H couples neighbouring levels only, so the guard block
+            # of H† rho - rho H needs rho on one level more than the block
+            # itself.  rho is still formed in full: a narrower product rounds
+            # differently, and the stencil amplifies that by 1/(2 spacing dt).
+            rhos = _metrics(etas)[:, : k + 1, : k + 1]
 
             def rho_at(idx):
                 return rhos[np.searchsorted(touched, idx)]
@@ -323,16 +328,10 @@ class _StencilPass(_StridedPass):
             drho = (rho_at(cs + sp) - rho_at(cs - sp)) / (2.0 * sp * self.dt)
             rho_h = apply_generator(self.H, self.ts[sl], rho, right=True)
             comm = apply_generator(self.H, self.ts[sl], rho, adjoint=True) - rho_h
-            self.r2[sl] = _block_norms(comm + 1j * drho, k)
+            r2[sl] = _block_norms(comm + 1j * drho, k)
             den = _block_norms(rho_h, k)
             num = _block_norms(comm, k)
-            self.r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
-
-    def series(self, sl: slice) -> tuple[ResidualSeries, ResidualSeries]:
-        return (
-            ResidualSeries(name="r2", times=self.ts[sl], samples=self.r2[sl]),
-            ResidualSeries(name="r7", times=self.ts[sl], samples=self.r7[sl]),
-        )
+            r7[sl] = num / np.where(den > _ABS_FLOOR, den, 1.0)
 
 
 def quasi_hermiticity_residuals(
@@ -362,8 +361,8 @@ def quasi_hermiticity_residuals(
     once per distinct sample it touches and applies H through its bands.
     Given a MapWindow, the series hold the centres that window completes.
     """
-    return _fed(traj, ("r2", stride, spacing), lambda: _StencilPass(
-        H, traj.grid, traj.options.guard, traj.dim, stride, spacing))
+    out = _fed(traj, ("r2", stride, spacing), lambda: _StencilPass(traj, H, stride, spacing))
+    return out["r2"], out["r7"]
 
 
 _EQUIVALENCE_TARGET = 1600  # default sample counts of the strided checks
@@ -372,34 +371,31 @@ _DEVIATION_TARGET = 800
 
 
 class _EquivalencePass(_StridedPass):
-    """equivalence_checks' three series at strided samples."""
+    """equivalence_checks' series at strided samples; the observable one needs lr."""
 
     def __init__(self, s: Scenario, rho0: np.ndarray,
                  states: tuple[StateTrajectory, StateTrajectory],
                  lr: LRQuantities | None, stride: int | None):
         self.psi, self.psit = states
-        grid = s.grid
-        self.ks = _strided_indices(grid, stride, target=_EQUIVALENCE_TARGET)
-        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
+        ks = _strided_indices(s.grid, stride, target=_EQUIVALENCE_TARGET)
         self.rho0 = rho0
         self.ref = complex(self.psi.at(0).conj() @ (rho0 @ self.psit.at(0)))
         self.x1, self.x2 = (q.mat for q in quadratures(s.dim))
-        self.frame = quadrature_frame(s, lr, self.ks)[:2] if lr is not None else None
-        self.sanity = np.empty(self.ks.size)
-        self.fixed = np.empty(self.ks.size)
-        self.obs = np.empty(self.ks.size) if lr is not None else None
-        super().__init__(self.ks.size, self.ks.__getitem__)
+        self.frame = quadrature_frame(s, lr, ks)[:2] if lr is not None else None
+        self.names = ("equivalence_sanity", "equivalence_fixed_metric",
+                      *(("equivalence_observable",) if lr is not None else ()))
+        super().__init__(s.grid, ks)
 
     def evaluate(self):
-        x1, x2 = self.x1, self.x2
+        x1, x2, out = self.x1, self.x2, self.out
         while True:
             sl, ks, es = yield
             a, b = self.psi.at(ks), self.psit.at(ks)
             ea, eb = _matvec(es, a), _matvec(es, b)
             rho = _metrics(es)
-            self.sanity[sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
-            self.fixed[sl] = np.abs(_inner(a, b @ self.rho0.T) - self.ref)
-            if self.obs is not None:
+            out["equivalence_sanity"][sl] = np.abs(_inner(a, _matvec(rho, b)) - _inner(ea, eb))
+            out["equivalence_fixed_metric"][sl] = np.abs(_inner(a, b @ self.rho0.T) - self.ref)
+            if self.frame is not None:
                 chi, shift1 = self.frame
                 # X1 b = cos chi x1 b - sin chi x2 b + shift1 b, without forming X1
                 x1b, x2b = b @ x1.T, b @ x2.T
@@ -407,17 +403,7 @@ class _EquivalencePass(_StridedPass):
                 X1b = np.cos(c) * x1b - np.sin(c) * x2b + shift1[sl, None] * b
                 lhs = _inner(a, _matvec(rho, X1b))
                 rhs = _inner(ea, eb @ x1.T)
-                self.obs[sl] = np.abs(lhs - rhs)
-
-    def series(self, sl: slice):
-        def mk(name, arr):
-            return ResidualSeries(name=name, times=self.ts[sl], samples=arr[sl])
-
-        return (
-            mk("equivalence_sanity", self.sanity),
-            mk("equivalence_fixed_metric", self.fixed),
-            mk("equivalence_observable", self.obs) if self.obs is not None else None,
-        )
+                out["equivalence_observable"][sl] = np.abs(lhs - rhs)
 
 
 def equivalence_checks(
@@ -440,21 +426,20 @@ def equivalence_checks(
     (needs lr, else None).  Given a MapWindow, the series hold the
     samples that window completes.
     """
-    return _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
+    out = _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
         s, traj.rho0.mat, states, lr, stride))
+    return (out["equivalence_sanity"], out["equivalence_fixed_metric"],
+            out.get("equivalence_observable"))
 
 
 class _IsospectralPass(_StridedPass):
     """isospectrality_check's r_m at strided samples."""
 
-    def __init__(self, s: Scenario, lr: LRQuantities, ms: Sequence[int], stride: int | None):
-        grid = s.grid
-        self.ks = _strided_indices(grid, stride, target=_ISOSPECTRAL_TARGET)
-        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
+    def __init__(self, s: Scenario, lr: LRQuantities, ms: tuple[int, ...], stride: int | None):
         self.s, self.lr, self.cols = s, lr, list(ms)
         self.H = hamiltonian_fn(s)
-        self.out = np.empty((len(self.cols), self.ks.size))
-        super().__init__(self.ks.size, self.ks.__getitem__)
+        self.names = tuple(f"isospectrality_m{m}" for m in ms)
+        super().__init__(s.grid, _strided_indices(s.grid, stride, target=_ISOSPECTRAL_TARGET))
 
     def evaluate(self):
         s, cols = self.s, self.cols
@@ -465,14 +450,9 @@ class _IsospectralPass(_StridedPass):
             w = np.linalg.solve(es, zetas)
             energy = counterpart_energy(s, cols, ts)
             defect = apply_generator(self.H, ts, w) - w * (energy[:, None, :] / 2.0)
-            self.out[:, sl] = (np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)).T
-
-    def series(self, sl: slice) -> dict[int, ResidualSeries]:
-        return {
-            m: ResidualSeries(name=f"isospectrality_m{m}", times=self.ts[sl],
-                              samples=self.out[i, sl])
-            for i, m in enumerate(self.cols)
-        }
+            r = np.linalg.norm(defect, axis=1) / np.linalg.norm(w, axis=1)
+            for name, col in zip(self.names, r.T):
+                self.out[name][sl] = col
 
 
 def isospectrality_check(
@@ -495,39 +475,33 @@ def isospectrality_check(
     map, whose caller applies the floor; given a window, the series hold
     the samples that window completes.
     """
+    ms = tuple(ms)
     if isinstance(traj, DysonTrajectory):
         check_conditioning(traj, _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
-    return _fed(traj, ("isospectrality", tuple(ms), stride),
-                lambda: _IsospectralPass(s, lr, ms, stride))
+    out = _fed(traj, ("isospectrality", ms, stride),
+               lambda: _IsospectralPass(s, lr, ms, stride))
+    return {m: out[f"isospectrality_m{m}"] for m in ms}
 
 
 class _DeviationPass(_StridedPass):
     """analytic_vs_numeric's deviations at strided samples."""
 
+    names = ("analytic_vs_numeric",)
+
     def __init__(self, s: Scenario, lr: LRQuantities, numeric: StateTrajectory,
                  stride: int | None):
-        grid = s.grid
-        self.ks = _strided_indices(grid, stride, target=_DEVIATION_TARGET)
-        self.ts = (grid.t0 + self.ks * grid.dt).astype(float)
         self.ev = AnalyticEvolution(s, lr)
         self.numeric = numeric
-        self.devs = np.empty(self.ks.size)
-        super().__init__(self.ks.size, self.ks.__getitem__)
-
-    def feed(self, lo: int, etas: np.ndarray):
-        if lo == 0:  # eta(t0) |psi0>, from the first window
-            self.phi0 = etas[0] @ self.numeric.at(0)
-        return super().feed(lo, etas)
+        super().__init__(s.grid, _strided_indices(s.grid, stride, target=_DEVIATION_TARGET))
 
     def evaluate(self):
+        out = self.out["analytic_vs_numeric"]
         while True:
             sl, ks, es = yield
-            w = np.linalg.solve(es, self.ev.Us(ks) @ self.phi0[:, None])[:, :, 0]
-            self.devs[sl] = np.linalg.norm(w - self.numeric.at(ks), axis=1)
-
-    def series(self, sl: slice) -> ResidualSeries:
-        return ResidualSeries(name="analytic_vs_numeric", times=self.ts[sl],
-                              samples=self.devs[sl])
+            if not sl.start:  # ks[0] is 0: eta(t0) |psi0>
+                phi0 = es[0] @ self.numeric.at(0)
+            w = np.linalg.solve(es, self.ev.Us(ks) @ phi0[:, None])[:, :, 0]
+            out[sl] = np.linalg.norm(w - self.numeric.at(ks), axis=1)
 
 
 def analytic_vs_numeric(
@@ -557,23 +531,30 @@ def analytic_vs_numeric(
     if numeric.grid != s.grid:
         raise ValueError("numeric trajectory is not on the scenario grid")
     return _fed(traj, ("analytic_vs_numeric", stride),
-                lambda: _DeviationPass(s, lr, numeric, stride))
+                lambda: _DeviationPass(s, lr, numeric, stride))["analytic_vs_numeric"]
 
 
 def _bounded(
-    name: str, series: ResidualSeries, tol: float, note: str = "", value: float | None = None
+    name: str, series: dict[str, ResidualSeries], tol: float, note: str = "",
+    value: float | None = None,
 ) -> CheckOutcome:
-    """value (default the series max) <= tol; skipped when the series is empty."""
-    if not series.samples.size:
+    """value (default the largest sample of the check's series) <= tol.
+
+    A check's series are those whose names start with its name (r2, or
+    isospectrality_m0, m1, ...); it is skipped when it has none (its stage
+    did not run) or they took no sample.
+    """
+    mine = [ser for key, ser in series.items() if key.startswith(name)]
+    if not mine:
+        return CheckOutcome(name, None, float("nan"), None, "skipped")
+    if not any(ser.samples.size for ser in mine):
         return CheckOutcome(name, None, float("nan"), None, "skipped: no samples")
-    v = series.max if value is None else value
+    v = max(ser.max for ser in mine) if value is None else value
     return CheckOutcome(name, v <= tol, v, tol, note)
 
 
-def _joined(parts: list) -> ResidualSeries | None:
-    """One series from its per-window parts, in order (None for a skipped series)."""
-    if parts[0] is None:
-        return None
+def _joined(parts: list[ResidualSeries]) -> ResidualSeries:
+    """One series from its per-window parts, in order."""
     return ResidualSeries(
         name=parts[0].name,
         times=np.concatenate([p.times for p in parts]),
@@ -607,8 +588,6 @@ def scenario_workup(
         validation = exc.report
         s_run = replace(s, gamma0=validation.gamma0, validated=False)
 
-    checks = list(validation.checks.values())
-
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     options = s_run.solver_options(rcond_floor=tol.min_rcond)
@@ -619,86 +598,56 @@ def scenario_workup(
     psi = propagate_state(H, basis_state(0, dim), grid, options=options,
                           companions=(basis_state(1, dim),), keep=np.unique(np.concatenate(reads)))
     states = (psi, *psi.companions)
-    lr = None
-    if s_run.validated:
-        lr = lr_pipeline(s_run)
+    lr = lr_pipeline(s_run) if s_run.validated else None
 
-    parts, iso_parts, avn_parts = [], [], []
+    parts: dict[str, list[ResidualSeries]] = {}  # each series' per-window parts, by name
     solvable = lr is not None
 
     def check_window(window: MapWindow):
         nonlocal solvable
-        parts.append((
+        got = [
             metric_constancy(window),
             *quasi_hermiticity_residuals(window, H, stride=stride),
             *equivalence_checks(s_run, window, states, lr, stride=stride),
-        ))
+        ]
         solvable = solvable and not np.any(window.rcond < options.rcond_floor)
         if solvable:
-            iso_parts.append(isospectrality_check(s_run, lr, window))
-            avn_parts.append(analytic_vs_numeric(s_run, lr, window, psi))
+            got += [*isospectrality_check(s_run, lr, window).values(),
+                    analytic_vs_numeric(s_run, lr, window, psi)]
+        for ser in filter(None, got):  # equivalence_observable is None without lr
+            parts.setdefault(ser.name, []).append(ser)
 
     traj = propagate_dyson(H, eta0, grid, options=options,
                            keep=np.unique(_scale_indices(grid)), on_window=check_window)
     check_conditioning(traj)
-    mc, r2, r7, sanity, fixed, observable = (_joined(list(col)) for col in zip(*parts))
+    series = {name: _joined(ps) for name, ps in parts.items()}
 
-    series: dict[str, ResidualSeries] = {}
-    series[mc.name] = mc
-    checks.append(_bounded("metric_constancy", mc, tol.metric_constancy))
-
-    series[r2.name] = r2
-    series[r7.name] = r7
-    scale = _commutator_scale(traj, H)
-    r2_tol = tol.r2_coeff * grid.dt**2 * scale
-    checks.append(_bounded("r2", r2, r2_tol, "flow identity"))
-    checks.append(_bounded("r7", r7, tol.r7, "static intertwining"))
-
-    series[sanity.name] = sanity
-    series[fixed.name] = fixed
-    checks.append(_bounded("equivalence_sanity", sanity, tol.sanity))
-    checks.append(_bounded("equivalence_fixed_metric", fixed, tol.fixed_metric))
     env = tol.envelope(s_run.kappa)
-    if observable is not None:
-        series[observable.name] = observable
-        checks.append(_bounded("equivalence_observable", observable, env))
-    else:
-        checks.append(CheckOutcome("equivalence_observable", None, float("nan"), None, "skipped"))
+    r2_tol = tol.r2_coeff * grid.dt**2 * _commutator_scale(traj, H)
+    iso_tol = tol.isospectral_floor + tol.envelope_coeff * s_run.kappa**3
+    avn = series.get("analytic_vs_numeric")
+    note = f"terminal deviation; interior max {avn.max:.3e}" if avn else ""
+    checks = [
+        *validation.checks.values(),
+        _bounded("metric_constancy", series, tol.metric_constancy),
+        _bounded("r2", series, r2_tol, "flow identity"),
+        _bounded("r7", series, tol.r7, "static intertwining"),
+        _bounded("equivalence_sanity", series, tol.sanity),
+        _bounded("equivalence_fixed_metric", series, tol.fixed_metric),
+        _bounded("equivalence_observable", series, env),
+        _bounded("isospectrality", series, iso_tol),
+        _bounded("analytic_vs_numeric", series, env, note, avn.terminal if avn else None),
+    ]
 
-    if lr is not None:
-        worst = 0.0
-        for m in iso_parts[0]:
-            ser = _joined([part[m] for part in iso_parts])
-            series[ser.name] = ser
-            worst = max(worst, ser.max)
-        iso_tol = tol.isospectral_floor + tol.envelope_coeff * s_run.kappa**3
-        checks.append(CheckOutcome("isospectrality", worst <= iso_tol, worst, iso_tol))
-        avn = _joined(avn_parts)
-        series[avn.name] = avn
-        checks.append(
-            _bounded(
-                "analytic_vs_numeric",
-                avn,
-                env,
-                f"terminal deviation; interior max {avn.max:.3e}",
-                value=avn.terminal,
-            )
-        )
-    else:
-        checks.append(CheckOutcome("isospectrality", None, float("nan"), None, "skipped"))
-        checks.append(CheckOutcome("analytic_vs_numeric", None, float("nan"), None, "skipped"))
-
-    pt = pt_analysis(s_run)
-    rc_min = float(np.min(traj.rcond))
     report = DiagnosticsReport(
         scenario_name=s_run.name,
         series=series,
         checks=tuple(checks),
         tolerances=tol,
         validation=validation,
-        pt=pt,
+        pt=pt_analysis(s_run),
         tail_mass_max=max(st.tail_mass_max for st in states),
-        condition_max=1.0 / max(rc_min, 1e-300),
+        condition_max=1.0 / max(float(np.min(traj.rcond)), 1e-300),
     )
     return report, s_run, lr
 

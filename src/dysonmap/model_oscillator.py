@@ -461,10 +461,10 @@ def _level_energies(kappa: float, om, al, be, m):
 
     This is the exact spectrum of 2H, not a truncated expansion in kappa:
     the drive term is removed by one displacement, which shifts every
-    level by the same -2 kappa^2 alpha beta / omega.  m is one level or a 1-d array of levels; an array adds a trailing level
-    axis.  The levels are evaluated along a leading axis, so the arithmetic
-    runs over whole sample rows, and returned as a view with that axis moved
-    last.
+    level by the same -2 kappa^2 alpha beta / omega.  m is one level or a
+    1-d array of levels; an array adds a trailing level axis.  The levels
+    are evaluated along a leading axis, so the arithmetic runs over whole
+    sample rows, and returned as a view with that axis moved last.
     """
     if np.min(np.abs(om)) < _OMEGA_FLOOR:
         raise SingularityError("omega(t) vanishes; eigenvalue formula divides by it")

@@ -457,6 +457,42 @@ def test_streamed_workup_is_bit_identical_across_window_edges(steps, stride):
     assert_streamed_workup_is_exact(workup, workup_trajectory(workup[1]), stride)
 
 
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("steps", [2 * MAP_WINDOW + 1, 4 * MAP_WINDOW + 3])
+def test_per_window_returns_partition_the_whole_series(steps, stride):
+    # each public check, called once per window, returns the outputs that
+    # window completes: they are disjoint and in order across windows, and
+    # joined they are the whole trajectory's series bit for bit
+    s_run, _ = validated_scenario(tiny_scenario(dim=6, guard=2, grid=TimeGrid(0.0, 1.0, steps)))
+    grid, H, lr = s_run.grid, hamiltonian_fn(s_run), lr_pipeline(s_run)
+    whole = workup_trajectory(s_run)
+    psi = propagate_state(H, basis_state(0, s_run.dim), grid, options=whole.options,
+                          companions=(basis_state(1, s_run.dim),))
+
+    def checks(traj):
+        """Every public check's series on traj (a whole trajectory or a window), by name."""
+        got = [metric_constancy(traj), *quasi_hermiticity_residuals(traj, H, stride=stride),
+               *equivalence_checks(s_run, traj, (psi, *psi.companions), lr, stride=stride),
+               *isospectrality_check(s_run, lr, traj, stride=stride).values(),
+               analytic_vs_numeric(s_run, lr, traj, psi, stride=stride)]
+        return {ser.name: ser for ser in got}
+
+    windows = []  # (index after the window's last sample, its checks' returns)
+    propagate_dyson(H, whole.eta0, grid, options=whole.options, keep=np.array([0]),
+                    on_window=lambda w: windows.append((w.lo + len(w.etas), checks(w))))
+    assert len(windows) > 2
+    for name, ser in checks(whole).items():
+        end = -1  # the last grid index returned so far
+        for hi, got in windows:
+            ks = np.rint((got[name].times - grid.t0) / grid.dt).astype(int)
+            assert np.all(np.diff(ks) > 0) and np.all(ks > end) and np.all(ks < hi), name
+            end = ks[-1] if ks.size else end
+        parts = [got[name] for _, got in windows]
+        assert np.array_equal(np.concatenate([p.times for p in parts]), ser.times), name
+        assert np.array_equal(np.concatenate([p.samples for p in parts]), ser.samples), name
+
+
 def test_streamed_workup_holds_no_whole_trajectory(s1_workup):
     # s1_workup ran one workup already, so imports and caches are warm
     s = load_bundled("s1")

@@ -243,6 +243,16 @@ class TestConfigErrors:
         assert "numerical failure:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_run_needs_four_levels_below_the_guard_band(self, capsys, monkeypatch):
+        # series.csv reports Phi_0..Phi_3; dim 8 under the default guard 6
+        # leaves two levels, refused before the workup steps anything
+        def workup(*args, **kwargs):
+            raise AssertionError("the workup ran")
+
+        monkeypatch.setattr(cli, "scenario_workup", workup)
+        assert cli.main(["run", "s1", "--set", "dim=8", "--out", "unused"]) == 2
+        assert "need dim - guard >= 4; got dim 8, guard 6" in capsys.readouterr().err
+
     def test_non_finite_coefficient_maps_to_exit_3(self):
         proc = run_cli(
             "diagnose", "s1", "--set", "dim=8", "--set", "guard=2", "--set", "grid.steps=400",
@@ -269,6 +279,41 @@ class TestOverrides:
             cli._assign(want, key, v)
             assert cli._overridden(doc, key, v) == want
         assert doc == base
+
+
+class TestIntegerAxes:
+    def test_whole_number_points_are_ints(self):
+        assert cli._parse_axis("dim:20:30:3") == ("dim", [20, 25, 30])
+        assert all(type(v) is int for v in cli._parse_axis("dim:20:30:3")[1])
+        _, points = cli._parse_axis("kappa:1:-0.0:3")
+        assert [type(v) for v in points] == [int, float, float]
+        assert cli._fmt(points[-1]) == "-0"
+
+    def test_pt_phase_scans_dim(self, work):
+        out = work / "pt_dim"
+        proc = run_cli("pt-phase", "s1", "--axis", "dim:20:30:3", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = (out / "pt_phase.csv").read_text().rstrip("\n").split("\n")
+        assert [row.split(",")[0] for row in lines[1:]] == ["20", "25", "30"]
+
+    def test_sweep_scans_grid_steps(self, work):
+        out = work / "sweep_steps"
+        proc = run_cli("sweep", str(work / "tiny.yaml"), "--axis", "grid.steps:1500:1600:2",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = (out / "sweep.csv").read_text().rstrip("\n").split("\n")
+        assert [row.split(",")[0] for row in lines[1:]] == ["1500", "1600"]
+
+    @pytest.mark.parametrize("command, axis", [
+        ("pt-phase", "dim:20:21:3"),
+        ("pt-phase", "guard:4:5:3"),
+        ("sweep", "grid.steps:1500.5:1600.5:2"),
+    ])
+    def test_non_integral_points_stay_config_errors(self, work, command, axis):
+        proc = run_cli(command, str(work / "tiny.yaml"), "--axis", axis,
+                       "--out", str(work / "non_integral"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"{axis.split(':')[0]}: expected an integer, got " in proc.stderr
 
 
 class TestSweep:
