@@ -486,6 +486,8 @@ def _parse_axis(axis: str) -> tuple[str, list[float | int]]:
         lo, hi, n = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"--axis {axis!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--axis {key}: start and stop must be finite, got {start}:{stop}")
     if n < 1:
         raise ConfigError(f"--axis count must be >= 1, got {n}")
     return key, [int(v) if v.is_integer() and (v or math.copysign(1.0, v) > 0) else v

@@ -71,9 +71,9 @@ class Tolerances:
     8000 steps over one drive period): integrator-limited residuals at
     1e-6, the static intertwining residual at 1e-7, and the drive-strength
     envelope max(floor, C kappa^2) with C a calibration constant.
-    ``min_rcond`` is the one floor on eta's reciprocal condition number:
-    the workup refuses a trajectory below it, and the isospectrality
-    solves apply it.
+    ``min_rcond`` is the one floor on eta's exact reciprocal 1-norm
+    condition number: the workup refuses a trajectory below it, and the
+    isospectrality solves apply it.
     """
 
     sanity: float = 1e-12

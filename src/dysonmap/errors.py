@@ -39,10 +39,10 @@ class SingularityError(DysonMapError):
 
 
 class IllConditionedError(DysonMapError):
-    """Reciprocal condition estimate below the safe floor.
+    """Reciprocal condition number below the safe floor.
 
-    Carries the estimate and, when raised from a trajectory, the time stamp
-    of the offending sample.
+    Carries it and, when raised from a trajectory, the time stamp of the
+    offending sample.
     """
 
     def __init__(self, message: str, *, rcond: float, t: float | None = None):

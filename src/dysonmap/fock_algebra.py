@@ -4,8 +4,8 @@ Dense complex matrices on an N-level truncation, with the primitives the
 rest of the library is assembled from: ladder and number operators, basis
 states, normal-ordered products e^{x a†} e^{y a} that are exact blocks of
 the infinite-space operators (the package's only exponentials, among them
-the displacements D(theta)), the guard-block restriction and the
-reciprocal condition estimate.  No matrix exponential is computed.
+the displacements D(theta)) and the guard-block restriction.  No matrix
+exponential is computed.
 
 Units: hbar = 1; everything dimensionless.
 
@@ -153,15 +153,3 @@ def _exact_displacements(thetas, dim: int, cols=slice(None)) -> np.ndarray:
     scale = np.exp(-np.abs(thetas) ** 2 / 2.0)[:, None, None]
     return scale * _normal_ordered(thetas, -np.conj(thetas), dim, cols)
 
-
-def rcond_1norm(m: np.ndarray, anorm: float) -> float:
-    """Reciprocal 1-norm condition estimate of M, whose 1-norm is anorm, from its LU factors."""
-    from scipy.linalg import lapack  # 0.37 s to import; commands without solves skip it
-
-    lu, _, info = lapack.zgetrf(m)
-    if info > 0:
-        return 0.0
-    rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    if info < 0:
-        raise ValueError(f"internal condition estimate failed (info={info})")
-    return float(rcond)

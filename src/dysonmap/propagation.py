@@ -34,7 +34,7 @@ from .errors import (
     StepSizeError,
     TruncationWarning,
 )
-from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector, rcond_1norm
+from .fock_algebra import DEFAULT_GUARD, FockOperator, StateVector
 
 _TAIL_WARN = 1e-8  # guard-band population fraction above which a state warns
 
@@ -130,7 +130,8 @@ def _held_at(held: np.ndarray, samples: np.ndarray, ks):
 class DysonTrajectory:
     """The map at the sorted grid indices ``ks`` (0 always); read it with ``at``.
 
-    rcond covers every grid index.
+    rcond, the exact reciprocal 1-norm condition number, covers every
+    grid index.
     """
 
     grid: TimeGrid
@@ -174,7 +175,7 @@ class MapWindow:
     lo: int
     etas: np.ndarray              # in DysonTrajectory.etas's layout
     carry: dict
-    rcond: np.ndarray             # the rcond series of etas
+    rcond: np.ndarray             # the exact rcond of each of etas
 
     @property
     def dim(self) -> int:
@@ -302,11 +303,16 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
 
 
 def _rcond_series(etas: np.ndarray) -> np.ndarray:
-    """Reciprocal 1-norm condition estimate of each map in a stack."""
-    anorms = np.empty(len(etas))
+    """Exact reciprocal 1-norm condition number 1/(||eta||_1 ||eta^-1||_1) of each map in a stack.
+
+    numpy inverts a SAMPLE_CHUNK stack at a time; its condition number is
+    inf for a singular map and for one whose inverse is not finite, so
+    those read 0.
+    """
+    rcond = np.empty(len(etas))
     for sl in sample_chunks(len(etas)):
-        anorms[sl] = np.abs(etas[sl]).sum(axis=-2).max(axis=-1)
-    return np.array([rcond_1norm(m, a) for m, a in zip(etas, anorms)])
+        rcond[sl] = 1.0 / np.linalg.cond(etas[sl], 1)
+    return rcond
 
 
 def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverOptions, *,
@@ -378,11 +384,11 @@ def propagate_dyson(
     """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
 
     Refuses grids violating the step guard (with a workable step count in
-    the error); attaches per-sample reciprocal-condition estimates.  The
-    map is stepped MAP_WINDOW samples at a time; the result holds the
-    samples at ``keep``, sorted grid indices starting at 0 (default: every
-    index).  ``on_window`` is called with each window as a MapWindow, as
-    it is stepped.
+    the error); attaches each sample's exact reciprocal 1-norm condition
+    number (see _rcond_series).  The map is stepped MAP_WINDOW samples at
+    a time; the result holds the samples at ``keep``, sorted grid indices
+    starting at 0 (default: every index).  ``on_window`` is called with
+    each window as a MapWindow, as it is stepped.
     """
     options = options or SolverOptions()
     if H.dim != eta0.dim:

@@ -48,7 +48,15 @@ from dysonmap import (
 from dysonmap.diagnostics import _commutator_scale
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
-from dysonmap.propagation import MAP_WINDOW, SAMPLE_CHUNK, STAGE_CHUNK, _band_table, band_matrix
+from dysonmap.propagation import (
+    MAP_WINDOW,
+    SAMPLE_CHUNK,
+    STAGE_CHUNK,
+    _band_table,
+    _rcond_series,
+    band_matrix,
+    check_conditioning,
+)
 
 from conftest import load_bundled, rk4_reference, tiny_scenario, workup_trajectory
 
@@ -347,6 +355,38 @@ def test_min_rcond_is_the_applied_floor(s1_trajectory):
         scenario_workup(load_bundled("s1"), tol=Tolerances(min_rcond=0.5))
     assert ei.value.t is not None
     assert ei.value.rcond == pytest.approx(worst)
+
+
+def test_rcond_is_the_exact_condition_number(tiny_run):
+    # 1/(||eta||_1 ||eta^-1||_1) itself: an estimate of ||eta^-1||_1 is a
+    # lower bound, and overstates rcond
+    _, _, traj = tiny_run
+    window = traj.etas[MAP_WINDOW : 2 * MAP_WINDOW]
+    want = [1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)) for m in window]
+    np.testing.assert_allclose(traj.rcond[MAP_WINDOW : 2 * MAP_WINDOW], want, rtol=1e-14, atol=0)
+
+
+def test_singular_maps_read_rcond_zero(tiny_run):
+    # an exactly singular map and one whose inverse overflows read 0, and
+    # the regular maps of their stacks keep their values
+    _, _, traj = tiny_run
+    etas = traj.etas[: 2 * SAMPLE_CHUNK].copy()
+    regular = _rcond_series(etas)
+    etas[3, :, 5] = 0.0
+    etas[SAMPLE_CHUNK + 1] = np.diag(np.r_[1e-310, np.ones(traj.dim - 1)])
+    rcond = _rcond_series(etas)
+    assert rcond[3] == rcond[SAMPLE_CHUNK + 1] == 0.0
+    others = np.ones(len(etas), dtype=bool)
+    others[[3, SAMPLE_CHUNK + 1]] = False
+    assert np.array_equal(rcond[others], regular[others])
+    # a map that stays singular is refused, as below any floor
+    s, H, _ = tiny_run
+    zero = propagate_dyson(H, FockOperator(np.zeros((s.dim, s.dim))), s.grid,
+                           options=traj.options, keep=np.array([0]))
+    assert not np.any(zero.rcond)
+    with pytest.raises(IllConditionedError) as ei:
+        check_conditioning(zero)
+    assert ei.value.rcond == 0.0 and ei.value.t == s.grid.t0
 
 
 def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch):

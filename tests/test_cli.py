@@ -205,6 +205,18 @@ class TestConfigErrors:
         assert proc.returncode == 2, proc.stderr
         assert "must contain a mapping at top level" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["pt-phase", "sweep"])
+    @pytest.mark.parametrize("axis", ["kappa:0:inf:2", "kappa:0:inf:1", "kappa:nan:0.1:2",
+                                      "kappa:-inf:0:3"])
+    def test_non_finite_axis_ends_are_config_errors(self, work, command, axis):
+        # refused before linspace, which towards inf turns a finite start
+        # into nan with a RuntimeWarning, and an error that blames the point
+        proc = run_cli(command, "s1", "--axis", axis, "--out", str(work / "non_finite_axis"))
+        assert proc.returncode == 2, proc.stderr
+        start, stop = axis.split(":")[1:3]
+        assert proc.stderr == (
+            f"configuration error: --axis kappa: start and stop must be finite, got {start}:{stop}\n")
+
     def test_first_order_closed_forms_are_refused(self, work):
         bad = work / "first_order.yaml"
         bad.write_text(TINY.replace("perturbation_order: 2", "perturbation_order: 1"))

@@ -184,6 +184,12 @@ class TestTimeIndependentLimit:
         # stronger drive, so the first-order deviation is larger than s1's
         assert 0.372 < ser["analytic_vs_numeric"].terminal < 0.378
 
+    def test_condition_max_is_exact(self, time_independent_workup):
+        # what `diagnose time_independent` reports; LAPACK's 1-norm
+        # estimate of the same number reads 5.94
+        report, _, _ = time_independent_workup
+        assert report.condition_max == pytest.approx(9.4754, rel=1e-4)
+
 
 class TestStencilSpacing:
     def test_flow_residual_scales_with_spacing(self, gamma_drift_workup, gamma_drift_trajectory):

@@ -1,4 +1,4 @@
-"""Imports: every module-level one is used, and scipy stays lazy and small.
+"""Imports: every module-level one is used, and no command loads scipy.
 
 Deleting code can leave an import behind that nothing reads; this finds it
 with the standard library's ast, so it needs no linter.  It walks the
@@ -44,40 +44,41 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
 
 
-def _cli_subprocess(code: str) -> subprocess.CompletedProcess:
+# Runs four commands in-process with every scipy import refused, and prints
+# their exit codes, the refused imports and the scipy modules loaded.
+NO_SCIPY = """\
+import sys
+
+
+class RefuseScipy:
+    refused = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.refused.append(name)
+            raise ImportError(f"{name} is a test-only dependency")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from dysonmap.cli import main
+
+small = ["--set", "dim=12", "--set", "grid.steps=2000"]
+commands = [
+    ["run", "s1", *small],
+    ["diagnose", "s1", *small],
+    ["sweep", "s1", *small, "--axis", "kappa:0.05:0.1:2"],
+    ["pt-phase", "s1", "--axis", "alpha.c.arg:0:3.14:5"],
+]
+codes = [main([*args, "--out", f"{sys.argv[1]}/{i}"]) for i, args in enumerate(commands)]
+print(codes, RefuseScipy.refused, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy serves the tests as a reference and is no runtime dependency
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-
-
-def test_run_needs_no_exponential_and_no_scipy_integrate(tmp_path):
-    # eta0 and the displacements are normal-ordered and the Simpson rule is
-    # numpy's; only the rcond estimate reaches into scipy.linalg
-    code = (
-        "import sys\n"
-        "import scipy.linalg\n"
-        "def refuse(*args, **kwargs):\n"
-        "    raise AssertionError('scipy.linalg.expm called')\n"
-        "scipy.linalg.expm = refuse\n"
-        "from dysonmap.cli import main\n"
-        "code = main(['run', 's1', '--set', 'dim=12', '--set', 'grid.steps=2000',\n"
-        f"             '--out', {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
-        "sys.exit(code)\n"
-    )
-    proc = _cli_subprocess(code)
+    env = dict(os.environ, PYTHONPATH=path, DYSONMAP_WORKERS="1")
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_pt_phase_never_imports_scipy(tmp_path):
-    # scipy.linalg and scipy.integrate take about 0.6 s to import, which pt-phase never needs
-    code = (
-        "import sys\n"
-        "from dysonmap.cli import main\n"
-        f"main(['pt-phase', 's1', '--axis', 'alpha.c.arg:0:3.14:5', '--out', {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
-    proc = _cli_subprocess(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] []"
