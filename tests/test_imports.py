@@ -44,8 +44,9 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
 
 
-# Runs four commands in-process with every scipy import refused, and prints
-# their exit codes, the refused imports and the scipy modules loaded.
+# Runs the commands given in argv[2:] (one per argument, words split on
+# spaces) in-process with every scipy import refused, and prints their exit
+# codes, the refused imports and the scipy modules loaded.
 NO_SCIPY = """\
 import sys
 
@@ -62,23 +63,31 @@ class RefuseScipy:
 sys.meta_path.insert(0, RefuseScipy())
 from dysonmap.cli import main
 
-small = ["--set", "dim=12", "--set", "grid.steps=2000"]
-commands = [
-    ["run", "s1", *small],
-    ["diagnose", "s1", *small],
-    ["sweep", "s1", *small, "--axis", "kappa:0.05:0.1:2"],
-    ["pt-phase", "s1", "--axis", "alpha.c.arg:0:3.14:5"],
-]
+commands = [args.split() for args in sys.argv[2:]]
 codes = [main([*args, "--out", f"{sys.argv[1]}/{i}"]) for i, args in enumerate(commands)]
 print(codes, RefuseScipy.refused, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+SMALL = "--set dim=12 --set grid.steps=2000"
 
-def test_no_command_loads_scipy(tmp_path):
+
+def _refusing_scipy(tmp_path, *commands: str) -> str:
     # scipy serves the tests as a reference and is no runtime dependency
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, DYSONMAP_WORKERS="1")
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path), *commands],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_run_needs_no_exponential_and_no_scipy_integrate(tmp_path):
+    # with scipy refused, no command can reach scipy.linalg.expm or scipy.integrate
+    last = _refusing_scipy(tmp_path, f"run s1 {SMALL}", f"diagnose s1 {SMALL}",
+                           f"sweep s1 {SMALL} --axis kappa:0.05:0.1:2")
+    assert last == "[0, 0, 0] [] []"
+
+
+def test_pt_phase_never_imports_scipy(tmp_path):
+    last = _refusing_scipy(tmp_path, "pt-phase s1 --axis alpha.c.arg:0:3.14:5")
+    assert last == "[0] [] []"
