@@ -1,9 +1,9 @@
 """Time-dependent Dyson maps for a driven oscillator on a truncated Fock space.
 
 The package integrates the non-unitary map flow i d(eta)/dt = eta H(t),
-builds the Hermitian counterpart h = 2 eta H eta^-1, carries the exact
-displaced-number solution of the counterpart dynamics, and cross-checks
-the two routes with guard-band-restricted residual diagnostics.  The CLI
+carries the exact displaced-number solution of the dynamics of the
+Hermitian counterpart h = 2 eta H eta^-1, and cross-checks the two routes
+with guard-band-restricted residual diagnostics.  The CLI
 (`dysonmap`) drives everything from YAML scenario files.
 """
 
@@ -32,10 +32,8 @@ from .propagation import (
     DysonTrajectory,
     GeneratorFn,
     MapWindow,
-    SolverOptions,
     StateTrajectory,
     TimeGrid,
-    hermitian_counterpart,
     propagate_dyson,
     propagate_state,
     rk4_samples,
@@ -48,7 +46,6 @@ from .model_oscillator import (
     PTReport,
     Scenario,
     ValidationReport,
-    closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
     hamiltonian_fn,

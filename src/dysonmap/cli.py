@@ -241,7 +241,11 @@ def _resolve_scenario_path(ref: str) -> Path:
 def _load_doc(ref: str) -> tuple[dict, str]:
     path = _resolve_scenario_path(ref)
     try:
-        doc = yaml.load(path.read_text(), Loader=_Loader)
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1} column {mark.column + 1}" if mark else ""

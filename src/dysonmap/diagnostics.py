@@ -72,8 +72,8 @@ class Tolerances:
     1e-6, the static intertwining residual at 1e-7, and the drive-strength
     envelope max(floor, C kappa^2) with C a calibration constant.
     ``min_rcond`` is the one floor on eta's exact reciprocal 1-norm
-    condition number: the workup refuses a trajectory below it, and the
-    isospectrality solves apply it.
+    condition number: the workup refuses a trajectory below it, and feeds
+    the solve-based checks no window below it.
     """
 
     sanity: float = 1e-12
@@ -269,7 +269,7 @@ class _ConstancyPass(_StridedPass):
     names = ("metric_constancy",)
 
     def __init__(self, traj: DysonTrajectory | MapWindow):
-        self.rho0 = low_block(traj.rho0.mat, traj.options.guard)
+        self.rho0 = low_block(traj.rho0.mat, traj.guard)
         super().__init__(traj.grid, np.arange(traj.grid.steps + 1))
 
     def evaluate(self):
@@ -302,7 +302,7 @@ class _StencilPass(_StridedPass):
             raise ValueError("stencil spacing must be >= 1")
         grid = traj.grid
         st = default_stride(grid.steps) if stride is None else stride
-        self.H, self.dt, self.spacing, self.k = H, grid.dt, spacing, traj.dim - traj.options.guard
+        self.H, self.dt, self.spacing, self.k = H, grid.dt, spacing, traj.dim - traj.guard
         super().__init__(grid, np.arange(max(st, spacing), grid.steps - spacing + 1, st))
 
     def reads(self, sl: slice) -> np.ndarray:
@@ -471,13 +471,14 @@ def isospectrality_check(
     normal-ordered, exact displacement, built for the columns ms only.
     Each sampled eta is factored once for all of ms.  traj is a whole
     trajectory, whose reciprocal condition numbers at the sampled indices
-    are first checked against its rcond_floor, or one window of a streamed
-    map, whose caller applies the floor; given a window, the series hold
-    the samples that window completes.
+    are first checked against the default Tolerances().min_rcond, or one
+    window of a streamed map, whose caller applies its floor; given a
+    window, the series hold the samples that window completes.
     """
     ms = tuple(ms)
     if isinstance(traj, DysonTrajectory):
-        check_conditioning(traj, _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
+        check_conditioning(traj, Tolerances().min_rcond,
+                           _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
     out = _fed(traj, ("isospectrality", ms, stride),
                lambda: _IsospectralPass(s, lr, ms, stride))
     return {m: out[f"isospectrality_m{m}"] for m in ms}
@@ -572,14 +573,15 @@ def scenario_workup(
     preconditions cannot be met (closed forms on a non-validated scenario)
     or whose series took no sample are recorded as skipped.
 
-    The |0>, |1> pair is stepped first; it applies the step guard, and it
-    holds only the samples that its checks read.  The map is then streamed
-    a window at a time through every per-sample check, and only the three
-    samples of the r2 scale are held, so no array as long as the
-    trajectory is.  The conditioning floor is applied to the whole rcond
-    series after the last window, so a refusal names the worst sample; the
-    solve-based checks are fed no window from the first one that holds a
-    map below the floor.
+    The closed-form pipeline runs first, so a theta beyond floating-point
+    range is refused before anything is stepped.  The |0>, |1> pair is
+    stepped next; it applies the step guard, and it holds only the samples
+    that its checks read.  The map is then streamed a window at a time
+    through every per-sample check, and only the three samples of the r2
+    scale are held, so no array as long as the trajectory is.  The floor
+    tol.min_rcond is applied to the whole rcond series after the last
+    window, so a refusal names the worst sample; the solve-based checks are
+    fed no window from the first one that holds a map below it.
     """
     tol = tol or Tolerances()
     try:
@@ -590,15 +592,14 @@ def scenario_workup(
 
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    options = s_run.solver_options(rcond_floor=tol.min_rcond)
+    lr = lr_pipeline(s_run) if s_run.validated else None
     grid, dim = s_run.grid, s_run.dim
     reads = [np.zeros(1, dtype=int), _strided_indices(grid, stride, _EQUIVALENCE_TARGET)]
     if s_run.validated:
         reads.append(_strided_indices(grid, None, target=_DEVIATION_TARGET))
-    psi = propagate_state(H, basis_state(0, dim), grid, options=options,
+    psi = propagate_state(H, basis_state(0, dim), grid, guard=s_run.guard,
                           companions=(basis_state(1, dim),), keep=np.unique(np.concatenate(reads)))
     states = (psi, *psi.companions)
-    lr = lr_pipeline(s_run) if s_run.validated else None
 
     parts: dict[str, list[ResidualSeries]] = {}  # each series' per-window parts, by name
     solvable = lr is not None
@@ -610,16 +611,16 @@ def scenario_workup(
             *quasi_hermiticity_residuals(window, H, stride=stride),
             *equivalence_checks(s_run, window, states, lr, stride=stride),
         ]
-        solvable = solvable and not np.any(window.rcond < options.rcond_floor)
+        solvable = solvable and not np.any(window.rcond < tol.min_rcond)
         if solvable:
             got += [*isospectrality_check(s_run, lr, window).values(),
                     analytic_vs_numeric(s_run, lr, window, psi)]
         for ser in filter(None, got):  # equivalence_observable is None without lr
             parts.setdefault(ser.name, []).append(ser)
 
-    traj = propagate_dyson(H, eta0, grid, options=options,
+    traj = propagate_dyson(H, eta0, grid, guard=s_run.guard,
                            keep=np.unique(_scale_indices(grid)), on_window=check_window)
-    check_conditioning(traj)
+    check_conditioning(traj, tol.min_rcond)
     series = {name: _joined(ps) for name, ps in parts.items()}
 
     env = tol.envelope(s_run.kappa)
@@ -664,5 +665,5 @@ def _commutator_scale(traj: DysonTrajectory, H: GeneratorFn) -> float:
         e = traj.at(k)
         rho = e.conj().T @ e
         h = H(float(traj.grid.points[k])).mat
-        vals.append(np.linalg.norm(low_block(rho @ h, traj.options.guard)))
+        vals.append(np.linalg.norm(low_block(rho @ h, traj.guard)))
     return max(float(max(vals)), _ABS_FLOOR)

@@ -38,12 +38,7 @@ from .fock_algebra import (
     low_block,
     number_operator,
 )
-from .propagation import (
-    GeneratorFn,
-    SolverOptions,
-    TimeGrid,
-    sample_chunks,
-)
+from .propagation import GeneratorFn, TimeGrid, sample_chunks
 
 _FORMS = ("constant", "polynomial", "sinusoid", "exp_ramp")
 _REAL_TOL = 1e-10          # reality/symmetry checks on sampled coefficients
@@ -168,9 +163,6 @@ class Scenario:
             raise InvalidDimensionError(
                 f"guard band {self.guard} incompatible with dim {self.dim}"
             )
-
-    def solver_options(self, **overrides) -> SolverOptions:
-        return SolverOptions(guard=self.guard, **overrides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,18 +436,6 @@ def quadrature_frame(s: Scenario, lr: LRQuantities, k):
     return lr.chi[k], shift1, shift2
 
 
-def closed_form_counterpart(s: Scenario, lr: LRQuantities, k: int) -> FockOperator:
-    """h(t_k) = 2 [omega a†a + u a + u* a† + f] from the drive functions."""
-    a, ad = ladder_operators(s.dim)
-    nmat = number_operator(s.dim).mat
-    u = complex(lr.u[k])
-    om = complex(s.omega(s.grid.points[k]))
-    f = float(lr.f[k])
-    return FockOperator(
-        2.0 * (om * nmat + u * a.mat + np.conj(u) * ad.mat + f * np.eye(s.dim))
-    )
-
-
 def _level_energies(kappa: float, om, al, be, m):
     """E_m = 2 omega m - 2 kappa^2 alpha beta / omega from sampled coefficients.
 
@@ -578,7 +558,9 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     involved, and the phase base int [f + Re(u theta)] with upsilon =
     exp(-i phase base).  f keeps the whole kappa^2 alpha beta term, so
     2 omega m + 2 f - 2|u|^2/omega is the exact level E_m of
-    counterpart_energy.
+    counterpart_energy.  Raises ExponentialRangeError when D(theta)
+    overflows at the largest |theta|, where it overflows first: the entries
+    of its normal-ordered factors grow with |theta|.
     """
     _require_validated(s)
     grid = s.grid
@@ -604,8 +586,16 @@ def lr_pipeline(s: Scenario) -> LRQuantities:
     f = (np.abs(u) ** 2 - s.kappa**2 * al * be) / om
 
     source = _cumulative_simpson(np.conj(u) * np.exp(2j * chi), half_dt)[::2]
-    # + 0j turns a -0.0 part into +0.0, so a zero theta prints as 0
-    theta = np.exp(-2j * chi[::2]) * (complex(s.theta0) - 1j * source) + 0j
+    with np.errstate(over="ignore", invalid="ignore"):  # the typed error below reports it
+        # + 0j turns a -0.0 part into +0.0, so a zero theta prints as 0
+        theta = np.exp(-2j * chi[::2]) * (complex(s.theta0) - 1j * source) + 0j
+        worst = int(np.argmax(np.abs(theta)))  # or the first nan, which D refuses too
+        displaced = _exact_displacements(theta[[worst]], s.dim)
+    if not np.all(np.isfinite(displaced)):
+        raise ExponentialRangeError(
+            f"D(theta) with |theta| = {abs(theta[worst]):.3e} at "
+            f"t = {grid.points[worst]:.6g} overflows"
+        )
     u_grid, f_grid = u[::2].copy(), f[::2].real.copy()
     phase_base = _cumulative_simpson(f_grid + (u_grid * theta).real, grid.dt)
     return LRQuantities(

@@ -3,9 +3,8 @@
 The central object is the invertible map eta(t) obeying the right-sided
 matrix equation i d/dt eta = eta H(t), integrated as a time-ordered product
 by fixed-step classical RK4 (never by exponentiating an integral: H(t) at
-different times need not commute).  From the sampled trajectory this module
-derives the Hermitian counterpart 2 eta H eta^-1.  For a Hermitian
-generator and a unitary eta0 the same flow is the unitary one.
+different times need not commute).  For a Hermitian generator and a
+unitary eta0 the same flow is the unitary one.
 
 A generator is its ladder bands (H = d a†a + u a + l a†): they are
 sampled once per grid and applied as a tridiagonal update.  The map is
@@ -53,6 +52,9 @@ MAP_WINDOW = 8 * SAMPLE_CHUNK
 # Half-steps whose ladder columns rk4_samples builds at once: 512 x 3
 # columns of 32 complex levels are 0.8 MB.
 STAGE_CHUNK = 512
+
+# rk4_samples refuses a grid on which max_t ||H(t)||_F * dt exceeds this.
+STEP_GUARD = 0.1
 
 
 def sample_chunks(n: int):
@@ -111,13 +113,6 @@ class GeneratorFn:
         return FockOperator(band_matrix(self.dim, *self.bands(t)))
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    guard: int = DEFAULT_GUARD
-    step_guard: float = 0.1        # refuse when max_t ||H(t)||_F * dt exceeds this
-    rcond_floor: float = 1e-12
-
-
 def _held_at(held: np.ndarray, samples: np.ndarray, ks):
     """samples at grid indices ks (an index or an array), which held (sorted) must list."""
     pos = np.searchsorted(held, ks)
@@ -137,7 +132,7 @@ class DysonTrajectory:
     grid: TimeGrid
     etas: np.ndarray              # (len(ks), dim, dim), a view of the eta^T layout
     rcond: np.ndarray             # (steps+1,)
-    options: SolverOptions
+    guard: int                    # the guard band the checks exclude
     ks: np.ndarray
     rho0: FockOperator            # eta0† eta0, the metric at t0
 
@@ -148,11 +143,6 @@ class DysonTrajectory:
     @property
     def eta0(self) -> FockOperator:
         return FockOperator(self.etas[0])
-
-    @property
-    def times(self) -> np.ndarray:
-        """The grid points of the held samples."""
-        return self.grid.points[self.ks]
 
     def at(self, ks):
         """The maps at grid indices ks (an index or an array of them), which must be held."""
@@ -170,7 +160,7 @@ class MapWindow:
     """
 
     grid: TimeGrid
-    options: SolverOptions
+    guard: int                    # as DysonTrajectory.guard
     rho0: FockOperator            # as DysonTrajectory.rho0
     lo: int
     etas: np.ndarray              # in DysonTrajectory.etas's layout
@@ -193,7 +183,7 @@ class StateTrajectory:
 
     grid: TimeGrid
     amplitudes: np.ndarray        # (len(ks), dim)
-    options: SolverOptions
+    guard: int                    # the guard band whose population tail_mass_max reads
     ks: np.ndarray
     tail_mass_max: float
     companions: tuple[StateTrajectory, ...] = ()
@@ -315,7 +305,7 @@ def _rcond_series(etas: np.ndarray) -> np.ndarray:
     return rcond
 
 
-def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverOptions, *,
+def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, *,
                 right: bool, keep: np.ndarray | None, on_window) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 of i dy/dt = H(t) y (H^T y when ``right``); returns (keep, held samples).
 
@@ -326,7 +316,7 @@ def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverO
     are built for STAGE_CHUNK half-steps at a time (the products are
     elementwise, so the columns have the same bits either way).
 
-    Refuses grids violating the step guard.  Samples are stepped into one
+    Refuses grids violating STEP_GUARD.  Samples are stepped into one
     MAP_WINDOW buffer; ``keep`` is sorted distinct grid indices starting at
     0 (None: every index), and on_window(lo, block) gets each window, which
     holds samples lo .. lo + len(block) - 1, after its kept samples are
@@ -335,7 +325,7 @@ def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, options: SolverO
     keep = np.arange(grid.steps + 1) if keep is None else np.asarray(keep)
     if not (keep[0] == 0 and keep[-1] <= grid.steps and np.all(np.diff(keep) > 0)):
         raise ValueError("keep must be sorted distinct grid indices starting at 0")
-    _check_step_guard(H, grid, options.step_guard)
+    _check_step_guard(H, grid, STEP_GUARD)
     dt = grid.dt
     table = -1j * _band_table(H, grid.t0 + (dt / 2.0) * np.arange(2 * grid.steps + 1))
     d, u, l = table[:, :, None, None]
@@ -376,7 +366,7 @@ def propagate_dyson(
     H: GeneratorFn,
     eta0: FockOperator,
     grid: TimeGrid,
-    options: SolverOptions | None = None,
+    guard: int = DEFAULT_GUARD,
     *,
     keep: np.ndarray | None = None,
     on_window: Callable[[MapWindow], None] | None = None,
@@ -388,9 +378,9 @@ def propagate_dyson(
     number (see _rcond_series).  The map is stepped MAP_WINDOW samples at
     a time; the result holds the samples at ``keep``, sorted grid indices
     starting at 0 (default: every index).  ``on_window`` is called with
-    each window as a MapWindow, as it is stepped.
+    each window as a MapWindow, as it is stepped.  ``guard`` is the guard
+    band that the checks of the result and of its windows exclude.
     """
-    options = options or SolverOptions()
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
     rcond = np.empty(grid.steps + 1)
@@ -404,19 +394,19 @@ def propagate_dyson(
             rho0 = FockOperator(etas[0].conj().T @ etas[0])
         rcond[lo : lo + len(etas)] = _rcond_series(etas)
         if on_window is not None:
-            on_window(MapWindow(grid, options, rho0, lo, etas, carry, rcond[lo : lo + len(etas)]))
+            on_window(MapWindow(grid, guard, rho0, lo, etas, carry, rcond[lo : lo + len(etas)]))
 
-    keep, held = rk4_samples(H, np.ascontiguousarray(eta0.mat.T), grid, options,
+    keep, held = rk4_samples(H, np.ascontiguousarray(eta0.mat.T), grid,
                              right=True, keep=keep, on_window=window)
     return DysonTrajectory(grid=grid, etas=held.transpose(0, 2, 1), rcond=rcond,
-                           options=options, ks=keep, rho0=rho0)
+                           guard=guard, ks=keep, rho0=rho0)
 
 
 def propagate_state(
     H: GeneratorFn,
     psi0: StateVector,
     grid: TimeGrid,
-    options: SolverOptions | None = None,
+    guard: int = DEFAULT_GUARD,
     *,
     companions: Sequence[StateVector] = (),
     keep: np.ndarray | None = None,
@@ -429,8 +419,8 @@ def propagate_state(
     trajectories are the result's ``companions``, in order.  As in
     propagate_dyson, the block is stepped a window at a time and each
     trajectory holds the samples at ``keep`` (default: every index).
+    ``tail_mass_max`` reads the population of the top ``guard`` levels.
     """
-    options = options or SolverOptions()
     psis = (psi0, *companions)
     for psi in psis:
         if H.dim != psi.dim:
@@ -440,12 +430,12 @@ def propagate_state(
     def window(lo: int, block: np.ndarray):
         for i in range(len(psis)):
             mass = np.abs(block[:, :, i]) ** 2
-            tail = mass[:, H.dim - options.guard :].sum(axis=1)
+            tail = mass[:, H.dim - guard :].sum(axis=1)
             total = mass.sum(axis=1)
             tails[i] = max(tails[i], float(np.max(tail / np.where(total > 0, total, 1.0))))
 
     y0 = np.stack([psi.vec for psi in psis], axis=1)
-    keep, held = rk4_samples(H, y0, grid, options, right=False, keep=keep, on_window=window)
+    keep, held = rk4_samples(H, y0, grid, right=False, keep=keep, on_window=window)
     for tail in tails:  # warned here, after the last window, so that it points at the caller
         if tail > _TAIL_WARN:
             warnings.warn(
@@ -453,42 +443,24 @@ def propagate_state(
                 TruncationWarning,
                 stacklevel=2,
             )
-    trajectories = [StateTrajectory(grid, held[:, :, i], options, keep, tails[i])
+    trajectories = [StateTrajectory(grid, held[:, :, i], guard, keep, tails[i])
                     for i in range(len(psis))]
     return replace(trajectories[0], companions=tuple(trajectories[1:]))
 
 
-def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
-    """Refuse when eta's rcond at samples ks (default all) is below the floor.
+def check_conditioning(traj: DysonTrajectory, floor: float, ks: np.ndarray | None = None):
+    """Refuse when eta's rcond at samples ks (default all) is below floor.
 
-    The floor is ``traj.options.rcond_floor``; the error names the worst
-    sample's time.
+    The caller passes the floor (a workup's is Tolerances.min_rcond); the
+    error names the worst sample's time.
     """
     rcond = traj.rcond if ks is None else traj.rcond[ks]
     i = int(np.argmin(rcond))
     k = i if ks is None else int(ks[i])
-    if traj.rcond[k] < traj.options.rcond_floor:
+    if traj.rcond[k] < floor:
         raise IllConditionedError(
             f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
             f"t = {traj.grid.points[k]:.6g}",
             rcond=float(traj.rcond[k]),
             t=float(traj.grid.points[k]),
         )
-
-
-def hermitian_counterpart(traj: DysonTrajectory, H: GeneratorFn) -> np.ndarray:
-    """h(t_k) = 2 eta H eta^-1 at every held sample, as a (len(etas), dim, dim) array.
-
-    Each chunk forms eta H through H's bands and solves the transposed
-    system eta^T (h/2)^T = (eta H)^T for all of its samples at once.
-    """
-    check_conditioning(traj)
-    ts = traj.times
-    hs = np.empty(traj.etas.shape, dtype=complex)
-    for sl in sample_chunks(len(ts)):
-        es = traj.etas[sl]
-        eh = apply_generator(H, ts[sl], es, right=True)
-        half = np.linalg.solve(np.swapaxes(es, -1, -2), np.swapaxes(eh, -1, -2))
-        hs[sl] = 2.0 * np.swapaxes(half, -1, -2)
-    return hs
-

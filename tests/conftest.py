@@ -3,7 +3,7 @@
 The bundled-scenario workups dominate the suite's runtime, so each one is
 computed once per session and shared across modules.  A workup never holds
 the whole map; the trajectory fixtures step it again with the workup's
-options for the tests that read eta itself.  The tiny dim-12 run exists
+guard for the tests that read eta itself.  The tiny dim-12 run exists
 for tests that need a trajectory but not the full 8000-step grids.
 """
 
@@ -17,9 +17,10 @@ from dysonmap import (
     GeneratorFn,
     Scenario,
     TimeGrid,
-    Tolerances,
     hamiltonian_fn,
     initial_map,
+    ladder_operators,
+    number_operator,
     propagate_dyson,
     scenario_workup,
     validated_scenario,
@@ -65,6 +66,16 @@ def ladder_generator(dim, d, u=0.0, l=0.0):
     return GeneratorFn(dim=dim, bands=lambda ts: tuple(sample(c, ts) for c in (d, u, l)))
 
 
+def closed_form_counterpart(s, lr, k):
+    """h(t_k) = 2 [omega a†a + u a + u* a† + f] from the drive functions, dense."""
+    a, ad = ladder_operators(s.dim)
+    nmat = number_operator(s.dim).mat
+    u = complex(lr.u[k])
+    om = complex(s.omega(s.grid.points[k]))
+    f = float(lr.f[k])
+    return 2.0 * (om * nmat + u * a.mat + np.conj(u) * ad.mat + f * np.eye(s.dim))
+
+
 def tiny_scenario(**overrides):
     """Dim-12 shrink of the constant-drive scenario; passes its workup."""
     base = dict(
@@ -106,11 +117,10 @@ def time_independent_workup():
 
 
 def workup_trajectory(s_run):
-    """The whole map that a workup returning s_run streams, with the workup's options."""
+    """The whole map that a workup returning s_run streams, with the workup's guard."""
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    options = s_run.solver_options(rcond_floor=Tolerances().min_rcond)
-    return propagate_dyson(H, eta0, s_run.grid, options=options)
+    return propagate_dyson(H, eta0, s_run.grid, guard=s_run.guard)
 
 
 @pytest.fixture(scope="session")
@@ -134,5 +144,5 @@ def tiny_run():
     s_run, _ = validated_scenario(tiny_scenario())
     H = hamiltonian_fn(s_run)
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-    traj = propagate_dyson(H, eta0, s_run.grid, options=s_run.solver_options())
+    traj = propagate_dyson(H, eta0, s_run.grid, guard=s_run.guard)
     return s_run, H, traj

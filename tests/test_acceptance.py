@@ -14,15 +14,12 @@ import scipy.linalg
 from dysonmap import (
     CoefficientSpec,
     FockOperator,
-    SolverOptions,
     TimeGrid,
     Tolerances,
     analytic_vs_numeric,
     basis_state,
-    closed_form_counterpart,
     counterpart_energy,
     hamiltonian_fn,
-    hermitian_counterpart,
     initial_map,
     low_block,
     lr_pipeline,
@@ -35,7 +32,7 @@ from dysonmap import (
 from dysonmap.fock_algebra import _exact_displacements
 from dysonmap.model_oscillator import quadrature_frame, quadratures
 
-from conftest import ladder_generator, load_bundled, rebuild
+from conftest import closed_form_counterpart, ladder_generator, load_bundled, rebuild
 
 TOL = Tolerances()
 SWEEP_KAPPAS = (0.1, 0.05, 0.025)
@@ -61,7 +58,7 @@ def r2_halving(s1_workup, s2_workup):
         fine = rebuild(s, grid=TimeGrid(s.grid.t0, s.grid.t1, 2 * s.grid.steps))
         H = hamiltonian_fn(fine)
         eta0 = initial_map(fine, complex(fine.gamma0), complex(fine.lambda0))
-        traj = propagate_dyson(H, eta0, fine.grid, options=fine.solver_options())
+        traj = propagate_dyson(H, eta0, fine.grid, guard=fine.guard)
         r2_fine, _ = quasi_hermiticity_residuals(traj, H)
         out[name] = (report.series["r2"].max, r2_fine.max)
         del traj
@@ -77,7 +74,7 @@ def kappa_sweep(s1_workup, s1_trajectory):
         s_run, _ = validated_scenario(rebuild(load_bundled("s1"), kappa=kappa))
         H = hamiltonian_fn(s_run)
         eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
-        traj = propagate_dyson(H, eta0, s_run.grid, options=s_run.solver_options())
+        traj = propagate_dyson(H, eta0, s_run.grid, guard=s_run.guard)
         points[kappa] = (s_run, lr_pipeline(s_run), traj)
     return points
 
@@ -107,27 +104,42 @@ def test_criterion_03_fixed_metric_unitarity(s1_workup):
     assert _line(3, ok, "fixed-metric pairing constant", f"max drift {dev:.3e} <= 1e-06")
 
 
+def _counterparts(traj, H, chunk=256):
+    """(grid indices, h = 2 eta H eta^-1) at every held sample, a chunk of samples at a time.
+
+    Plain numpy: h^T = 2 eta^-T (eta H)^T by one stacked solve per chunk,
+    with H(t) dense.
+    """
+    for lo in range(0, len(traj.ks), chunk):
+        ks, es = traj.ks[lo : lo + chunk], traj.etas[lo : lo + chunk]
+        eh = es @ np.stack([H(t).mat for t in traj.grid.points[ks]])
+        half = np.linalg.solve(np.swapaxes(es, 1, 2), np.swapaxes(eh, 1, 2))
+        yield ks, 2.0 * np.swapaxes(half, 1, 2)
+
+
 def test_criterion_04_counterpart_similarity(kappa_sweep):
+    # on these constant-metric runs h is Hermitian and equals the closed
+    # form exactly, so both misses sit at rounding level times cond(eta)
+    # (about 30), far below the envelope max(1e-6, C kappa^2)
     ok = True
     coeffs = []
     details = []
+    bound = 1e-12
     for kappa in SWEEP_KAPPAS:
         s, lr, traj = kappa_sweep[kappa]
-        H = hamiltonian_fn(s)
-        hs = hermitian_counterpart(traj, H)
         band = s.dim - s.guard
-        skew = np.linalg.norm((hs - np.conj(np.swapaxes(hs, 1, 2)))[:, :band, :band], axis=(1, 2))
-        herm = float(np.max(skew / np.linalg.norm(hs[:, :band, :band], axis=(1, 2))))
-        ks = range(0, s.grid.steps + 1, 400)
-        match = max(
-            _rel_block(hs[k] - closed_form_counterpart(s, lr, k).mat,
-                       closed_form_counterpart(s, lr, k).mat, s.guard)
-            for k in ks
-        )
-        bound = max(1e-6, TOL.envelope_coeff * kappa**2)
+        herm = match = 0.0
+        for ks, hs in _counterparts(traj, hamiltonian_fn(s)):
+            blocks = hs[:, :band, :band]
+            skew = np.linalg.norm(blocks - np.conj(np.swapaxes(blocks, 1, 2)), axis=(1, 2))
+            herm = max(herm, float(np.max(skew / np.linalg.norm(blocks, axis=(1, 2)))))
+            for k, h in zip(ks, hs):
+                if k % 400 == 0:
+                    closed = closed_form_counterpart(s, lr, k)
+                    match = max(match, _rel_block(h - closed, closed, s.guard))
         ok = ok and herm <= bound and match <= bound
         coeffs.append(herm / kappa**2)
-        details.append(f"kappa={kappa}: herm {herm:.2e}, closed-form match {match:.2e} <= {bound:.2e}")
+        details.append(f"kappa={kappa}: herm {herm:.2e}, closed-form match {match:.2e} <= {bound:.0e}")
     details.append(f"C = max(herm/kappa^2) = {max(coeffs):.2e}")
     assert _line(4, ok, "Hermitian counterpart", "; ".join(details))
 
@@ -141,7 +153,7 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
         bound = max(1e-6, TOL.envelope_coeff * kappa**2)
         for m in (0, 1, 2):
             psi = propagate_state(hamiltonian_fn(s), basis_state(m, s.dim), s.grid,
-                                  options=traj.options)
+                                  guard=traj.guard)
             term = analytic_vs_numeric(s, lr, traj, psi).terminal
             ok = ok and term <= bound
             worst = max(worst, term / bound)
@@ -206,7 +218,7 @@ def test_criterion_07_eigensystem(kappa_sweep):
         s, lr, _ = kappa_sweep[kappa]
         k = s.grid.steps // 4
         t = float(s.grid.points[k])
-        h = closed_form_counterpart(s, lr, k).mat
+        h = closed_form_counterpart(s, lr, k)
         zetas = _exact_displacements(-np.conj(lr.xi[[k]]), s.dim, [0, 1, 2])[0]
         energies = counterpart_energy(s, [0, 1, 2], t)
         res = max(float(np.linalg.norm(h @ z - e * z) / np.linalg.norm(z))
@@ -271,7 +283,7 @@ def test_criterion_10_unitary_transform():
     Hh = ladder_generator(dim, lambda t: 1.0 + 0.25 * np.sin(t), 0.3, 0.3)
     grid = TimeGrid(0.0, 2 * np.pi, 4000)
     # the map flow of a Hermitian generator from the identity is the unitary one
-    traj = propagate_dyson(Hh, FockOperator(np.eye(dim)), grid, options=SolverOptions(guard=4))
+    traj = propagate_dyson(Hh, FockOperator(np.eye(dim)), grid, guard=4)
     dev = max(
         float(np.linalg.norm(u @ u.conj().T - np.eye(dim))) for u in traj.etas[::50]
     )

@@ -19,7 +19,13 @@ from dysonmap import (
     propagate_dyson,
     propagate_state,
 )
-from dysonmap.propagation import _band_norms, _band_table, ladder_columns, ladder_rows
+from dysonmap.propagation import (
+    STEP_GUARD,
+    _band_norms,
+    _band_table,
+    ladder_columns,
+    ladder_rows,
+)
 
 from conftest import rk4_reference
 
@@ -115,12 +121,11 @@ def test_step_guard_recommendation_matches_dense(tiny_run):
     s_run, H, _ = tiny_run
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     coarse = TimeGrid(s_run.grid.t0, s_run.grid.t1, 50)
-    options = s_run.solver_options()
     with pytest.raises(StepSizeError) as ei:
-        propagate_dyson(H, eta0, coarse, options=options)
+        propagate_dyson(H, eta0, coarse, guard=s_run.guard)
     dense_max = max(float(np.linalg.norm(H(t).mat)) for t in coarse.points)
     span = coarse.t1 - coarse.t0
-    assert ei.value.recommended_steps == math.ceil(span * dense_max / options.step_guard)
+    assert ei.value.recommended_steps == math.ceil(span * dense_max / STEP_GUARD)
 
 
 def test_step_guard_without_a_finite_step_count():
@@ -150,8 +155,7 @@ def test_banded_trajectories_match_dense():
     )
     H = hamiltonian_fn(s)
     eta0 = initial_map(s, 0.1j, 0j)
-    opts = s.solver_options()
-    banded = propagate_dyson(H, eta0, s.grid, options=opts)
+    banded = propagate_dyson(H, eta0, s.grid, guard=s.guard)
 
     def at_half_step(j):  # H at t0 + j dt/2, the time of RK4 stage j
         return H(s.grid.t0 + j * (s.grid.dt / 2.0)).mat
@@ -159,7 +163,7 @@ def test_banded_trajectories_match_dense():
     dense = rk4_reference(lambda j, y: -1j * (y @ at_half_step(j)), eta0.mat, s.grid)
     assert np.max(np.abs(banded.etas - dense)) < 1e-12
     psi0 = basis_state(1, s.dim)
-    a = propagate_state(H, psi0, s.grid, options=opts).amplitudes
+    a = propagate_state(H, psi0, s.grid, guard=s.guard).amplitudes
     b = rk4_reference(lambda j, y: -1j * (at_half_step(j) @ y), psi0.vec, s.grid)
     assert np.max(np.abs(a - b)) < 1e-12
 

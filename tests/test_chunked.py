@@ -2,13 +2,14 @@
 
 The map is stepped as eta^T and states as one (dim, n) block; both must
 reproduce the row-layout, one-state-at-a-time stepping bit for bit.  The
-residual passes and the Hermitian counterpart run chunk by chunk through
-the ladder bands; they must match the per-sample dense formulas they
-replace.  The workup streams the map window by window through the same
-passes; its series must equal theirs on the whole trajectory bit for bit,
-and it must never hold the whole trajectory.
+residual passes run chunk by chunk through the ladder bands; they must
+match the per-sample dense formulas they replace.  The workup streams the
+map window by window through the same passes; its series must equal
+theirs on the whole trajectory bit for bit, and it must never hold the
+whole trajectory.
 """
 
+import contextlib
 import dataclasses
 import tracemalloc
 
@@ -23,7 +24,6 @@ from dysonmap import (
     CoefficientSpec,
     FockOperator,
     IllConditionedError,
-    SolverOptions,
     StateVector,
     TimeGrid,
     Tolerances,
@@ -33,7 +33,6 @@ from dysonmap import (
     counterpart_energy,
     equivalence_checks,
     hamiltonian_fn,
-    hermitian_counterpart,
     initial_map,
     isospectrality_check,
     ladder_operators,
@@ -41,6 +40,7 @@ from dysonmap import (
     metric_constancy,
     propagate_dyson,
     propagate_state,
+    propagation,
     quasi_hermiticity_residuals,
     scenario_workup,
     validated_scenario,
@@ -72,7 +72,13 @@ coefficients = st.one_of(
 # Chunk boundaries fall inside these sample counts for every stride.
 steps_st = st.integers(3, 3 * SAMPLE_CHUNK + 5)
 
-UNGUARDED = SolverOptions(guard=1, step_guard=np.inf)
+
+@contextlib.contextmanager
+def unguarded():
+    """The step guard switched off, for bands and grids drawn without regard to it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "STEP_GUARD", np.inf)
+        yield
 
 
 @st.composite
@@ -91,8 +97,8 @@ def generic_runs(draw):
     )
     H = hamiltonian_fn(s)
     eta0 = initial_map(s, draw(amplitudes) * 0.3, draw(amplitudes) * 0.3)
-    options = dataclasses.replace(UNGUARDED, guard=s.guard)
-    return s, H, propagate_dyson(H, eta0, s.grid, options=options)
+    with unguarded():
+        return s, H, propagate_dyson(H, eta0, s.grid, guard=s.guard)
 
 
 def row_layout_deriv(H, grid):
@@ -144,7 +150,8 @@ def test_transposed_map_stepping_is_bit_identical(run, seed):
     rng = np.random.default_rng(seed)
     eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
     reference = rk4_reference(row_layout_deriv(H, s.grid), eta0, s.grid)
-    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
+    with unguarded():
+        traj = propagate_dyson(H, FockOperator(eta0), s.grid, guard=1)
     assert np.array_equal(traj.etas, reference)
     # the trajectory exposes a view of the eta^T storage, not a copy
     assert traj.etas.base is not None and traj.etas.transpose(0, 2, 1).flags.c_contiguous
@@ -158,13 +165,14 @@ def test_block_state_stepping_is_bit_identical(run, seed):
     H = hamiltonian_fn(s)
     rng = np.random.default_rng(seed)
     psis = [StateVector(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)) for _ in range(3)]
-    first = propagate_state(H, psis[0], s.grid, options=UNGUARDED, companions=psis[1:])
+    with unguarded():
+        first = propagate_state(H, psis[0], s.grid, guard=1, companions=psis[1:])
+        alone = [propagate_state(H, psi, s.grid, guard=1) for psi in psis]
     assert len(first.companions) == len(psis) - 1
     deriv = single_state_deriv(H, s.grid)
-    for psi, traj in zip(psis, (first, *first.companions)):
+    for psi, traj, one in zip(psis, (first, *first.companions), alone):
         assert np.array_equal(traj.amplitudes, rk4_reference(deriv, psi.vec, s.grid))
-        alone = propagate_state(H, psi, s.grid, options=UNGUARDED)
-        assert np.array_equal(traj.amplitudes, alone.amplitudes)
+        assert np.array_equal(traj.amplitudes, one.amplitudes)
 
 
 @pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # random states fill the guard
@@ -181,10 +189,11 @@ def test_stepping_is_bit_identical_across_stage_chunks(steps):
     H = hamiltonian_fn(s)
     rng = np.random.default_rng(steps)
     eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
-    assert np.array_equal(traj.etas, rk4_reference(row_layout_deriv(H, s.grid), eta0, s.grid))
     psis = [StateVector(rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)) for _ in range(2)]
-    first = propagate_state(H, psis[0], s.grid, options=UNGUARDED, companions=psis[1:])
+    with unguarded():
+        traj = propagate_dyson(H, FockOperator(eta0), s.grid, guard=1)
+        first = propagate_state(H, psis[0], s.grid, guard=1, companions=psis[1:])
+    assert np.array_equal(traj.etas, rk4_reference(row_layout_deriv(H, s.grid), eta0, s.grid))
     deriv = single_state_deriv(H, s.grid)
     for psi, states in zip(psis, (first, *first.companions)):
         assert np.array_equal(states.amplitudes, rk4_reference(deriv, psi.vec, s.grid))
@@ -246,23 +255,6 @@ def test_intertwining_residual_matches_dense_formula(run, g0, l0):
     assert_close(den, dens[worst], scale)
 
 
-@settings(max_examples=40, deadline=None)
-@given(run=generic_runs(), seed=st.integers(0, 2**32 - 1))
-def test_hermitian_counterpart_matches_dense_formula(run, seed):
-    s, H, _ = run
-    # a random start: eta commutes with no H, so a left-acting H shows
-    rng = np.random.default_rng(seed)
-    eta0 = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-    traj = propagate_dyson(H, FockOperator(eta0), s.grid, options=UNGUARDED)
-    want, scale = [], []
-    for e, t in zip(traj.etas, s.grid.points):
-        inv = np.linalg.inv(e)
-        want.append(2.0 * e @ H(t).mat @ inv)
-        # solve and inverse both err by about eps cond(eta) ||h||
-        scale.append(np.linalg.norm(e) * np.linalg.norm(inv) * np.linalg.norm(want[-1]))
-    assert_close(hermitian_counterpart(traj, H), want, np.array(scale)[:, None, None])
-
-
 def dense_displacement(theta: complex, dim: int) -> np.ndarray:
     """The dim x dim block of the infinite-space D(theta), from dense exponentials.
 
@@ -285,13 +277,13 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
     lr = lr_pipeline(s)
     H = hamiltonian_fn(s)
     eta0 = initial_map(s, complex(s.gamma0), complex(s.lambda0))
-    traj = propagate_dyson(H, eta0, s.grid, options=s.solver_options())
+    traj = propagate_dyson(H, eta0, s.grid, guard=s.guard)
     ks = np.arange(0, s.grid.steps + 1, stride)
     if ks[-1] != s.grid.steps:
         ks = np.append(ks, s.grid.steps)
     ts = s.grid.t0 + ks * s.grid.dt
 
-    psi = propagate_state(H, basis_state(0, s.dim), s.grid, options=traj.options,
+    psi = propagate_state(H, basis_state(0, s.dim), s.grid, guard=traj.guard,
                           companions=(basis_state(1, s.dim),))
     psit = psi.companions[0]
     sanity_ser, fixed_ser, obs_ser = equivalence_checks(s, traj, (psi, psit), lr, stride=stride)
@@ -348,7 +340,6 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
 
 def test_min_rcond_is_the_applied_floor(s1_trajectory):
     traj = s1_trajectory
-    assert traj.options.rcond_floor == Tolerances().min_rcond
     worst = float(np.min(traj.rcond))
     assert 0.01 < worst < 0.5
     with pytest.raises(IllConditionedError) as ei:
@@ -382,10 +373,10 @@ def test_singular_maps_read_rcond_zero(tiny_run):
     # a map that stays singular is refused, as below any floor
     s, H, _ = tiny_run
     zero = propagate_dyson(H, FockOperator(np.zeros((s.dim, s.dim))), s.grid,
-                           options=traj.options, keep=np.array([0]))
+                           guard=traj.guard, keep=np.array([0]))
     assert not np.any(zero.rcond)
     with pytest.raises(IllConditionedError) as ei:
-        check_conditioning(zero)
+        check_conditioning(zero, Tolerances().min_rcond)
     assert ei.value.rcond == 0.0 and ei.value.t == s.grid.t0
 
 
@@ -418,7 +409,7 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
     steps = s.grid.steps
     keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, steps])
     windows = []
-    part = propagate_dyson(H, whole.eta0, s.grid, options=whole.options, keep=keep,
+    part = propagate_dyson(H, whole.eta0, s.grid, guard=whole.guard, keep=keep,
                            on_window=lambda w: windows.append((w.lo, len(w.etas), w.rho0)))
     assert np.array_equal(part.etas, whole.etas[keep])
     assert np.array_equal(part.at(keep[1:3]), whole.etas[keep[1:3]])
@@ -432,8 +423,8 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
         part.at(1)
     # the |0>, |1> block, on the same keep
     pair = (basis_state(0, s.dim), basis_state(1, s.dim))
-    states = propagate_state(H, pair[0], s.grid, options=whole.options, companions=pair[1:])
-    held = propagate_state(H, pair[0], s.grid, options=whole.options, companions=pair[1:],
+    states = propagate_state(H, pair[0], s.grid, guard=whole.guard, companions=pair[1:])
+    held = propagate_state(H, pair[0], s.grid, guard=whole.guard, companions=pair[1:],
                            keep=keep)
     for got, want in zip((held, *held.companions), (states, *states.companions)):
         assert np.array_equal(got.amplitudes, want.amplitudes[keep])
@@ -446,7 +437,7 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
 def test_held_samples_are_read_by_grid_index(tiny_run):
     s, H, whole = tiny_run
     keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, s.grid.steps])
-    part = propagate_dyson(H, whole.eta0, s.grid, options=whole.options, keep=keep)
+    part = propagate_dyson(H, whole.eta0, s.grid, guard=whole.guard, keep=keep)
     x1 = quadratures(s.dim)[0].mat
     for k in keep:
         assert np.array_equal(part.at(k), whole.at(k))
@@ -460,7 +451,7 @@ def assert_streamed_workup_is_exact(workup, traj, stride=None):
     """The workup's report against the public passes on the whole trajectory."""
     report, s, lr = workup
     H = hamiltonian_fn(s)
-    psi = propagate_state(H, basis_state(0, s.dim), s.grid, options=traj.options,
+    psi = propagate_state(H, basis_state(0, s.dim), s.grid, guard=traj.guard,
                           companions=(basis_state(1, s.dim),))
     want = [metric_constancy(traj), *quasi_hermiticity_residuals(traj, H, stride=stride)]
     want += equivalence_checks(s, traj, (psi, *psi.companions), lr, stride=stride)
@@ -507,7 +498,7 @@ def test_per_window_returns_partition_the_whole_series(steps, stride):
     s_run, _ = validated_scenario(tiny_scenario(dim=6, guard=2, grid=TimeGrid(0.0, 1.0, steps)))
     grid, H, lr = s_run.grid, hamiltonian_fn(s_run), lr_pipeline(s_run)
     whole = workup_trajectory(s_run)
-    psi = propagate_state(H, basis_state(0, s_run.dim), grid, options=whole.options,
+    psi = propagate_state(H, basis_state(0, s_run.dim), grid, guard=whole.guard,
                           companions=(basis_state(1, s_run.dim),))
 
     def checks(traj):
@@ -519,7 +510,7 @@ def test_per_window_returns_partition_the_whole_series(steps, stride):
         return {ser.name: ser for ser in got}
 
     windows = []  # (index after the window's last sample, its checks' returns)
-    propagate_dyson(H, whole.eta0, grid, options=whole.options, keep=np.array([0]),
+    propagate_dyson(H, whole.eta0, grid, guard=whole.guard, keep=np.array([0]),
                     on_window=lambda w: windows.append((w.lo + len(w.etas), checks(w))))
     assert len(windows) > 2
     for name, ser in checks(whole).items():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dysonmap import cli
+from dysonmap import cli, propagation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -195,6 +195,14 @@ class TestConfigErrors:
         proc = run_cli("run", str(work / "nope.yaml"))
         assert proc.returncode == 2
 
+    def test_file_that_is_not_utf8(self, work):
+        bad = work / "binary.yaml"
+        bad.write_bytes(bytes(range(256)))
+        proc = run_cli("diagnose", str(bad), "--out", str(work / "binary"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"configuration error: cannot read {bad}: 'utf-8' codec can't "
+                               "decode byte 0x80 in position 128: invalid start byte\n")
+
     @pytest.mark.parametrize(
         "extra", [("--set", "kappa=0.1"), ("--axis", "kappa:0.05:0.1:2")], ids=["set", "axis"]
     )
@@ -264,6 +272,34 @@ class TestConfigErrors:
         monkeypatch.setattr(cli, "scenario_workup", workup)
         assert cli.main(["run", "s1", "--set", "dim=8", "--out", "unused"]) == 2
         assert "need dim - guard >= 4; got dim 8, guard 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "modulus,args",
+        [
+            ("1.000e+30", ("diagnose", "s1", "--set", "dim=12", "--set", "grid.steps=2000",
+                           "--set", "theta0=[1e30,0]")),
+            ("1.000e+10", ("run", "s1", "--set", "theta0=[1e10,0]")),
+        ],
+        ids=["diagnose", "run"],
+    )
+    def test_theta_beyond_range_is_refused_before_stepping(self, modulus, args, capsys,
+                                                            monkeypatch):
+        # D(theta) would overflow in the analytic-vs-numeric check, after the
+        # whole map was stepped; it is refused before anything is
+        def stepper(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(propagation, "rk4_samples", stepper)
+        assert cli.main([*args, "--out", "unused"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"numerical failure: D\(theta\) with \|theta\| = {re.escape(modulus)} "
+                            r"at t = \S+ overflows\n", err), err
+
+    def test_theta_beyond_range_prints_one_line(self, work):
+        proc = run_cli("run", "s1", "--set", "theta0=[1e10,0]", "--out", str(work / "theta"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure: D(theta) with |theta| = 1.000e+10 at t = ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_non_finite_coefficient_maps_to_exit_3(self):
         proc = run_cli(

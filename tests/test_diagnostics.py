@@ -211,7 +211,7 @@ class TestStencilSpacing:
 class TestGuardBand:
     def test_guard_exclusion_is_load_bearing(self, tiny_run):
         _, H, traj = tiny_run
-        unguarded = dataclasses.replace(traj, options=dataclasses.replace(traj.options, guard=0))
+        unguarded = dataclasses.replace(traj, guard=0)
         assert metric_constancy(traj).max < 1e-6
         assert metric_constancy(unguarded).max > 1e-3
         _, r7_blocked = quasi_hermiticity_residuals(traj, H)
@@ -226,7 +226,7 @@ class TestEquivalenceRoutes:
         traj = s1_trajectory
         b0, b1 = basis_state(0, s.dim), basis_state(1, s.dim)
         mix = StateVector((b0.vec + b1.vec) / np.sqrt(2.0))
-        psi = propagate_state(hamiltonian_fn(s), b0, s.grid, options=traj.options,
+        psi = propagate_state(hamiltonian_fn(s), b0, s.grid, guard=traj.guard,
                               companions=(mix,))
         sanity, fixed, observable = equivalence_checks(s, traj, (psi, *psi.companions), lr)
         assert sanity.max < 1e-12
@@ -245,7 +245,7 @@ class TestEquivalenceRoutes:
         _, s, lr = s1_workup
         traj = s1_trajectory
         psi = propagate_state(hamiltonian_fn(s), basis_state(1, s.dim), s.grid,
-                              options=traj.options)
+                              guard=traj.guard)
         avn = analytic_vs_numeric(s, lr, traj, psi)
         assert 0.0313 < avn.terminal < 0.0316
         assert avn.max > avn.terminal  # interior deviation is first order

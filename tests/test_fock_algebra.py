@@ -12,7 +12,6 @@ from dysonmap import (
     ExponentialRangeError,
     FockOperator,
     InvalidDimensionError,
-    SolverOptions,
     StateVector,
     TimeGrid,
     TruncationWarning,
@@ -229,10 +228,9 @@ def test_low_block_and_tail_mass():
         low_block(m, -1)
     # the guard-band population fraction, as propagate_state tracks it
     H, grid = ladder_generator(8, 0.0), TimeGrid(0.0, 1.0, 4)
-    options = SolverOptions(guard=3)
-    assert propagate_state(H, basis_state(0, 8), grid, options=options).tail_mass_max == 0.0
+    assert propagate_state(H, basis_state(0, 8), grid, guard=3).tail_mass_max == 0.0
     with pytest.warns(TruncationWarning):
-        top = propagate_state(H, basis_state(7, 8), grid, options=options)
+        top = propagate_state(H, basis_state(7, 8), grid, guard=3)
     assert top.tail_mass_max == 1.0
     zero = StateVector(np.zeros(8, dtype=complex))
-    assert propagate_state(H, zero, grid, options=options).tail_mass_max == 0.0
+    assert propagate_state(H, zero, grid, guard=3).tail_mass_max == 0.0

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from dysonmap import (
     AnalyticEvolution,
     CoefficientSpec,
+    ExponentialRangeError,
     InvalidDimensionError,
     LRQuantities,
     ScenarioInvalidError,
     SingularityError,
     TimeGrid,
-    closed_form_counterpart,
     counterpart_energy,
     derive_initial_map_params,
     hamiltonian_fn,
@@ -36,7 +36,7 @@ from dysonmap.model_oscillator import (
     quadratures,
 )
 
-from conftest import load_bundled, rebuild, tiny_scenario
+from conftest import closed_form_counterpart, load_bundled, rebuild, tiny_scenario
 
 
 class TestCoefficientSpec:
@@ -193,6 +193,15 @@ class TestClosedFormPipeline:
             assert np.linalg.norm(v @ v.conj().T - np.eye(s.dim)) < 1e-9
             assert np.max(np.abs(u - v)) == 0.0  # theta0 = 0
 
+    def test_theta_beyond_floating_point_range_is_refused(self):
+        # theta^n overflows where e^{-|theta|^2/2} underflows, and 0 inf is nan
+        s_run, _ = validated_scenario(tiny_scenario(theta0=1e30))
+        with pytest.raises(ExponentialRangeError, match=r"D\(theta\) with \|theta\| = 1\.000e\+30 "):
+            lr_pipeline(s_run)
+        # far out but in range, D(theta) underflows to 0, which is kept
+        s_run, _ = validated_scenario(tiny_scenario(theta0=1e3))
+        assert not np.any(AnalyticEvolution(s_run, lr_pipeline(s_run)).Vs([0, s_run.grid.steps]))
+
 
 class TestConvergenceOrders:
     def test_drive_quadrature_fourth_order(self):
@@ -271,7 +280,7 @@ def eigenpair(s, lr, m, k):
     """
     energy = complex(counterpart_energy(s, m, s.grid.points[k]))
     zeta = _exact_displacements(-np.conj(lr.xi[[k]]), s.dim, [m])[0, :, 0]
-    h = closed_form_counterpart(s, lr, k).mat
+    h = closed_form_counterpart(s, lr, k)
     return energy, zeta, float(np.linalg.norm(h @ zeta - energy * zeta) / np.linalg.norm(zeta))
 
 
@@ -299,7 +308,7 @@ class TestSpectralQuantities:
             return 0j
 
         v = AnalyticEvolution(s, lr).Vs([k])[0]
-        direct = v.conj().T @ (closed_form_counterpart(s, lr, k).mat / 2.0) @ v
+        direct = v.conj().T @ (closed_form_counterpart(s, lr, k) / 2.0) @ v
         for m, n in ((0, 0), (0, 1), (1, 0), (2, 2), (2, 3), (0, 2), (3, 1)):
             assert abs(closed(m, n) - direct[m, n]) < 1e-12
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from dysonmap import (
     FockOperator,
-    SolverOptions,
     TimeGrid,
     diagnostics,
     propagation,
@@ -54,7 +53,7 @@ def ramp_end_error():
     dim = 12
     traj = propagation.propagate_dyson(
         ladder_generator(dim, lambda t: 1.0 + t), FockOperator(np.eye(dim, dtype=complex)),
-        TimeGrid(0.0, 1.0, 1200), options=SolverOptions(guard=4),
+        TimeGrid(0.0, 1.0, 1200), guard=4,
     )
     closed = np.diag(np.exp(-1j * 1.5 * np.arange(dim)))
     return float(np.max(np.abs(traj.at(traj.grid.steps) - closed)))

@@ -1,4 +1,4 @@
-"""Grid, steppers, and the map/counterpart propagation layer."""
+"""Grid, steppers, and the map propagation layer."""
 
 import warnings
 
@@ -10,19 +10,19 @@ from dysonmap import (
     DivergenceError,
     FockOperator,
     IllConditionedError,
-    SolverOptions,
     StepSizeError,
     TimeGrid,
+    Tolerances,
     TruncationWarning,
     basis_state,
-    hermitian_counterpart,
     initial_map,
     ladder_operators,
-    low_block,
     number_operator,
     propagate_dyson,
     propagate_state,
+    propagation,
 )
+from dysonmap.propagation import check_conditioning
 
 from conftest import ladder_generator, rk4_reference
 
@@ -68,18 +68,18 @@ def test_diagonal_map_matches_closed_form(drift, phase):
     H = ladder_generator(dim, drift)
     grid = TimeGrid(0.0, 1.0, 1200)
     eta0 = FockOperator(np.eye(dim, dtype=complex))
-    traj = propagate_dyson(H, eta0, grid, options=SolverOptions(guard=4))
+    traj = propagate_dyson(H, eta0, grid, guard=4)
     closed = np.diag(np.exp(-1j * phase * np.arange(dim)))
     assert np.max(np.abs(traj.etas[-1] - closed)) < 1e-8
 
 
-def test_convergence_probe_reports_fourth_order(tiny_run):
+def test_convergence_probe_reports_fourth_order(tiny_run, monkeypatch):
     s_run, H, _ = tiny_run
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     grid = s_run.grid
-    coarse_ok = s_run.solver_options(step_guard=np.inf)  # N/4 steps is past the step guard
+    monkeypatch.setattr(propagation, "STEP_GUARD", np.inf)  # N/4 steps is past the step guard
     ends = [
-        propagate_dyson(H, eta0, TimeGrid(grid.t0, grid.t1, steps), options=coarse_ok).etas[-1]
+        propagate_dyson(H, eta0, TimeGrid(grid.t0, grid.t1, steps), guard=s_run.guard).etas[-1]
         for steps in (grid.steps, grid.steps // 2, grid.steps // 4)
     ]
     delta_fine = np.linalg.norm(ends[0] - ends[1])
@@ -92,11 +92,11 @@ def test_step_guard_recommends_workable_count(tiny_run):
     eta0 = initial_map(s_run, complex(s_run.gamma0), complex(s_run.lambda0))
     coarse = TimeGrid(s_run.grid.t0, s_run.grid.t1, 50)
     with pytest.raises(StepSizeError) as ei:
-        propagate_dyson(H, eta0, coarse, options=s_run.solver_options())
+        propagate_dyson(H, eta0, coarse, guard=s_run.guard)
     rec = ei.value.recommended_steps
     assert 1000 < rec < 2000
     ok = TimeGrid(s_run.grid.t0, s_run.grid.t1, rec)
-    traj = propagate_dyson(H, eta0, ok, options=s_run.solver_options())
+    traj = propagate_dyson(H, eta0, ok, guard=s_run.guard)
     assert len(traj.etas) == rec + 1
 
 
@@ -106,8 +106,7 @@ def test_divergence_reports_first_bad_time():
     grid = TimeGrid(0.0, 1.0, 12000)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as ei:
-            propagate_dyson(H, FockOperator(np.eye(dim, dtype=complex)), grid,
-                            options=SolverOptions(guard=2))
+            propagate_dyson(H, FockOperator(np.eye(dim, dtype=complex)), grid, guard=2)
     assert "t =" in str(ei.value)
     assert 0.0 < ei.value.t <= 1.0
 
@@ -118,7 +117,7 @@ def test_propagate_state_matches_expm():
     hmat = number_operator(dim).mat + 0.3 * (a.mat + ad.mat)
     H = ladder_generator(dim, 1.0, 0.3, 0.3)
     grid = TimeGrid(0.0, 1.0, 1200)
-    traj = propagate_state(H, basis_state(0, dim), grid, options=SolverOptions(guard=3))
+    traj = propagate_state(H, basis_state(0, dim), grid, guard=3)
     assert traj.amplitudes.shape == (1201, dim)
     ref = scipy.linalg.expm(-1j * hmat) @ np.eye(dim)[:, 0]
     assert np.max(np.abs(traj.amplitudes[-1] - ref)) < 1e-8
@@ -130,29 +129,14 @@ def test_guard_band_population_warns():
     dim, guard = 8, 3
     H = ladder_generator(dim, 1.0, 0.01, 0.01)
     grid = TimeGrid(0.0, 1.0, 400)
-    options = SolverOptions(guard=guard)
     with pytest.warns(TruncationWarning, match="guard-band mass") as record:
-        propagate_state(H, basis_state(dim - guard, dim), grid, options=options)
+        propagate_state(H, basis_state(dim - guard, dim), grid, guard=guard)
     # the warning points at the caller
     assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
-        traj = propagate_state(H, basis_state(0, dim), grid, options=options)
+        traj = propagate_state(H, basis_state(0, dim), grid, guard=guard)
     assert traj.tail_mass_max < 1e-8
-
-
-def test_hermitian_counterpart_on_constant_metric_run(tiny_run):
-    s_run, H, traj = tiny_run
-    hs = hermitian_counterpart(traj, H)
-    assert hs.shape == traj.etas.shape
-    g = s_run.guard
-    herm = [np.linalg.norm(low_block(h - h.conj().T, g)) / np.linalg.norm(low_block(h, g))
-            for h in hs]
-    assert np.max(herm) < 1e-12
-    # first sample equals the defining transform applied by hand
-    inv0 = np.linalg.solve(traj.etas[0], np.eye(s_run.dim))
-    by_hand = 2.0 * traj.etas[0] @ H(float(traj.grid.points[0])).mat @ inv0
-    assert np.max(np.abs(hs[0] - by_hand)) < 1e-10
 
 
 def test_near_singular_map_refused():
@@ -161,7 +145,7 @@ def test_near_singular_map_refused():
     diag[-1] = 1e-13
     H = ladder_generator(dim, 1.0)
     grid = TimeGrid(0.0, 0.1, 20)
-    traj = propagate_dyson(H, FockOperator(np.diag(diag)), grid, options=SolverOptions(guard=2))
+    traj = propagate_dyson(H, FockOperator(np.diag(diag)), grid, guard=2)
     with pytest.raises(IllConditionedError):
-        hermitian_counterpart(traj, H)
+        check_conditioning(traj, Tolerances().min_rcond)
 

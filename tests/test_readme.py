@@ -19,4 +19,6 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     assert namespace["report"].passed
     assert namespace["lr"].theta.shape == (namespace["s_run"].grid.steps + 1,)
-    assert namespace["hs"].shape == namespace["traj"].etas.shape
+    s_run = namespace["s_run"]
+    assert namespace["traj"].etas.shape == (s_run.grid.steps + 1, s_run.dim, s_run.dim)
+    assert namespace["h"].shape == (s_run.dim, s_run.dim)
