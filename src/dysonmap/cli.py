@@ -217,6 +217,10 @@ def scenario_from_doc(doc, default_name: str = "") -> Scenario:
         kwargs["lambda0"] = _complex_leaf(doc["lambda0"], "lambda0")
     if "theta0" in doc:
         kwargs["theta0"] = _complex_leaf(doc["theta0"], "theta0")
+    for key in ("gamma0", "lambda0", "theta0"):
+        if key in kwargs and not np.isfinite(kwargs[key]):
+            raise ConfigError(
+                f"{key}: expected a finite number or [re, im] pair, got {doc[key]!r}")
     try:
         return Scenario(**kwargs)
     except (ValueError, DysonMapError) as exc:

@@ -10,10 +10,12 @@ are given.  Each per-sample check is a pass that states only the samples
 an output chunk reads and how it evaluates a chunk; one driver owns the
 grid indices, the output series, the chunking and the carry across window
 edges, so a check takes a whole trajectory or one window of a streamed
-map alike.  scenario_workup steps the |0>, |1> pair once, holding only the
-samples its checks read, then has propagate_dyson stream the map through
-every check and hold only the three samples of the r2 scale, so it holds
-no array as long as the trajectory.
+map alike.  scenario_workup runs the closed-form pipeline, steps the |0>,
+|1> pair once, holding only the samples its checks read, then has
+propagate_dyson stream the map through every check and hold only the three
+samples of the r2 scale, so it holds no array as long as the trajectory.
+When a spare CPU is usable, the checks run in one forked child while the
+workup steps the map (_forked), with byte-identical results.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -48,6 +50,7 @@ from .model_oscillator import (
     validated_scenario,
 )
 from .propagation import (
+    MAP_WINDOW,
     DysonTrajectory,
     GeneratorFn,
     MapWindow,
@@ -563,6 +566,131 @@ def _joined(parts: list[ResidualSeries]) -> ResidualSeries:
     )
 
 
+# scenario_workup hands the map's windows to its checks through a consumer,
+# called as consume(step, check_window, parts, dim): step(on_window) steps the
+# map, calls on_window with each window and returns the trajectory, and
+# check_window fills parts.  The two consumers differ only in where
+# check_window runs; _window_consumer chooses one.
+
+
+def _window_consumer(grid: TimeGrid):
+    """_forked when a spare CPU can check windows while this process steps, else _inline.
+
+    Off Linux fork is not BLAS-safe, a sweep's pool worker shares the CPUs
+    with its siblings, and a grid of one window leaves nothing to overlap.
+    """
+    import multiprocessing
+    import os
+    import sys
+
+    if (sys.platform == "linux" and grid.steps >= MAP_WINDOW
+            and len(os.sched_getaffinity(0)) > 1 and multiprocessing.parent_process() is None):
+        return _forked
+    return _inline
+
+
+def _inline(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
+    """check_window on each window in this process, as step hands it over."""
+    return step(check_window)
+
+
+def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
+    """check_window on each window in one forked child, while this process steps the map.
+
+    Each window is copied into one of two slots of a shared anonymous
+    mmap, in the eta^T layout it was stepped in, and the slot and the rest
+    of the window go down a pipe; a slot is written again only once the
+    child has freed it.  The child (_check_windows) reads the window
+    through the same transposed view as inline, so every product rounds
+    as it does there.  A stepping failure is raised only after the child
+    has checked the windows sent before it, so that an earlier window's
+    failure comes first, as inline.  The child is reaped before this
+    returns or raises.
+    """
+    import mmap
+    import multiprocessing
+    import os
+
+    ring = np.frombuffer(mmap.mmap(-1, 2 * MAP_WINDOW * dim * dim * 16), dtype=complex)
+    ring = ring.reshape(2, MAP_WINDOW, dim, dim)
+    conn, child_conn = multiprocessing.Pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process or memory to spare: check in this process
+        return _inline(step, check_window, parts, dim)
+    if pid == 0:
+        conn.close()
+        _check_windows(child_conn, ring, check_window, parts)
+    child_conn.close()
+    free, child_done = [1, 0], False
+
+    def reply():
+        """The child's next message, a freed slot or parts; re-raises its failure."""
+        nonlocal child_done
+        try:
+            msg = conn.recv()
+        except EOFError:
+            child_done = True
+            raise RuntimeError("the window checks' process exited without a result") from None
+        if isinstance(msg, BaseException):
+            child_done = True
+            raise msg
+        return msg
+
+    def results() -> dict:
+        """parts, once the child has checked every window sent."""
+        try:
+            conn.send(None)
+        except BrokenPipeError:  # the child has left; what it sent last is still to be read
+            pass
+        while isinstance(msg := reply(), int):
+            pass
+        return msg
+
+    def on_window(window: MapWindow):
+        slot = free.pop() if free else reply()
+        ring[slot, : len(window.etas)] = window.etas.transpose(0, 2, 1)
+        # the maps travel in the slot, and the carry stays in the child
+        conn.send((slot, len(window.etas), replace(window, etas=None, carry=None)))
+
+    try:
+        try:
+            traj = step(on_window)
+        except Exception:
+            if not child_done:
+                results()
+            raise
+        parts.update(results())
+        return traj
+    finally:
+        conn.close()
+        os.waitpid(pid, 0)
+
+
+def _check_windows(conn, ring: np.ndarray, check_window, parts: dict):
+    """_forked's child: check_window on each window sent, then parts back; never returns.
+
+    Each checked window's slot is sent back, then parts; an exception goes
+    back in their place, as its text when it does not pickle.
+    """
+    import os
+
+    carry: dict = {}
+    try:
+        while (msg := conn.recv()) is not None:
+            slot, n, window = msg
+            check_window(replace(window, etas=ring[slot, :n].transpose(0, 2, 1), carry=carry))
+            conn.send(slot)
+        conn.send(parts)
+    except BaseException as exc:
+        try:
+            conn.send(exc)
+        except Exception:
+            conn.send(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    finally:
+        os._exit(0)
+
+
 def scenario_workup(
     s: Scenario, *, tol: Tolerances | None = None, stride: int | None = None
 ) -> tuple[DiagnosticsReport, Scenario, LRQuantities | None]:
@@ -578,7 +706,11 @@ def scenario_workup(
     stepped next; it applies the step guard, and it holds only the samples
     that its checks read.  The map is then streamed a window at a time
     through every per-sample check, and only the three samples of the r2
-    scale are held, so no array as long as the trajectory is.  The floor
+    scale are held, so no array as long as the trajectory is.  The checks
+    run in one forked child while this process steps the map when a spare
+    CPU is usable (see _window_consumer), in this process otherwise; the
+    report is the same bit for bit, and the child is reaped before this
+    returns or raises.  The floor
     tol.min_rcond is applied to the whole rcond series after the last
     window, so a refusal names the worst sample; the solve-based checks are
     fed no window from the first one that holds a map below it.
@@ -618,8 +750,11 @@ def scenario_workup(
         for ser in filter(None, got):  # equivalence_observable is None without lr
             parts.setdefault(ser.name, []).append(ser)
 
-    traj = propagate_dyson(H, eta0, grid, guard=s_run.guard,
-                           keep=np.unique(_scale_indices(grid)), on_window=check_window)
+    def step(on_window):
+        return propagate_dyson(H, eta0, grid, guard=s_run.guard,
+                               keep=np.unique(_scale_indices(grid)), on_window=on_window)
+
+    traj = _window_consumer(grid)(step, check_window, parts, dim)
     check_conditioning(traj, tol.min_rcond)
     series = {name: _joined(ps) for name, ps in parts.items()}
 

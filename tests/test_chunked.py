@@ -380,25 +380,32 @@ def test_singular_maps_read_rcond_zero(tiny_run):
     assert ei.value.rcond == 0.0 and ei.value.t == s.grid.t0
 
 
-def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch):
+def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch, tmp_path):
     # a floor between the first window's worst map and the run's worst: the
     # solve-based checks stop at the first window below it, and the refusal
-    # still names the worst sample of the whole run
+    # still names the worst sample of the whole run, whether the checks run
+    # in this process or in a forked child; the spy writes to a file, which
+    # the child shares with this process
     s = tiny_scenario()
     rcond = workup_trajectory(validated_scenario(s)[0]).rcond
     floor = float(np.min(rcond[:MAP_WINDOW]))
     assert np.min(rcond) < floor
-    fed = []
-    for name in ("isospectrality_check", "analytic_vs_numeric"):
-        def spy(s, lr, window, *args, check=getattr(diagnostics, name), **kwargs):
-            fed.append(float(np.min(window.rcond)))
-            return check(s, lr, window, *args, **kwargs)
+    for consumer in (diagnostics._inline, diagnostics._forked):
+        log = tmp_path / f"fed{consumer.__name__}.txt"
+        with monkeypatch.context() as mp:
+            mp.setattr(diagnostics, "_window_consumer", lambda grid: consumer)
+            for name in ("isospectrality_check", "analytic_vs_numeric"):
+                def spy(s, lr, window, *args, check=getattr(diagnostics, name), **kwargs):
+                    with open(log, "a") as fh:
+                        fh.write(f"{float(np.min(window.rcond))!r}\n")
+                    return check(s, lr, window, *args, **kwargs)
 
-        monkeypatch.setattr(diagnostics, name, spy)
-    with pytest.raises(IllConditionedError) as ei:
-        scenario_workup(s, tol=Tolerances(min_rcond=floor))
-    assert ei.value.rcond == float(np.min(rcond))
-    assert fed and min(fed) >= floor
+                mp.setattr(diagnostics, name, spy)
+            with pytest.raises(IllConditionedError) as ei:
+                scenario_workup(s, tol=Tolerances(min_rcond=floor))
+        assert ei.value.rcond == float(np.min(rcond))
+        fed = [float(line) for line in log.read_text().splitlines()] if log.exists() else []
+        assert fed and min(fed) >= floor, consumer.__name__
 
 
 # -- the streamed workup -------------------------------------------------------

@@ -273,6 +273,25 @@ class TestConfigErrors:
         assert cli.main(["run", "s1", "--set", "dim=8", "--out", "unused"]) == 2
         assert "need dim - guard >= 4; got dim 8, guard 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,shown", [
+        ("gamma0", "[0,.inf]", "[0, inf]"),
+        ("lambda0", "[.inf,0]", "[inf, 0]"),
+        ("theta0", "[.nan,0]", "[nan, 0]"),
+    ])
+    def test_non_finite_initial_parameters_are_config_errors(self, key, value, shown, capsys,
+                                                             monkeypatch):
+        # refused as configuration, before the workup, as a non-finite kappa is
+        def workup(*args, **kwargs):
+            raise AssertionError("the workup ran")
+
+        monkeypatch.setattr(cli, "scenario_workup", workup)
+        args = ["diagnose", "s1", "--set", "dim=12", "--set", "grid.steps=2000",
+                "--set", f"{key}={value}", "--out", "unused"]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {key}: expected a finite number or [re, im] pair, "
+            f"got {shown}\n")
+
     @pytest.mark.parametrize(
         "modulus,args",
         [
