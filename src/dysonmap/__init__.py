@@ -59,7 +59,6 @@ from .model_oscillator import (
 from .diagnostics import (
     DiagnosticsReport,
     ResidualSeries,
-    Tolerances,
     analytic_vs_numeric,
     equivalence_checks,
     isospectrality_check,

@@ -17,7 +17,6 @@ same configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import difflib
 import json
 import math
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .diagnostics import DiagnosticsReport, scenario_workup
+from .diagnostics import DiagnosticsReport, bounds, scenario_workup
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -57,7 +56,7 @@ SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.17g"
 
 _TOP_KEYS = {
-    "schema", "name", "dim", "guard", "kappa", "perturbation_order",
+    "schema", "name", "dim", "guard", "kappa",
     "grid", "omega", "alpha", "beta", "gamma0", "lambda0", "theta0",
 }
 _TOP_REQUIRED = ("schema", "kappa", "grid", "omega", "alpha", "beta")
@@ -204,13 +203,6 @@ def scenario_from_doc(doc, default_name: str = "") -> Scenario:
         kwargs["dim"] = _integer(doc["dim"], "dim")
     if "guard" in doc:
         kwargs["guard"] = _integer(doc["guard"], "guard")
-    # files written for the removed first-order closed forms may still say 2
-    if "perturbation_order" in doc and _integer(doc["perturbation_order"],
-                                                "perturbation_order") != 2:
-        raise ConfigError(
-            "perturbation_order: the first-order closed forms were removed; the closed "
-            "forms are exact, so the key may only be 2, which changes nothing"
-        )
     if doc.get("gamma0") is not None:
         kwargs["gamma0"] = _complex_leaf(doc["gamma0"], "gamma0")
     if "lambda0" in doc:
@@ -363,7 +355,6 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
             for k, c in report.validation.checks.items()
         },
     }
-    tol = dataclasses.asdict(report.tolerances)
     return _json_ready(
         {
             "schema": SCHEMA_VERSION,
@@ -376,7 +367,7 @@ def _summary_doc(report: DiagnosticsReport, command: str) -> dict:
             "condition_max": report.condition_max,
             "checks": checks,
             "validation": validation,
-            "tolerances": tol,
+            "tolerances": bounds(),
         }
     )
 
@@ -525,9 +516,12 @@ def _cmd_sweep(args) -> int:
     payloads = [(doc, stem, key, v) for v in values]
     raw = os.environ.get("DYSONMAP_WORKERS", "1")
     try:
-        workers = min(int(raw), len(payloads))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"DYSONMAP_WORKERS: expected an integer, got {raw!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"DYSONMAP_WORKERS: expected a positive integer, got {raw!r}")
+    workers = min(workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))

@@ -1,19 +1,20 @@
 """Residual checks tying the closed forms to the numeric trajectories.
 
-Each check produces a named residual series plus a pass/fail outcome under
-a Tolerances configuration; scenario_workup orchestrates all of them into
-one DiagnosticsReport, skipping the stages whose preconditions a scenario
-cannot meet (an invalid scenario still gets trajectory-level residuals, so
-negative controls show exactly which claims break) and the checks whose
-series took no sample.  The checks are functions of the trajectories they
-are given.  Each per-sample check is a pass that states only the samples
-an output chunk reads and how it evaluates a chunk; one driver owns the
-grid indices, the output series, the chunking and the carry across window
-edges, so a check takes a whole trajectory or one window of a streamed
-map alike.  scenario_workup runs the closed-form pipeline, steps the |0>,
-|1> pair once, holding only the samples its checks read, then has
-propagate_dyson stream the map through every check and hold only the three
-samples of the r2 scale, so it holds no array as long as the trajectory.
+Each check produces a named residual series plus a pass/fail outcome
+against its bound, one of the module constants below; scenario_workup
+orchestrates all of them into one DiagnosticsReport, skipping the stages
+whose preconditions a scenario cannot meet (an invalid scenario still
+gets trajectory-level residuals, so negative controls show exactly which
+claims break) and the checks whose series took no sample.  The checks are
+functions of the trajectories they are given.  Each per-sample check is a
+pass that states only the samples an output chunk reads and how it
+evaluates a chunk; one driver owns the grid indices, the output series,
+the chunking and the carry across window edges, so a check takes a whole
+trajectory or one window of a streamed map alike.  scenario_workup runs
+the closed-form pipeline, steps the |0>, |1> pair once, holding only the
+samples its checks read, then has propagate_dyson stream the map through
+every check and hold only the three samples of the r2 scale, so it holds
+no array as long as the trajectory.
 When a spare CPU is usable, the checks run in one forked child while the
 workup steps the map (_forked), with byte-identical results.
 
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScenarioInvalidError
+from .errors import IllConditionedError, ScenarioInvalidError
 from .fock_algebra import _exact_displacements, basis_state, low_block
 from .model_oscillator import (
     AnalyticEvolution,
@@ -57,7 +58,6 @@ from .propagation import (
     StateTrajectory,
     TimeGrid,
     apply_generator,
-    check_conditioning,
     propagate_dyson,
     propagate_state,
     sample_chunks,
@@ -65,33 +65,52 @@ from .propagation import (
 
 _ABS_FLOOR = 1e-14
 
+# The pass/fail bounds, calibrated at the bundled grids (dim 32, 8000 steps
+# over one drive period).  Each is read where it is applied, when it is
+# applied, and bounds() reads them for summary.json, so the printed bounds
+# are the applied ones.  The closed-form comparisons use the drive-strength
+# envelope max(PERTURBATIVE_FLOOR, ENVELOPE_COEFF kappa^2) (_envelope).
+SANITY = 1e-12              # equivalence_sanity: one product in two orders
+METRIC_CONSTANCY = 1e-6     # the guard block's drift, step error and truncation alike
+R2_COEFF = 50.0             # r2's bound in units of dt^2 times the rho H scale
+R7 = 1e-7                   # the static intertwining residual
+FIXED_METRIC = 1e-6         # equivalence_fixed_metric
+PERTURBATIVE_FLOOR = 1e-6
+ENVELOPE_COEFF = 12.0
+ISOSPECTRAL_FLOOR = 1e-9    # isospectrality's bound is this plus ENVELOPE_COEFF kappa^3
+MIN_RCOND = 1e-12           # the floor on eta's exact reciprocal 1-norm condition number
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Every pass/fail threshold in one configurable place.
 
-    Defaults follow the ledgered calibration at the bundled grids (dim 32,
-    8000 steps over one drive period): integrator-limited residuals at
-    1e-6, the static intertwining residual at 1e-7, and the drive-strength
-    envelope max(floor, C kappa^2) with C a calibration constant.
-    ``min_rcond`` is the one floor on eta's exact reciprocal 1-norm
-    condition number: the workup refuses a trajectory below it, and feeds
-    the solve-based checks no window below it.
+def bounds() -> dict[str, float]:
+    """The bounds above, by the names summary.json prints them under."""
+    return {
+        "sanity": SANITY, "metric_constancy": METRIC_CONSTANCY, "r2_coeff": R2_COEFF,
+        "r7": R7, "fixed_metric": FIXED_METRIC, "perturbative_floor": PERTURBATIVE_FLOOR,
+        "envelope_coeff": ENVELOPE_COEFF, "isospectral_floor": ISOSPECTRAL_FLOOR,
+        "min_rcond": MIN_RCOND,
+    }
+
+
+def _envelope(kappa: float) -> float:
+    """max(floor, C kappa^2), the bound of the closed-form comparisons."""
+    return max(PERTURBATIVE_FLOOR, ENVELOPE_COEFF * kappa**2)
+
+
+def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
+    """Refuse when eta's rcond at samples ks (default all) is below MIN_RCOND.
+
+    The error names the worst sample's time.
     """
-
-    sanity: float = 1e-12
-    metric_constancy: float = 1e-6
-    r2_coeff: float = 50.0
-    r7: float = 1e-7
-    fixed_metric: float = 1e-6
-    perturbative_floor: float = 1e-6
-    envelope_coeff: float = 12.0
-    isospectral_floor: float = 1e-9
-    min_rcond: float = 1e-12
-
-    def envelope(self, kappa: float) -> float:
-        """max(floor, C kappa^2), the bound of the closed-form comparisons."""
-        return max(self.perturbative_floor, self.envelope_coeff * kappa**2)
+    rcond = traj.rcond if ks is None else traj.rcond[ks]
+    i = int(np.argmin(rcond))
+    k = i if ks is None else int(ks[i])
+    if traj.rcond[k] < MIN_RCOND:
+        raise IllConditionedError(
+            f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
+            f"t = {traj.grid.points[k]:.6g}",
+            rcond=float(traj.rcond[k]),
+            t=float(traj.grid.points[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +143,6 @@ class DiagnosticsReport:
     scenario_name: str
     series: dict[str, ResidualSeries]
     checks: tuple[CheckOutcome, ...]
-    tolerances: Tolerances
     validation: ValidationReport
     pt: PTReport
     tail_mass_max: float
@@ -474,14 +492,13 @@ def isospectrality_check(
     normal-ordered, exact displacement, built for the columns ms only.
     Each sampled eta is factored once for all of ms.  traj is a whole
     trajectory, whose reciprocal condition numbers at the sampled indices
-    are first checked against the default Tolerances().min_rcond, or one
-    window of a streamed map, whose caller applies its floor; given a
-    window, the series hold the samples that window completes.
+    are first checked against MIN_RCOND (check_conditioning), or one window
+    of a streamed map, whose caller applies the floor; given a window, the
+    series hold the samples that window completes.
     """
     ms = tuple(ms)
     if isinstance(traj, DysonTrajectory):
-        check_conditioning(traj, Tolerances().min_rcond,
-                           _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
+        check_conditioning(traj, _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
     out = _fed(traj, ("isospectrality", ms, stride),
                lambda: _IsospectralPass(s, lr, ms, stride))
     return {m: out[f"isospectrality_m{m}"] for m in ms}
@@ -692,7 +709,7 @@ def _check_windows(conn, ring: np.ndarray, check_window, parts: dict):
 
 
 def scenario_workup(
-    s: Scenario, *, tol: Tolerances | None = None, stride: int | None = None
+    s: Scenario, *, stride: int | None = None
 ) -> tuple[DiagnosticsReport, Scenario, LRQuantities | None]:
     """Run every applicable check on one scenario; returns the run scenario and lr too.
 
@@ -710,12 +727,11 @@ def scenario_workup(
     run in one forked child while this process steps the map when a spare
     CPU is usable (see _window_consumer), in this process otherwise; the
     report is the same bit for bit, and the child is reaped before this
-    returns or raises.  The floor
-    tol.min_rcond is applied to the whole rcond series after the last
+    returns or raises.  Each check is judged against its module bound.  The
+    floor MIN_RCOND is applied to the whole rcond series after the last
     window, so a refusal names the worst sample; the solve-based checks are
     fed no window from the first one that holds a map below it.
     """
-    tol = tol or Tolerances()
     try:
         s_run, validation = validated_scenario(s)
     except ScenarioInvalidError as exc:
@@ -743,7 +759,7 @@ def scenario_workup(
             *quasi_hermiticity_residuals(window, H, stride=stride),
             *equivalence_checks(s_run, window, states, lr, stride=stride),
         ]
-        solvable = solvable and not np.any(window.rcond < tol.min_rcond)
+        solvable = solvable and not np.any(window.rcond < MIN_RCOND)
         if solvable:
             got += [*isospectrality_check(s_run, lr, window).values(),
                     analytic_vs_numeric(s_run, lr, window, psi)]
@@ -755,21 +771,21 @@ def scenario_workup(
                                keep=np.unique(_scale_indices(grid)), on_window=on_window)
 
     traj = _window_consumer(grid)(step, check_window, parts, dim)
-    check_conditioning(traj, tol.min_rcond)
+    check_conditioning(traj)
     series = {name: _joined(ps) for name, ps in parts.items()}
 
-    env = tol.envelope(s_run.kappa)
-    r2_tol = tol.r2_coeff * grid.dt**2 * _commutator_scale(traj, H)
-    iso_tol = tol.isospectral_floor + tol.envelope_coeff * s_run.kappa**3
+    env = _envelope(s_run.kappa)
+    r2_tol = R2_COEFF * grid.dt**2 * _commutator_scale(traj, H)
+    iso_tol = ISOSPECTRAL_FLOOR + ENVELOPE_COEFF * s_run.kappa**3
     avn = series.get("analytic_vs_numeric")
     note = f"terminal deviation; interior max {avn.max:.3e}" if avn else ""
     checks = [
         *validation.checks.values(),
-        _bounded("metric_constancy", series, tol.metric_constancy),
+        _bounded("metric_constancy", series, METRIC_CONSTANCY),
         _bounded("r2", series, r2_tol, "flow identity"),
-        _bounded("r7", series, tol.r7, "static intertwining"),
-        _bounded("equivalence_sanity", series, tol.sanity),
-        _bounded("equivalence_fixed_metric", series, tol.fixed_metric),
+        _bounded("r7", series, R7, "static intertwining"),
+        _bounded("equivalence_sanity", series, SANITY),
+        _bounded("equivalence_fixed_metric", series, FIXED_METRIC),
         _bounded("equivalence_observable", series, env),
         _bounded("isospectrality", series, iso_tol),
         _bounded("analytic_vs_numeric", series, env, note, avn.terminal if avn else None),
@@ -779,7 +795,6 @@ def scenario_workup(
         scenario_name=s_run.name,
         series=series,
         checks=tuple(checks),
-        tolerances=tol,
         validation=validation,
         pt=pt_analysis(s_run),
         tail_mass_max=max(st.tail_mass_max for st in states),

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DivergenceError,
-    IllConditionedError,
     InvalidDimensionError,
     StepSizeError,
     TruncationWarning,
@@ -446,21 +445,3 @@ def propagate_state(
     trajectories = [StateTrajectory(grid, held[:, :, i], guard, keep, tails[i])
                     for i in range(len(psis))]
     return replace(trajectories[0], companions=tuple(trajectories[1:]))
-
-
-def check_conditioning(traj: DysonTrajectory, floor: float, ks: np.ndarray | None = None):
-    """Refuse when eta's rcond at samples ks (default all) is below floor.
-
-    The caller passes the floor (a workup's is Tolerances.min_rcond); the
-    error names the worst sample's time.
-    """
-    rcond = traj.rcond if ks is None else traj.rcond[ks]
-    i = int(np.argmin(rcond))
-    k = i if ks is None else int(ks[i])
-    if traj.rcond[k] < floor:
-        raise IllConditionedError(
-            f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
-            f"t = {traj.grid.points[k]:.6g}",
-            rcond=float(traj.rcond[k]),
-            t=float(traj.grid.points[k]),
-        )

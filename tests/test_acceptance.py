@@ -15,10 +15,10 @@ from dysonmap import (
     CoefficientSpec,
     FockOperator,
     TimeGrid,
-    Tolerances,
     analytic_vs_numeric,
     basis_state,
     counterpart_energy,
+    diagnostics,
     hamiltonian_fn,
     initial_map,
     low_block,
@@ -34,7 +34,6 @@ from dysonmap.model_oscillator import quadrature_frame, quadratures
 
 from conftest import closed_form_counterpart, ladder_generator, load_bundled, rebuild
 
-TOL = Tolerances()
 SWEEP_KAPPAS = (0.1, 0.05, 0.025)
 
 
@@ -150,7 +149,7 @@ def test_criterion_05_closed_form_pipeline(kappa_sweep, s1_workup):
     worst = 0.0
     for kappa in SWEEP_KAPPAS:
         s, lr, traj = kappa_sweep[kappa]
-        bound = max(1e-6, TOL.envelope_coeff * kappa**2)
+        bound = max(1e-6, diagnostics.ENVELOPE_COEFF * kappa**2)
         for m in (0, 1, 2):
             psi = propagate_state(hamiltonian_fn(s), basis_state(m, s.dim), s.grid,
                                   guard=traj.guard)
@@ -195,12 +194,12 @@ def test_criterion_06_observables(kappa_sweep, s1_workup):
     details = []
     for kappa in SWEEP_KAPPAS:
         s, lr, traj = kappa_sweep[kappa]
-        bound = max(1e-6, TOL.envelope_coeff * kappa**2)
+        bound = max(1e-6, diagnostics.ENVELOPE_COEFF * kappa**2)
         d = max(_quadrature_discrepancies(s, lr, traj, s.grid.steps))
         ok = ok and d <= bound
         details.append(f"kappa={kappa}: X discrepancy {d:.2e} <= {bound:.2e}")
     route = s1_workup[0].series["equivalence_observable"].max
-    bound1 = max(1e-6, TOL.envelope_coeff * 0.1**2)
+    bound1 = max(1e-6, diagnostics.ENVELOPE_COEFF * 0.1**2)
     ok = ok and route <= bound1
     details.append(f"expectation pairing {route:.2e} <= {bound1:.2e}")
     assert _line(6, ok, "quadrature observables", "; ".join(details))

@@ -26,7 +26,6 @@ from dysonmap import (
     IllConditionedError,
     StateVector,
     TimeGrid,
-    Tolerances,
     analytic_vs_numeric,
     basis_state,
     diagnostics,
@@ -45,7 +44,7 @@ from dysonmap import (
     scenario_workup,
     validated_scenario,
 )
-from dysonmap.diagnostics import _commutator_scale
+from dysonmap.diagnostics import _commutator_scale, check_conditioning
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
 from dysonmap.propagation import (
@@ -55,7 +54,6 @@ from dysonmap.propagation import (
     _band_table,
     _rcond_series,
     band_matrix,
-    check_conditioning,
 )
 
 from conftest import load_bundled, rk4_reference, tiny_scenario, workup_trajectory
@@ -338,12 +336,15 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
 # -- the conditioning floor ----------------------------------------------------
 
 
-def test_min_rcond_is_the_applied_floor(s1_trajectory):
+def test_min_rcond_is_the_applied_floor(s1_trajectory, monkeypatch):
+    # the floor is read when it is applied and when it is printed
     traj = s1_trajectory
     worst = float(np.min(traj.rcond))
     assert 0.01 < worst < 0.5
+    monkeypatch.setattr(diagnostics, "MIN_RCOND", 0.5)
+    assert diagnostics.bounds()["min_rcond"] == 0.5
     with pytest.raises(IllConditionedError) as ei:
-        scenario_workup(load_bundled("s1"), tol=Tolerances(min_rcond=0.5))
+        scenario_workup(load_bundled("s1"))
     assert ei.value.t is not None
     assert ei.value.rcond == pytest.approx(worst)
 
@@ -376,7 +377,7 @@ def test_singular_maps_read_rcond_zero(tiny_run):
                            guard=traj.guard, keep=np.array([0]))
     assert not np.any(zero.rcond)
     with pytest.raises(IllConditionedError) as ei:
-        check_conditioning(zero, Tolerances().min_rcond)
+        check_conditioning(zero)
     assert ei.value.rcond == 0.0 and ei.value.t == s.grid.t0
 
 
@@ -394,6 +395,7 @@ def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch, tmp_path):
         log = tmp_path / f"fed{consumer.__name__}.txt"
         with monkeypatch.context() as mp:
             mp.setattr(diagnostics, "_window_consumer", lambda grid: consumer)
+            mp.setattr(diagnostics, "MIN_RCOND", floor)
             for name in ("isospectrality_check", "analytic_vs_numeric"):
                 def spy(s, lr, window, *args, check=getattr(diagnostics, name), **kwargs):
                     with open(log, "a") as fh:
@@ -402,7 +404,7 @@ def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch, tmp_path):
 
                 mp.setattr(diagnostics, name, spy)
             with pytest.raises(IllConditionedError) as ei:
-                scenario_workup(s, tol=Tolerances(min_rcond=floor))
+                scenario_workup(s)
         assert ei.value.rcond == float(np.min(rcond))
         fed = [float(line) for line in log.read_text().splitlines()] if log.exists() else []
         assert fed and min(fed) >= floor, consumer.__name__
@@ -472,7 +474,7 @@ def assert_streamed_workup_is_exact(workup, traj, stride=None):
         assert np.array_equal(ser.samples, want[name].samples), name
     assert report.condition_max == 1.0 / float(np.min(traj.rcond))
     scale = _commutator_scale(traj, H)
-    assert report.outcome("r2").tolerance == report.tolerances.r2_coeff * s.grid.dt**2 * scale
+    assert report.outcome("r2").tolerance == diagnostics.R2_COEFF * s.grid.dt**2 * scale
 
 
 @pytest.mark.parametrize("name", ["s1", "gamma_drift"])

@@ -10,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
-from dysonmap import cli, propagation
+from dysonmap import cli, diagnostics, propagation
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -21,7 +22,6 @@ name: tiny
 dim: 12
 guard: 4
 kappa: 0.1
-perturbation_order: 2
 grid: {t0: 0.0, t1: 6.283185307179586, steps: 1500}
 omega: {form: constant, c: [1.0, 0.0]}
 alpha: {form: constant, c: [0.0, 1.0]}
@@ -34,7 +34,6 @@ name: control
 dim: 12
 guard: 4
 kappa: 0.1
-perturbation_order: 2
 grid: {t0: 0.0, t1: 6.283185307179586, steps: 1500}
 omega: {form: constant, c: [1.0, 0.0]}
 alpha: {form: constant, c: [1.0, 0.0]}
@@ -87,6 +86,34 @@ class TestRun:
         assert summary["passed"] is True
         assert summary["scenario"] == "tiny"
         assert summary["failing"] == []
+
+    def test_printed_bounds_are_the_applied_bounds(self, tiny_run_out):
+        # each check's tolerance, recomputed from the printed tolerances
+        # block and kappa; r2's also reads the run's rho H scale
+        _, out = tiny_run_out
+        summary = json.loads((out / "summary.json").read_text())
+        tol, checks = summary["tolerances"], summary["checks"]
+        kappa = yaml.safe_load(TINY)["kappa"]
+        envelope = max(tol["perturbative_floor"], tol["envelope_coeff"] * kappa**2)
+        want = {
+            "metric_constancy": tol["metric_constancy"],
+            "r7": tol["r7"],
+            "equivalence_sanity": tol["sanity"],
+            "equivalence_fixed_metric": tol["fixed_metric"],
+            "equivalence_observable": envelope,
+            "analytic_vs_numeric": envelope,
+            "isospectrality": tol["isospectral_floor"] + tol["envelope_coeff"] * kappa**3,
+        }
+        assert {name: checks[name]["tolerance"] for name in want} == want
+
+    def test_a_patched_bound_is_printed_and_applied(self, work, monkeypatch):
+        # a bound is read when the workup applies it and when it is printed
+        monkeypatch.setattr(diagnostics, "R7", 0.0)
+        out = work / "patched_r7"
+        assert cli.main(["diagnose", str(work / "tiny.yaml"), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tolerances"]["r7"] == summary["checks"]["r7"]["tolerance"] == 0.0
+        assert summary["failing"] == ["r7"]
 
     def test_rerun_is_byte_identical(self, work, tiny_run_out):
         _, out = tiny_run_out
@@ -226,12 +253,12 @@ class TestConfigErrors:
             f"configuration error: --axis kappa: start and stop must be finite, got {start}:{stop}\n")
 
     def test_first_order_closed_forms_are_refused(self, work):
+        # the key that selected them is unknown now, whatever its value
         bad = work / "first_order.yaml"
-        bad.write_text(TINY.replace("perturbation_order: 2", "perturbation_order: 1"))
+        bad.write_text(TINY + "perturbation_order: 1\n")
         proc = run_cli("run", str(bad), "--out", str(work / "first_order"))
         assert proc.returncode == 2, proc.stderr
-        assert "first-order closed forms were removed" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "configuration error: unknown key 'perturbation_order'\n"
 
     def test_step_guard_maps_to_exit_3(self, work):
         proc = run_cli("run", str(work / "tiny.yaml"), "--set", "grid.steps=50")
@@ -426,7 +453,20 @@ class TestSweep:
             "--out", str(work / "sweep_bad_workers"), env_extra={"DYSONMAP_WORKERS": "abc"},
         )
         assert proc.returncode == 2, proc.stderr
-        assert "configuration error: DYSONMAP_WORKERS: expected an integer" in proc.stderr
+        assert proc.stderr == (
+            "configuration error: DYSONMAP_WORKERS: expected a positive integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, work, workers):
+        out = work / f"sweep_workers{workers}"
+        proc = run_cli(
+            "sweep", str(work / "tiny.yaml"), "--axis", "kappa:0.05:0.1:2",
+            "--out", str(out), env_extra={"DYSONMAP_WORKERS": workers},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"configuration error: DYSONMAP_WORKERS: expected a positive integer, got {workers!r}\n")
+        assert not (out / "sweep.csv").exists()
 
     def test_pool_is_no_larger_than_the_axis(self, work, monkeypatch):
         seen = []
@@ -522,20 +562,16 @@ def test_outputs_do_not_depend_on_blas_threads(work):
 
 
 class TestLegacyPerturbationOrder:
-    """perturbation_order only selected the removed first-order closed forms."""
+    """perturbation_order selected the removed first-order closed forms; it is now unknown."""
 
     @pytest.mark.parametrize("name", ["s1", "s2", "kappa_zero", "gamma_drift", "time_independent"])
     def test_bundled_scenarios_do_not_set_it(self, name):
         doc, _ = cli._load_doc(name)
         assert "perturbation_order" not in doc
 
-    def test_second_order_is_a_no_op(self):
-        doc, stem = cli._load_doc("s1")
-        legacy = dict(doc, perturbation_order=2)
-        assert cli.scenario_from_doc(legacy, stem) == cli.scenario_from_doc(doc, stem)
-
-    @pytest.mark.parametrize("value", [0, 3, "2"])
+    @pytest.mark.parametrize("value", [0, 2, 3])
     def test_any_other_value_is_a_config_error(self, value):
+        # 2, its one legal value before, is refused like any unknown key
         doc, stem = cli._load_doc("s1")
-        with pytest.raises(cli.ConfigError, match="perturbation_order"):
+        with pytest.raises(cli.ConfigError, match="^unknown key 'perturbation_order'$"):
             cli.scenario_from_doc(dict(doc, perturbation_order=value), stem)

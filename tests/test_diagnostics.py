@@ -8,9 +8,9 @@ import pytest
 from dysonmap import (
     ResidualSeries,
     TimeGrid,
-    Tolerances,
     analytic_vs_numeric,
     basis_state,
+    diagnostics,
     equivalence_checks,
     hamiltonian_fn,
     isospectrality_check,
@@ -42,17 +42,16 @@ GAMMA_DRIFT_FAILING = (
 
 class TestTolerances:
     def test_envelope_scales_with_drive(self):
-        tol = Tolerances()
-        assert tol.envelope(0.1) == pytest.approx(tol.envelope_coeff * 0.1**2)
-        assert tol.envelope(0.05) == pytest.approx(tol.envelope_coeff * 0.05**2)
+        coeff = diagnostics.ENVELOPE_COEFF
+        assert diagnostics._envelope(0.1) == pytest.approx(coeff * 0.1**2)
+        assert diagnostics._envelope(0.05) == pytest.approx(coeff * 0.05**2)
         # far below the floor the envelope stops shrinking
-        assert tol.envelope(1e-4) == tol.perturbative_floor
+        assert diagnostics._envelope(1e-4) == diagnostics.PERTURBATIVE_FLOOR
 
     def test_defaults_are_sane(self):
-        tol = Tolerances()
-        assert tol.metric_constancy == 1e-6
-        assert tol.r7 == 1e-7
-        assert tol.min_rcond == 1e-12
+        assert diagnostics.METRIC_CONSTANCY == 1e-6
+        assert diagnostics.R7 == 1e-7
+        assert diagnostics.MIN_RCOND == 1e-12
 
 
 class TestResidualSeries:

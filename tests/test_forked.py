@@ -20,7 +20,6 @@ from dysonmap import (
     DivergenceError,
     IllConditionedError,
     TimeGrid,
-    Tolerances,
     diagnostics,
     propagation,
     scenario_workup,
@@ -165,9 +164,10 @@ def test_an_earlier_windows_check_failure_comes_first(consumer, monkeypatch):
     assert_no_child()
 
 
-def test_a_refusal_after_the_last_window_leaves_no_child(consumer):
+def test_a_refusal_after_the_last_window_leaves_no_child(consumer, monkeypatch):
+    monkeypatch.setattr(diagnostics, "MIN_RCOND", 0.5)
     with pytest.raises(IllConditionedError):
-        scenario_workup(tiny_scenario(), tol=Tolerances(min_rcond=0.5))
+        scenario_workup(tiny_scenario())
     assert_no_child()
 
 

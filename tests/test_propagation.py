@@ -12,7 +12,6 @@ from dysonmap import (
     IllConditionedError,
     StepSizeError,
     TimeGrid,
-    Tolerances,
     TruncationWarning,
     basis_state,
     initial_map,
@@ -22,7 +21,7 @@ from dysonmap import (
     propagate_state,
     propagation,
 )
-from dysonmap.propagation import check_conditioning
+from dysonmap.diagnostics import check_conditioning
 
 from conftest import ladder_generator, rk4_reference
 
@@ -147,5 +146,5 @@ def test_near_singular_map_refused():
     grid = TimeGrid(0.0, 0.1, 20)
     traj = propagate_dyson(H, FockOperator(np.diag(diag)), grid, guard=2)
     with pytest.raises(IllConditionedError):
-        check_conditioning(traj, Tolerances().min_rcond)
+        check_conditioning(traj)
 
