@@ -16,7 +16,8 @@ samples its checks read, then has propagate_dyson stream the map through
 every check and hold only the three samples of the r2 scale, so it holds
 no array as long as the trajectory.
 When a spare CPU is usable, the checks run in one forked child while the
-workup steps the map (_forked), with byte-identical results.
+workup steps the map, and whichever process is idle computes each
+window's rcond (_forked), with byte-identical results.
 
 All operator norms are guard-band restricted: the top rows and columns
 touched by ladder truncation are excluded before taking the Frobenius
@@ -57,6 +58,7 @@ from .propagation import (
     MapWindow,
     StateTrajectory,
     TimeGrid,
+    _rcond_series,
     apply_generator,
     propagate_dyson,
     propagate_state,
@@ -585,9 +587,10 @@ def _joined(parts: list[ResidualSeries]) -> ResidualSeries:
 
 # scenario_workup hands the map's windows to its checks through a consumer,
 # called as consume(step, check_window, parts, dim): step(on_window) steps the
-# map, calls on_window with each window and returns the trajectory, and
-# check_window fills parts.  The two consumers differ only in where
-# check_window runs; _window_consumer chooses one.
+# map, calls on_window with each window and returns the trajectory (with
+# fills_rcond=True, on_window fills each window's rcond; see propagate_dyson),
+# and check_window fills parts.  The two consumers differ only in where
+# check_window and the rcond series run; _window_consumer chooses one.
 
 
 def _window_consumer(grid: TimeGrid):
@@ -611,6 +614,16 @@ def _inline(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
     return step(check_window)
 
 
+def _child_takes_rcond(free: list, conn) -> bool:
+    """Whether _forked's child computes the next window's rcond.
+
+    It does when a ring slot is free or it has answered already, so that
+    this process will not wait for it; otherwise this process computes the
+    rcond in the time it would spend waiting for a slot.
+    """
+    return bool(free) or conn.poll()
+
+
 def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
     """check_window on each window in one forked child, while this process steps the map.
 
@@ -619,10 +632,14 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
     of the window go down a pipe; a slot is written again only once the
     child has freed it.  The child (_check_windows) reads the window
     through the same transposed view as inline, so every product rounds
-    as it does there.  A stepping failure is raised only after the child
-    has checked the windows sent before it, so that an earlier window's
-    failure comes first, as inline.  The child is reaped before this
-    returns or raises.
+    as it does there.  Whichever process is idle computes the window's
+    rcond (_child_takes_rcond), with the same _rcond_series on the same
+    view, so every value has the bits it has inline; the child sends the
+    window's rcond back with the slot it frees, and the series is whole
+    before this returns.  A stepping failure is raised only after the
+    child has checked the windows sent before it, so that an earlier
+    window's failure comes first, as inline.  The child is reaped before
+    this returns or raises.
     """
     import mmap
     import multiprocessing
@@ -640,6 +657,7 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
         _check_windows(child_conn, ring, check_window, parts)
     child_conn.close()
     free, child_done = [1, 0], False
+    sent = deque()  # the rcond view of each window sent whose slot is not yet freed
 
     def reply():
         """The child's next message, a freed slot or parts; re-raises its failure."""
@@ -652,6 +670,10 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
         if isinstance(msg, BaseException):
             child_done = True
             raise msg
+        if isinstance(msg, tuple):  # a freed slot, with its window's rcond
+            slot, rcond = msg
+            sent.popleft()[:] = rcond
+            return slot
         return msg
 
     def results() -> dict:
@@ -665,14 +687,17 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
         return msg
 
     def on_window(window: MapWindow):
+        # None leaves the rcond to the child; either way it comes back with the slot
+        rcond = None if _child_takes_rcond(free, conn) else _rcond_series(window.etas)
         slot = free.pop() if free else reply()
         ring[slot, : len(window.etas)] = window.etas.transpose(0, 2, 1)
         # the maps travel in the slot, and the carry stays in the child
-        conn.send((slot, len(window.etas), replace(window, etas=None, carry=None)))
+        conn.send((slot, len(window.etas), replace(window, etas=None, carry=None, rcond=rcond)))
+        sent.append(window.rcond)
 
     try:
         try:
-            traj = step(on_window)
+            traj = step(on_window, fills_rcond=True)
         except Exception:
             if not child_done:
                 results()
@@ -687,8 +712,10 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
 def _check_windows(conn, ring: np.ndarray, check_window, parts: dict):
     """_forked's child: check_window on each window sent, then parts back; never returns.
 
-    Each checked window's slot is sent back, then parts; an exception goes
-    back in their place, as its text when it does not pickle.
+    A window sent without its rcond gets it computed here first.  Each
+    checked window's slot is sent back with the window's rcond, then
+    parts; an exception goes back in their place, as its text when it
+    does not pickle.
     """
     import os
 
@@ -696,8 +723,11 @@ def _check_windows(conn, ring: np.ndarray, check_window, parts: dict):
     try:
         while (msg := conn.recv()) is not None:
             slot, n, window = msg
-            check_window(replace(window, etas=ring[slot, :n].transpose(0, 2, 1), carry=carry))
-            conn.send(slot)
+            etas = ring[slot, :n].transpose(0, 2, 1)
+            if window.rcond is None:
+                window = replace(window, rcond=_rcond_series(etas))
+            check_window(replace(window, etas=etas, carry=carry))
+            conn.send((slot, window.rcond))
         conn.send(parts)
     except BaseException as exc:
         try:
@@ -725,7 +755,9 @@ def scenario_workup(
     through every per-sample check, and only the three samples of the r2
     scale are held, so no array as long as the trajectory is.  The checks
     run in one forked child while this process steps the map when a spare
-    CPU is usable (see _window_consumer), in this process otherwise; the
+    CPU is usable (see _window_consumer), in this process otherwise; under
+    the fork, each window's rcond is computed by the child unless this
+    process would otherwise wait for a ring slot (see _forked).  The
     report is the same bit for bit, and the child is reaped before this
     returns or raises.  Each check is judged against its module bound.  The
     floor MIN_RCOND is applied to the whole rcond series after the last
@@ -766,9 +798,9 @@ def scenario_workup(
         for ser in filter(None, got):  # equivalence_observable is None without lr
             parts.setdefault(ser.name, []).append(ser)
 
-    def step(on_window):
-        return propagate_dyson(H, eta0, grid, guard=s_run.guard,
-                               keep=np.unique(_scale_indices(grid)), on_window=on_window)
+    def step(on_window, fills_rcond=False):
+        return propagate_dyson(H, eta0, grid, guard=s_run.guard, keep=np.unique(
+            _scale_indices(grid)), on_window=on_window, _fills_rcond=fills_rcond)
 
     traj = _window_consumer(grid)(step, check_window, parts, dim)
     check_conditioning(traj)

@@ -14,7 +14,7 @@ trajectories expose eta through a transposed view of that storage.
 their index on the half-step lattice, and trajectories are read by grid
 index.  ``propagate_dyson`` and ``propagate_state`` step a window of
 samples at a time through it and hold only the samples asked for;
-``propagate_dyson`` can hand each window to a callback.
+``propagate_dyson`` can hand each window, with its rcond, to a callback.
 """
 
 from __future__ import annotations
@@ -155,7 +155,10 @@ class MapWindow:
     propagate_dyson hands each window to its ``on_window`` callback.  The
     next window overwrites etas, so a consumer copies what it keeps;
     ``carry`` is one dict shared by every window of a run, for what a
-    consumer carries from one window to the next.
+    consumer carries from one window to the next.  ``rcond`` is the
+    window's slice of the trajectory's rcond series, a view, computed
+    before the callback is called unless the caller took it over
+    (propagate_dyson's private ``_fills_rcond``).
     """
 
     grid: TimeGrid
@@ -164,7 +167,7 @@ class MapWindow:
     lo: int
     etas: np.ndarray              # in DysonTrajectory.etas's layout
     carry: dict
-    rcond: np.ndarray             # the exact rcond of each of etas
+    rcond: np.ndarray             # the exact rcond of each of etas, a view of the series
 
     @property
     def dim(self) -> int:
@@ -369,16 +372,23 @@ def propagate_dyson(
     *,
     keep: np.ndarray | None = None,
     on_window: Callable[[MapWindow], None] | None = None,
+    _fills_rcond: bool = False,
 ) -> DysonTrajectory:
     """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
 
     Refuses grids violating the step guard (with a workable step count in
     the error); attaches each sample's exact reciprocal 1-norm condition
-    number (see _rcond_series).  The map is stepped MAP_WINDOW samples at
-    a time; the result holds the samples at ``keep``, sorted grid indices
-    starting at 0 (default: every index).  ``on_window`` is called with
-    each window as a MapWindow, as it is stepped.  ``guard`` is the guard
-    band that the checks of the result and of its windows exclude.
+    number (see _rcond_series), window by window, before handing the
+    window over.  The map is stepped MAP_WINDOW samples at a time; the
+    result holds the samples at ``keep``, sorted grid indices starting at
+    0 (default: every index).  ``on_window`` is called with each window
+    as a MapWindow, as it is stepped.  ``guard`` is the guard band that
+    the checks of the result and of its windows exclude.
+
+    ``_fills_rcond`` is private to the forked workup consumer
+    (diagnostics._forked): with it, no rcond is computed here, and
+    on_window must fill each window's ``rcond`` view, with _rcond_series
+    on that window's etas, before the result's series is read.
     """
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
@@ -391,9 +401,11 @@ def propagate_dyson(
         etas = block.transpose(0, 2, 1)
         if lo == 0:
             rho0 = FockOperator(etas[0].conj().T @ etas[0])
-        rcond[lo : lo + len(etas)] = _rcond_series(etas)
+        span = rcond[lo : lo + len(etas)]
+        if not _fills_rcond:
+            span[:] = _rcond_series(etas)
         if on_window is not None:
-            on_window(MapWindow(grid, guard, rho0, lo, etas, carry, rcond[lo : lo + len(etas)]))
+            on_window(MapWindow(grid, guard, rho0, lo, etas, carry, span))
 
     keep, held = rk4_samples(H, np.ascontiguousarray(eta0.mat.T), grid,
                              right=True, keep=keep, on_window=window)

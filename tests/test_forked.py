@@ -4,6 +4,8 @@ A forked child runs the same checks on the same windows as the inline
 path, so the reports must be identical bit for bit, every failure must
 reach the caller with its type and message, and no child may outlive the
 workup.  Both consumers are forced through the ``consumer`` fixture.
+Under the fork, either process may compute a window's rcond; the
+``rcond_placement`` fixture forces who does.
 """
 
 import os
@@ -130,21 +132,31 @@ def test_an_exception_that_does_not_pickle_comes_back_as_its_text(monkeypatch):
     assert_no_child()
 
 
-def _failing_rcond(calls: int):
-    """propagation._rcond_series, raising a DivergenceError on its calls-th call."""
-    original, count = propagation._rcond_series, []
+def _failing_map_step(k: int):
+    """propagation.ladder_rows, whose products are nan in the map's stepping from grid index k on.
 
-    def rcond_series(etas):
-        count.append(None)
-        if len(count) == calls:
-            raise DivergenceError("non-finite values at t = 3", t=3.0)
-        return original(etas)
+    The map is stepped as one (dim, dim) block with the transposed update,
+    four products a step; the |0>, |1> pair is stepped untransposed and the
+    checks apply H to stacks, so neither is touched, in this process or in
+    a forked child.  rk4_samples then raises its own DivergenceError at
+    grid index k.
+    """
+    original, calls = propagation.ladder_rows, []
 
-    return rcond_series
+    def ladder_rows(ys, cols, *, transpose=False):
+        out = original(ys, cols, transpose=transpose)
+        if transpose and ys.ndim == 2:
+            calls.append(None)
+            if len(calls) > 4 * (k - 1):
+                out[...] = np.nan
+        return out
+
+    return ladder_rows
 
 
 def test_a_stepping_failure_reaches_the_caller(consumer, monkeypatch):
-    monkeypatch.setattr(propagation, "_rcond_series", _failing_rcond(4))
+    # grid index 955 of small("s1"), t = 3.0002, is in window 3
+    monkeypatch.setattr(propagation, "ladder_rows", _failing_map_step(955))
     with pytest.raises(DivergenceError, match="non-finite values at t = 3"):
         scenario_workup(small("s1"))
     assert_no_child()
@@ -158,7 +170,7 @@ def test_an_earlier_windows_check_failure_comes_first(consumer, monkeypatch):
         yield
 
     monkeypatch.setattr(diagnostics._StencilPass, "evaluate", evaluate)
-    monkeypatch.setattr(propagation, "_rcond_series", _failing_rcond(3))
+    monkeypatch.setattr(propagation, "ladder_rows", _failing_map_step(2 * MAP_WINDOW + 1))
     with pytest.raises(ValueError, match="stencil failed"):
         scenario_workup(small("s1"))
     assert_no_child()
@@ -169,6 +181,72 @@ def test_a_refusal_after_the_last_window_leaves_no_child(consumer, monkeypatch):
     with pytest.raises(IllConditionedError):
         scenario_workup(tiny_scenario())
     assert_no_child()
+
+
+@pytest.fixture(params=["parent", "child", "alternating"])
+def rcond_placement(request, monkeypatch):
+    """Who computes each window's rcond under the forked consumer, forced; returns the choices.
+
+    alternating gives windows 0, 2, 4, ... to the child and the rest to the
+    parent.  The list fills with True for each window whose rcond the child
+    computes, in window order.
+    """
+    choices = []
+
+    def takes(free, conn):
+        choices.append({"parent": False, "child": True}.get(request.param, len(choices) % 2 == 0))
+        return choices[-1]
+
+    monkeypatch.setattr(diagnostics, "_child_takes_rcond", takes)
+    return choices
+
+
+def _workup_and_trajectory(name, consumer, monkeypatch):
+    """scenario_workup(small(name)) through consumer; returns its outcome and the map it stepped.
+
+    The outcome is the report, or the exception the workup raised.
+    """
+    trajs = []
+
+    def consume(*args):
+        trajs.append(consumer(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(diagnostics, "_window_consumer", lambda grid: consume)
+    try:
+        outcome = scenario_workup(small(name))[0]
+    except IllConditionedError as exc:
+        outcome = exc
+    return outcome, trajs[0]
+
+
+@pytest.mark.parametrize("name", ["s1", "gamma_drift"])
+def test_each_placement_of_the_rcond_work_gives_the_inline_results(name, rcond_placement,
+                                                                   monkeypatch):
+    inline, inline_traj = _workup_and_trajectory(name, diagnostics._inline, monkeypatch)
+    forked, forked_traj = _workup_and_trajectory(name, diagnostics._forked, monkeypatch)
+    assert_no_child()
+    assert len(rcond_placement) == 8  # one choice a window
+    assert np.array_equal(inline_traj.rcond, forked_traj.rcond)
+    assert_same(inline, forked)
+
+
+def test_each_placement_of_the_rcond_work_refuses_as_inline(rcond_placement, monkeypatch):
+    # small("s1")'s rcond spans [0.1825, 0.2866], least at grid index 1705 (window 6):
+    # the solve gate shuts at window 5 and the refusal names index 1705
+    monkeypatch.setattr(diagnostics, "MIN_RCOND", 0.2)
+    inline, inline_traj = _workup_and_trajectory("s1", diagnostics._inline, monkeypatch)
+    forked, forked_traj = _workup_and_trajectory("s1", diagnostics._forked, monkeypatch)
+    assert_no_child()
+    worst = int(np.argmin(inline_traj.rcond))
+    assert worst == 1705
+    # the child computed the worst window whenever it computed any
+    assert rcond_placement[worst // MAP_WINDOW] == any(rcond_placement)
+    assert np.array_equal(inline_traj.rcond, forked_traj.rcond)
+    assert isinstance(inline, IllConditionedError) and isinstance(forked, IllConditionedError)
+    assert (forked.t, forked.rcond) == (inline.t, inline.rcond) == (
+        inline_traj.grid.points[worst], inline_traj.rcond[worst])
+    assert str(forked) == str(inline)
 
 
 def _chosen(steps):
