@@ -31,7 +31,6 @@ from .fock_algebra import (
 from .propagation import (
     DysonTrajectory,
     GeneratorFn,
-    MapWindow,
     StateTrajectory,
     TimeGrid,
     propagate_dyson,
@@ -58,6 +57,7 @@ from .model_oscillator import (
 )
 from .diagnostics import (
     DiagnosticsReport,
+    MapWindow,
     ResidualSeries,
     analytic_vs_numeric,
     equivalence_checks,

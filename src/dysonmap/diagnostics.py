@@ -10,11 +10,13 @@ functions of the trajectories they are given.  Each per-sample check is a
 pass that states only the samples an output chunk reads and how it
 evaluates a chunk; one driver owns the grid indices, the output series,
 the chunking and the carry across window edges, so a check takes a whole
-trajectory or one window of a streamed map alike.  scenario_workup runs
-the closed-form pipeline, steps the |0>, |1> pair once, holding only the
-samples its checks read, then has propagate_dyson stream the map through
-every check and hold only the three samples of the r2 scale, so it holds
-no array as long as the trajectory.
+trajectory or one window of a streamed map (a MapWindow) alike.
+scenario_workup runs the closed-form pipeline, steps the |0>, |1> pair
+once, holding only the samples its checks read, then has propagate_dyson
+stream the map through every check and hold only the three samples of the
+r2 scale, so it holds no array as long as the trajectory.  It computes
+each window's exact rcond, gates the solve-based checks on it and applies
+MIN_RCOND to the whole series: the map's conditioning is judged here.
 When a spare CPU is usable, the checks run in one forked child while the
 workup steps the map, and whichever process is idle computes each
 window's rcond (_forked), with byte-identical results.
@@ -55,10 +57,8 @@ from .propagation import (
     MAP_WINDOW,
     DysonTrajectory,
     GeneratorFn,
-    MapWindow,
     StateTrajectory,
     TimeGrid,
-    _rcond_series,
     apply_generator,
     propagate_dyson,
     propagate_state,
@@ -98,21 +98,53 @@ def _envelope(kappa: float) -> float:
     return max(PERTURBATIVE_FLOOR, ENVELOPE_COEFF * kappa**2)
 
 
-def check_conditioning(traj: DysonTrajectory, ks: np.ndarray | None = None):
-    """Refuse when eta's rcond at samples ks (default all) is below MIN_RCOND.
+def _rcond_series(etas: np.ndarray) -> np.ndarray:
+    """Exact reciprocal 1-norm condition number 1/(||eta||_1 ||eta^-1||_1) of each map in a stack.
+
+    numpy inverts a SAMPLE_CHUNK stack at a time; its condition number is
+    inf for a singular map and for one whose inverse is not finite, so
+    those read 0.
+    """
+    rcond = np.empty(len(etas))
+    for sl in sample_chunks(len(etas)):
+        rcond[sl] = 1.0 / np.linalg.cond(etas[sl], 1)
+    return rcond
+
+
+def check_conditioning(rcond: np.ndarray, ts: np.ndarray):
+    """Refuse when eta's rcond, sampled at times ts, falls below MIN_RCOND.
 
     The error names the worst sample's time.
     """
-    rcond = traj.rcond if ks is None else traj.rcond[ks]
     i = int(np.argmin(rcond))
-    k = i if ks is None else int(ks[i])
-    if traj.rcond[k] < MIN_RCOND:
+    if rcond[i] < MIN_RCOND:
         raise IllConditionedError(
-            f"eta reciprocal condition {traj.rcond[k]:.3e} below floor at "
-            f"t = {traj.grid.points[k]:.6g}",
-            rcond=float(traj.rcond[k]),
-            t=float(traj.grid.points[k]),
+            f"eta reciprocal condition {rcond[i]:.3e} below floor at t = {ts[i]:.6g}",
+            rcond=float(rcond[i]),
+            t=float(ts[i]),
         )
+
+
+@dataclass(frozen=True)
+class MapWindow:
+    """The maps at grid indices lo .. lo + len(etas) - 1 of a map being stepped.
+
+    The workup wraps each window propagate_dyson hands its callback in one
+    and feeds it to the checks.  The next window overwrites etas, so a
+    check copies what it keeps; ``carry`` is one dict shared by every
+    window of a run, for what a check carries from one window to the next.
+    A check's first window starts at grid index 0.
+    """
+
+    grid: TimeGrid
+    guard: int                    # as DysonTrajectory.guard
+    lo: int
+    etas: np.ndarray              # in DysonTrajectory.etas's layout
+    carry: dict
+
+    @property
+    def dim(self) -> int:
+        return self.etas.shape[1]
 
 
 @dataclass(frozen=True)
@@ -169,18 +201,29 @@ class DiagnosticsReport:
         raise KeyError(name)
 
 
-def default_stride(steps: int, target: int = 1600) -> int:
-    return max(1, steps // target)
+def _stride(steps: int, stride: int | None, target: int) -> int:
+    """stride, refused below 1, or when it is None the stride sampling about target points."""
+    if stride is None:
+        return max(1, steps // target)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return stride
 
 
 def _strided_indices(grid: TimeGrid, stride: int | None, target: int) -> np.ndarray:
-    """grid.strided at stride, or at the default stride for target when stride is None."""
-    return grid.strided(default_stride(grid.steps, target) if stride is None else stride)
+    """grid.strided at _stride(grid.steps, stride, target)."""
+    return grid.strided(_stride(grid.steps, stride, target))
 
 
 def _metrics(etas: np.ndarray) -> np.ndarray:
     """rho = eta† eta for a stack of maps."""
     return np.conj(np.swapaxes(etas, -1, -2)) @ etas
+
+
+def _first_metric(traj: DysonTrajectory | MapWindow) -> np.ndarray:
+    """rho0 = eta0† eta0, from the first map of a trajectory or of a run's first window."""
+    e0 = traj.etas[0]
+    return e0.conj().T @ e0
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -208,10 +251,13 @@ def _fed(traj: DysonTrajectory | MapWindow, key: tuple, make) -> dict[str, Resid
     """The series of the outputs that traj's samples complete, of the pass make() builds.
 
     A whole trajectory is fed to a new pass.  The windows of one run share
-    one pass per key, kept in their carry.
+    one pass per key, kept in their carry; the pass is made from the first
+    window, which must start at grid index 0 (some passes read eta0 there).
     """
     if isinstance(traj, MapWindow):
         lo, carry = traj.lo, traj.carry
+        if lo and key not in carry:
+            raise ValueError(f"a check's first window must start at grid index 0, not lo = {lo}")
     elif len(traj.ks) != traj.grid.steps + 1:
         raise ValueError("the per-sample checks read every sample of a trajectory")
     else:
@@ -292,7 +338,7 @@ class _ConstancyPass(_StridedPass):
     names = ("metric_constancy",)
 
     def __init__(self, traj: DysonTrajectory | MapWindow):
-        self.rho0 = low_block(traj.rho0.mat, traj.guard)
+        self.rho0 = low_block(_first_metric(traj), traj.guard)
         super().__init__(traj.grid, np.arange(traj.grid.steps + 1))
 
     def evaluate(self):
@@ -324,7 +370,7 @@ class _StencilPass(_StridedPass):
         if spacing < 1:
             raise ValueError("stencil spacing must be >= 1")
         grid = traj.grid
-        st = default_stride(grid.steps) if stride is None else stride
+        st = _stride(grid.steps, stride, _EQUIVALENCE_TARGET)  # centres as dense as equivalence's
         self.H, self.dt, self.spacing, self.k = H, grid.dt, spacing, traj.dim - traj.guard
         super().__init__(grid, np.arange(max(st, spacing), grid.steps - spacing + 1, st))
 
@@ -450,7 +496,7 @@ def equivalence_checks(
     samples that window completes.
     """
     out = _fed(traj, ("equivalence", stride), lambda: _EquivalencePass(
-        s, traj.rho0.mat, states, lr, stride))
+        s, _first_metric(traj), states, lr, stride))
     return (out["equivalence_sanity"], out["equivalence_fixed_metric"],
             out.get("equivalence_observable"))
 
@@ -500,7 +546,8 @@ def isospectrality_check(
     """
     ms = tuple(ms)
     if isinstance(traj, DysonTrajectory):
-        check_conditioning(traj, _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET))
+        ks = _strided_indices(s.grid, stride, _ISOSPECTRAL_TARGET)
+        check_conditioning(_rcond_series(traj.at(ks)), traj.grid.points[ks])
     out = _fed(traj, ("isospectrality", ms, stride),
                lambda: _IsospectralPass(s, lr, ms, stride))
     return {m: out[f"isospectrality_m{m}"] for m in ms}
@@ -587,10 +634,10 @@ def _joined(parts: list[ResidualSeries]) -> ResidualSeries:
 
 # scenario_workup hands the map's windows to its checks through a consumer,
 # called as consume(step, check_window, parts, dim): step(on_window) steps the
-# map, calls on_window with each window and returns the trajectory (with
-# fills_rcond=True, on_window fills each window's rcond; see propagate_dyson),
-# and check_window fills parts.  The two consumers differ only in where
-# check_window and the rcond series run; _window_consumer chooses one.
+# map, calls on_window(lo, etas) with each window and returns the trajectory,
+# and check_window(lo, etas, rcond=None) checks a window and fills parts.  The
+# two consumers differ only in where check_window and the rcond run;
+# _window_consumer chooses one.
 
 
 def _window_consumer(grid: TimeGrid):
@@ -628,18 +675,19 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
     """check_window on each window in one forked child, while this process steps the map.
 
     Each window is copied into one of two slots of a shared anonymous
-    mmap, in the eta^T layout it was stepped in, and the slot and the rest
-    of the window go down a pipe; a slot is written again only once the
-    child has freed it.  The child (_check_windows) reads the window
-    through the same transposed view as inline, so every product rounds
-    as it does there.  Whichever process is idle computes the window's
-    rcond (_child_takes_rcond), with the same _rcond_series on the same
-    view, so every value has the bits it has inline; the child sends the
-    window's rcond back with the slot it frees, and the series is whole
-    before this returns.  A stepping failure is raised only after the
-    child has checked the windows sent before it, so that an earlier
-    window's failure comes first, as inline.  The child is reaped before
-    this returns or raises.
+    mmap, in the eta^T layout it was stepped in, and (slot, lo, n, rcond)
+    goes down a pipe; a slot is written again only once the child has
+    freed it.  The child (_check_windows) reads the window through the
+    same transposed view as inline, so every product rounds as it does
+    there.  Whichever process is idle computes the window's rcond
+    (_child_takes_rcond), with the same _rcond_series on the same view, so
+    every value has the bits it has inline: this process sends the rcond
+    it computed, or None, and check_window computes a missing one.  The
+    child answers each window with its slot, then sends parts, the rcond
+    among them.  A stepping failure is raised only after the child has
+    checked the windows sent before it, so that an earlier window's
+    failure comes first, as inline.  The child is reaped before this
+    returns or raises.
     """
     import mmap
     import multiprocessing
@@ -657,7 +705,18 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
         _check_windows(child_conn, ring, check_window, parts)
     child_conn.close()
     free, child_done = [1, 0], False
-    sent = deque()  # the rcond view of each window sent whose slot is not yet freed
+
+    def post(msg) -> bool:
+        """msg down the pipe; False when the child has left, whose last message says why.
+
+        A failed send's traceback, which holds the send's pickle buffer, ends
+        here rather than on the exception this process raises next.
+        """
+        try:
+            conn.send(msg)
+        except BrokenPipeError:
+            return False
+        return True
 
     def reply():
         """The child's next message, a freed slot or parts; re-raises its failure."""
@@ -670,34 +729,26 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
         if isinstance(msg, BaseException):
             child_done = True
             raise msg
-        if isinstance(msg, tuple):  # a freed slot, with its window's rcond
-            slot, rcond = msg
-            sent.popleft()[:] = rcond
-            return slot
         return msg
 
     def results() -> dict:
         """parts, once the child has checked every window sent."""
-        try:
-            conn.send(None)
-        except BrokenPipeError:  # the child has left; what it sent last is still to be read
-            pass
+        post(None)
         while isinstance(msg := reply(), int):
             pass
         return msg
 
-    def on_window(window: MapWindow):
-        # None leaves the rcond to the child; either way it comes back with the slot
-        rcond = None if _child_takes_rcond(free, conn) else _rcond_series(window.etas)
+    def on_window(lo: int, etas: np.ndarray):
+        # None leaves the rcond to the child
+        rcond = None if _child_takes_rcond(free, conn) else _rcond_series(etas)
         slot = free.pop() if free else reply()
-        ring[slot, : len(window.etas)] = window.etas.transpose(0, 2, 1)
-        # the maps travel in the slot, and the carry stays in the child
-        conn.send((slot, len(window.etas), replace(window, etas=None, carry=None, rcond=rcond)))
-        sent.append(window.rcond)
+        ring[slot, : len(etas)] = etas.transpose(0, 2, 1)
+        if not post((slot, lo, len(etas), rcond)):
+            results()  # raises what the child left with
 
     try:
         try:
-            traj = step(on_window, fills_rcond=True)
+            traj = step(on_window)
         except Exception:
             if not child_done:
                 results()
@@ -712,22 +763,16 @@ def _forked(step, check_window, parts: dict, dim: int) -> DysonTrajectory:
 def _check_windows(conn, ring: np.ndarray, check_window, parts: dict):
     """_forked's child: check_window on each window sent, then parts back; never returns.
 
-    A window sent without its rcond gets it computed here first.  Each
-    checked window's slot is sent back with the window's rcond, then
-    parts; an exception goes back in their place, as its text when it
-    does not pickle.
+    Each checked window's slot is sent back, then parts; an exception goes
+    back in their place, as its text when it does not pickle.
     """
     import os
 
-    carry: dict = {}
     try:
         while (msg := conn.recv()) is not None:
-            slot, n, window = msg
-            etas = ring[slot, :n].transpose(0, 2, 1)
-            if window.rcond is None:
-                window = replace(window, rcond=_rcond_series(etas))
-            check_window(replace(window, etas=etas, carry=carry))
-            conn.send((slot, window.rcond))
+            slot, lo, n, rcond = msg
+            check_window(lo, ring[slot, :n].transpose(0, 2, 1), rcond)
+            conn.send(slot)
         conn.send(parts)
     except BaseException as exc:
         try:
@@ -755,14 +800,15 @@ def scenario_workup(
     through every per-sample check, and only the three samples of the r2
     scale are held, so no array as long as the trajectory is.  The checks
     run in one forked child while this process steps the map when a spare
-    CPU is usable (see _window_consumer), in this process otherwise; under
-    the fork, each window's rcond is computed by the child unless this
-    process would otherwise wait for a ring slot (see _forked).  The
-    report is the same bit for bit, and the child is reaped before this
-    returns or raises.  Each check is judged against its module bound.  The
-    floor MIN_RCOND is applied to the whole rcond series after the last
-    window, so a refusal names the worst sample; the solve-based checks are
-    fed no window from the first one that holds a map below it.
+    CPU is usable (see _window_consumer), in this process otherwise.  Each
+    window's rcond is computed where it is checked, unless, under the
+    fork, this process would otherwise wait for a ring slot and computes
+    it instead (see _forked).  The report is the same bit for bit, and the
+    child is reaped before this returns or raises.  Each check is judged
+    against its module bound.  The floor MIN_RCOND is applied to the whole
+    rcond series after the last window, so a refusal names the worst
+    sample; the solve-based checks are fed no window from the first one
+    that holds a map below it.
     """
     try:
         s_run, validation = validated_scenario(s)
@@ -781,29 +827,35 @@ def scenario_workup(
                           companions=(basis_state(1, dim),), keep=np.unique(np.concatenate(reads)))
     states = (psi, *psi.companions)
 
-    parts: dict[str, list[ResidualSeries]] = {}  # each series' per-window parts, by name
+    parts: dict[str, list] = {}  # per-window parts: each series' by name, and "rcond"
+    carry: dict = {}
     solvable = lr is not None
 
-    def check_window(window: MapWindow):
+    def check_window(lo: int, etas: np.ndarray, rcond: np.ndarray | None = None):
         nonlocal solvable
+        window = MapWindow(grid, s_run.guard, lo, etas, carry)
+        if rcond is None:
+            rcond = _rcond_series(etas)
+        parts.setdefault("rcond", []).append(rcond)
         got = [
             metric_constancy(window),
             *quasi_hermiticity_residuals(window, H, stride=stride),
             *equivalence_checks(s_run, window, states, lr, stride=stride),
         ]
-        solvable = solvable and not np.any(window.rcond < MIN_RCOND)
+        solvable = solvable and not np.any(rcond < MIN_RCOND)
         if solvable:
             got += [*isospectrality_check(s_run, lr, window).values(),
                     analytic_vs_numeric(s_run, lr, window, psi)]
         for ser in filter(None, got):  # equivalence_observable is None without lr
             parts.setdefault(ser.name, []).append(ser)
 
-    def step(on_window, fills_rcond=False):
+    def step(on_window):
         return propagate_dyson(H, eta0, grid, guard=s_run.guard, keep=np.unique(
-            _scale_indices(grid)), on_window=on_window, _fills_rcond=fills_rcond)
+            _scale_indices(grid)), on_window=on_window)
 
     traj = _window_consumer(grid)(step, check_window, parts, dim)
-    check_conditioning(traj)
+    rcond = np.concatenate(parts.pop("rcond"))
+    check_conditioning(rcond, grid.points)
     series = {name: _joined(ps) for name, ps in parts.items()}
 
     env = _envelope(s_run.kappa)
@@ -830,7 +882,7 @@ def scenario_workup(
         validation=validation,
         pt=pt_analysis(s_run),
         tail_mass_max=max(st.tail_mass_max for st in states),
-        condition_max=1.0 / max(float(np.min(traj.rcond)), 1e-300),
+        condition_max=1.0 / max(float(np.min(rcond)), 1e-300),
     )
     return report, s_run, lr
 

@@ -41,11 +41,10 @@ class SingularityError(DysonMapError):
 class IllConditionedError(DysonMapError):
     """Reciprocal condition number below the safe floor.
 
-    Carries it and, when raised from a trajectory, the time stamp of the
-    offending sample.
+    Carries it and the time stamp of the offending sample.
     """
 
-    def __init__(self, message: str, *, rcond: float, t: float | None = None):
+    def __init__(self, message: str, *, rcond: float, t: float):
         super().__init__(message)
         self.rcond = rcond
         self.t = t

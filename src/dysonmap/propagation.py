@@ -14,7 +14,8 @@ trajectories expose eta through a transposed view of that storage.
 their index on the half-step lattice, and trajectories are read by grid
 index.  ``propagate_dyson`` and ``propagate_state`` step a window of
 samples at a time through it and hold only the samples asked for;
-``propagate_dyson`` can hand each window, with its rcond, to a callback.
+``propagate_dyson`` can hand each window to a callback.  This module only
+steps: judging the map (its conditioning, its metric) is diagnostics'.
 """
 
 from __future__ import annotations
@@ -122,18 +123,12 @@ def _held_at(held: np.ndarray, samples: np.ndarray, ks):
 
 @dataclass(frozen=True)
 class DysonTrajectory:
-    """The map at the sorted grid indices ``ks`` (0 always); read it with ``at``.
-
-    rcond, the exact reciprocal 1-norm condition number, covers every
-    grid index.
-    """
+    """The map at the sorted grid indices ``ks`` (0 always); read it with ``at``."""
 
     grid: TimeGrid
     etas: np.ndarray              # (len(ks), dim, dim), a view of the eta^T layout
-    rcond: np.ndarray             # (steps+1,)
     guard: int                    # the guard band the checks exclude
     ks: np.ndarray
-    rho0: FockOperator            # eta0† eta0, the metric at t0
 
     @property
     def dim(self) -> int:
@@ -146,32 +141,6 @@ class DysonTrajectory:
     def at(self, ks):
         """The maps at grid indices ks (an index or an array of them), which must be held."""
         return _held_at(self.ks, self.etas, ks)
-
-
-@dataclass(frozen=True)
-class MapWindow:
-    """The maps at grid indices lo .. lo + len(etas) - 1 of a map being stepped.
-
-    propagate_dyson hands each window to its ``on_window`` callback.  The
-    next window overwrites etas, so a consumer copies what it keeps;
-    ``carry`` is one dict shared by every window of a run, for what a
-    consumer carries from one window to the next.  ``rcond`` is the
-    window's slice of the trajectory's rcond series, a view, computed
-    before the callback is called unless the caller took it over
-    (propagate_dyson's private ``_fills_rcond``).
-    """
-
-    grid: TimeGrid
-    guard: int                    # as DysonTrajectory.guard
-    rho0: FockOperator            # as DysonTrajectory.rho0
-    lo: int
-    etas: np.ndarray              # in DysonTrajectory.etas's layout
-    carry: dict
-    rcond: np.ndarray             # the exact rcond of each of etas, a view of the series
-
-    @property
-    def dim(self) -> int:
-        return self.etas.shape[1]
 
 
 @dataclass(frozen=True)
@@ -294,19 +263,6 @@ def _check_step_guard(H: GeneratorFn, grid: TimeGrid, limit: float):
         )
 
 
-def _rcond_series(etas: np.ndarray) -> np.ndarray:
-    """Exact reciprocal 1-norm condition number 1/(||eta||_1 ||eta^-1||_1) of each map in a stack.
-
-    numpy inverts a SAMPLE_CHUNK stack at a time; its condition number is
-    inf for a singular map and for one whose inverse is not finite, so
-    those read 0.
-    """
-    rcond = np.empty(len(etas))
-    for sl in sample_chunks(len(etas)):
-        rcond[sl] = 1.0 / np.linalg.cond(etas[sl], 1)
-    return rcond
-
-
 def rk4_samples(H: GeneratorFn, y0: np.ndarray, grid: TimeGrid, *,
                 right: bool, keep: np.ndarray | None, on_window) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 of i dy/dt = H(t) y (H^T y when ``right``); returns (keep, held samples).
@@ -371,46 +327,29 @@ def propagate_dyson(
     guard: int = DEFAULT_GUARD,
     *,
     keep: np.ndarray | None = None,
-    on_window: Callable[[MapWindow], None] | None = None,
-    _fills_rcond: bool = False,
+    on_window: Callable[[int, np.ndarray], None] | None = None,
 ) -> DysonTrajectory:
     """Integrate i d/dt eta = eta H(t) from eta(t0) = eta0.
 
     Refuses grids violating the step guard (with a workable step count in
-    the error); attaches each sample's exact reciprocal 1-norm condition
-    number (see _rcond_series), window by window, before handing the
-    window over.  The map is stepped MAP_WINDOW samples at a time; the
+    the error).  The map is stepped MAP_WINDOW samples at a time; the
     result holds the samples at ``keep``, sorted grid indices starting at
-    0 (default: every index).  ``on_window`` is called with each window
-    as a MapWindow, as it is stepped.  ``guard`` is the guard band that
-    the checks of the result and of its windows exclude.
-
-    ``_fills_rcond`` is private to the forked workup consumer
-    (diagnostics._forked): with it, no rcond is computed here, and
-    on_window must fill each window's ``rcond`` view, with _rcond_series
-    on that window's etas, before the result's series is read.
+    0 (default: every index).  ``on_window(lo, etas)`` is called with each
+    window as it is stepped: lo is its first grid index and etas its maps,
+    in the result's ``etas`` layout, a view that the next window
+    overwrites.  ``guard`` is the guard band that the checks of the result
+    exclude.
     """
     if H.dim != eta0.dim:
         raise ValueError(f"dimension mismatch: generator {H.dim}, eta0 {eta0.dim}")
-    rcond = np.empty(grid.steps + 1)
-    carry: dict = {}
-    rho0 = None
 
     def window(lo: int, block: np.ndarray):
-        nonlocal rho0
-        etas = block.transpose(0, 2, 1)
-        if lo == 0:
-            rho0 = FockOperator(etas[0].conj().T @ etas[0])
-        span = rcond[lo : lo + len(etas)]
-        if not _fills_rcond:
-            span[:] = _rcond_series(etas)
         if on_window is not None:
-            on_window(MapWindow(grid, guard, rho0, lo, etas, carry, span))
+            on_window(lo, block.transpose(0, 2, 1))
 
     keep, held = rk4_samples(H, np.ascontiguousarray(eta0.mat.T), grid,
                              right=True, keep=keep, on_window=window)
-    return DysonTrajectory(grid=grid, etas=held.transpose(0, 2, 1), rcond=rcond,
-                           guard=guard, ks=keep, rho0=rho0)
+    return DysonTrajectory(grid=grid, etas=held.transpose(0, 2, 1), guard=guard, ks=keep)
 
 
 def propagate_state(

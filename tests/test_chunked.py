@@ -24,6 +24,7 @@ from dysonmap import (
     CoefficientSpec,
     FockOperator,
     IllConditionedError,
+    MapWindow,
     StateVector,
     TimeGrid,
     analytic_vs_numeric,
@@ -44,7 +45,7 @@ from dysonmap import (
     scenario_workup,
     validated_scenario,
 )
-from dysonmap.diagnostics import _commutator_scale, check_conditioning
+from dysonmap.diagnostics import _commutator_scale, _rcond_series, check_conditioning
 from dysonmap.fock_algebra import low_block
 from dysonmap.model_oscillator import _intertwining_residual, quadratures
 from dysonmap.propagation import (
@@ -52,7 +53,6 @@ from dysonmap.propagation import (
     SAMPLE_CHUNK,
     STAGE_CHUNK,
     _band_table,
-    _rcond_series,
     band_matrix,
 )
 
@@ -205,7 +205,8 @@ def test_stepping_is_bit_identical_across_stage_chunks(steps):
 def test_trajectory_residuals_match_dense_formulas(run, stride, spacing):
     s, H, traj = run
     g = s.guard
-    rho0 = low_block(traj.rho0.mat, g)
+    e0 = traj.etas[0]
+    rho0 = low_block(e0.conj().T @ e0, g)
     den0 = max(float(np.linalg.norm(rho0)), 1e-14)
     want = [np.linalg.norm(low_block(e.conj().T @ e, g) - rho0) / den0 for e in traj.etas]
     assert_close(metric_constancy(traj).samples, want, 1.0)
@@ -285,7 +286,8 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
                           companions=(basis_state(1, s.dim),))
     psit = psi.companions[0]
     sanity_ser, fixed_ser, obs_ser = equivalence_checks(s, traj, (psi, psit), lr, stride=stride)
-    rho0 = traj.rho0.mat
+    e0 = traj.etas[0]
+    rho0 = e0.conj().T @ e0
     a, b = psi.amplitudes, psit.amplitudes
     ref = complex(a[0].conj() @ (rho0 @ b[0]))
     x1, x2 = (q.mat for q in quadratures(s.dim))
@@ -338,8 +340,7 @@ def test_closed_form_passes_match_dense_formulas(steps, stride, theta0):
 
 def test_min_rcond_is_the_applied_floor(s1_trajectory, monkeypatch):
     # the floor is read when it is applied and when it is printed
-    traj = s1_trajectory
-    worst = float(np.min(traj.rcond))
+    worst = float(np.min(_rcond_series(s1_trajectory.etas)))
     assert 0.01 < worst < 0.5
     monkeypatch.setattr(diagnostics, "MIN_RCOND", 0.5)
     assert diagnostics.bounds()["min_rcond"] == 0.5
@@ -355,7 +356,7 @@ def test_rcond_is_the_exact_condition_number(tiny_run):
     _, _, traj = tiny_run
     window = traj.etas[MAP_WINDOW : 2 * MAP_WINDOW]
     want = [1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)) for m in window]
-    np.testing.assert_allclose(traj.rcond[MAP_WINDOW : 2 * MAP_WINDOW], want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(_rcond_series(window), want, rtol=1e-14, atol=0)
 
 
 def test_singular_maps_read_rcond_zero(tiny_run):
@@ -373,11 +374,14 @@ def test_singular_maps_read_rcond_zero(tiny_run):
     assert np.array_equal(rcond[others], regular[others])
     # a map that stays singular is refused, as below any floor
     s, H, _ = tiny_run
-    zero = propagate_dyson(H, FockOperator(np.zeros((s.dim, s.dim))), s.grid,
-                           guard=traj.guard, keep=np.array([0]))
-    assert not np.any(zero.rcond)
+    parts = []  # each window's rcond
+    propagate_dyson(H, FockOperator(np.zeros((s.dim, s.dim))), s.grid, guard=traj.guard,
+                    keep=np.array([0]),
+                    on_window=lambda lo, etas: parts.append(_rcond_series(etas)))
+    zero = np.concatenate(parts)
+    assert zero.shape == (s.grid.steps + 1,) and not np.any(zero)
     with pytest.raises(IllConditionedError) as ei:
-        check_conditioning(zero)
+        check_conditioning(zero, s.grid.points)
     assert ei.value.rcond == 0.0 and ei.value.t == s.grid.t0
 
 
@@ -388,7 +392,7 @@ def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch, tmp_path):
     # in this process or in a forked child; the spy writes to a file, which
     # the child shares with this process
     s = tiny_scenario()
-    rcond = workup_trajectory(validated_scenario(s)[0]).rcond
+    rcond = _rcond_series(workup_trajectory(validated_scenario(s)[0]).etas)
     floor = float(np.min(rcond[:MAP_WINDOW]))
     assert np.min(rcond) < floor
     for consumer in (diagnostics._inline, diagnostics._forked):
@@ -399,7 +403,7 @@ def test_solve_checks_are_fed_no_map_below_the_floor(monkeypatch, tmp_path):
             for name in ("isospectrality_check", "analytic_vs_numeric"):
                 def spy(s, lr, window, *args, check=getattr(diagnostics, name), **kwargs):
                     with open(log, "a") as fh:
-                        fh.write(f"{float(np.min(window.rcond))!r}\n")
+                        fh.write(f"{float(np.min(_rcond_series(window.etas)))!r}\n")
                     return check(s, lr, window, *args, **kwargs)
 
                 mp.setattr(diagnostics, name, spy)
@@ -417,17 +421,15 @@ def test_streamed_map_keeps_the_whole_trajectorys_samples(tiny_run):
     s, H, whole = tiny_run
     steps = s.grid.steps
     keep = np.array([0, 5, MAP_WINDOW - 1, MAP_WINDOW, 700, steps])
-    windows = []
+    windows = []  # (lo, a copy of the window's maps), since the next window overwrites them
     part = propagate_dyson(H, whole.eta0, s.grid, guard=whole.guard, keep=keep,
-                           on_window=lambda w: windows.append((w.lo, len(w.etas), w.rho0)))
+                           on_window=lambda lo, etas: windows.append((lo, etas.copy())))
     assert np.array_equal(part.etas, whole.etas[keep])
     assert np.array_equal(part.at(keep[1:3]), whole.etas[keep[1:3]])
-    assert np.array_equal(part.rcond, whole.rcond)
-    assert np.array_equal(part.rho0.mat, whole.rho0.mat)
-    assert [(lo, n) for lo, n, _ in windows] == [
+    assert [(lo, len(etas)) for lo, etas in windows] == [
         (lo, min(MAP_WINDOW, steps + 1 - lo)) for lo in range(0, steps + 1, MAP_WINDOW)
     ]
-    assert all(np.array_equal(rho0.mat, whole.rho0.mat) for *_, rho0 in windows)
+    assert all(np.array_equal(etas, whole.etas[lo : lo + len(etas)]) for lo, etas in windows)
     with pytest.raises(IndexError):
         part.at(1)
     # the |0>, |1> block, on the same keep
@@ -472,7 +474,7 @@ def assert_streamed_workup_is_exact(workup, traj, stride=None):
     for name, ser in report.series.items():
         assert np.array_equal(ser.times, want[name].times), name
         assert np.array_equal(ser.samples, want[name].samples), name
-    assert report.condition_max == 1.0 / float(np.min(traj.rcond))
+    assert report.condition_max == 1.0 / float(np.min(_rcond_series(traj.etas)))
     scale = _commutator_scale(traj, H)
     assert report.outcome("r2").tolerance == diagnostics.R2_COEFF * s.grid.dt**2 * scale
 
@@ -518,9 +520,10 @@ def test_per_window_returns_partition_the_whole_series(steps, stride):
                analytic_vs_numeric(s_run, lr, traj, psi, stride=stride)]
         return {ser.name: ser for ser in got}
 
-    windows = []  # (index after the window's last sample, its checks' returns)
+    windows, carry = [], {}  # (index after the window's last sample, its checks' returns)
     propagate_dyson(H, whole.eta0, grid, guard=whole.guard, keep=np.array([0]),
-                    on_window=lambda w: windows.append((w.lo + len(w.etas), checks(w))))
+                    on_window=lambda lo, etas: windows.append((lo + len(etas), checks(
+                        MapWindow(grid, whole.guard, lo, etas, carry)))))
     assert len(windows) > 2
     for name, ser in checks(whole).items():
         end = -1  # the last grid index returned so far
@@ -531,6 +534,25 @@ def test_per_window_returns_partition_the_whole_series(steps, stride):
         parts = [got[name] for _, got in windows]
         assert np.array_equal(np.concatenate([p.times for p in parts]), ser.times), name
         assert np.array_equal(np.concatenate([p.samples for p in parts]), ser.samples), name
+
+
+@pytest.mark.filterwarnings("ignore::dysonmap.TruncationWarning")  # dim 6 is a small truncation
+def test_a_checks_first_window_must_start_at_grid_index_0():
+    # a pass reads eta0 in the window it is made from, so only the window
+    # at grid index 0 may make it; once made, it takes the rest in order
+    s_run, _ = validated_scenario(tiny_scenario(dim=6, guard=2, grid=TimeGrid(0.0, 1.0, 600)))
+    whole = workup_trajectory(s_run)
+    windows, carry = [], {}
+    propagate_dyson(hamiltonian_fn(s_run), whole.eta0, s_run.grid, guard=whole.guard,
+                    keep=np.array([0]), on_window=lambda lo, etas: windows.append(
+                        MapWindow(s_run.grid, whole.guard, lo, etas.copy(order="K"), carry)))
+    assert [w.lo for w in windows] == [0, MAP_WINDOW, 2 * MAP_WINDOW]
+    with pytest.raises(ValueError, match=f"lo = {MAP_WINDOW}$"):
+        metric_constancy(windows[1])
+    assert carry == {}
+    parts = [metric_constancy(w) for w in windows]
+    want = metric_constancy(whole)
+    assert np.array_equal(np.concatenate([p.samples for p in parts]), want.samples)
 
 
 def test_streamed_workup_holds_no_whole_trajectory(s1_workup):

@@ -18,10 +18,11 @@ from dysonmap import (
     propagate_state,
     quasi_hermiticity_residuals,
     scenario_workup,
+    validated_scenario,
 )
 from dysonmap import StateVector
 
-from conftest import tiny_scenario
+from conftest import tiny_scenario, workup_trajectory
 
 S2_FAILING = (
     "(ii)",
@@ -248,6 +249,16 @@ class TestEquivalenceRoutes:
         avn = analytic_vs_numeric(s, lr, traj, psi)
         assert 0.0313 < avn.terminal < 0.0316
         assert avn.max > avn.terminal  # interior deviation is first order
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("entry", ["scenario_workup", "quasi_hermiticity_residuals"])
+def test_a_stride_below_one_is_refused(entry, stride):
+    s, _ = validated_scenario(tiny_scenario(dim=8, grid=TimeGrid(0.0, 0.5, 80)))
+    args = {"scenario_workup": (s,),
+            "quasi_hermiticity_residuals": (workup_trajectory(s), hamiltonian_fn(s))}[entry]
+    with pytest.raises(ValueError, match=rf"^stride must be >= 1, got {stride}$"):
+        getattr(diagnostics, entry)(*args, stride=stride)
 
 
 def test_empty_series_are_skipped_not_passed():

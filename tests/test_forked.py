@@ -26,6 +26,7 @@ from dysonmap import (
     propagation,
     scenario_workup,
 )
+from dysonmap.diagnostics import check_conditioning
 from dysonmap.propagation import MAP_WINDOW
 
 from conftest import load_bundled, rebuild, tiny_scenario
@@ -50,6 +51,17 @@ def small(name):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_no_failed_send(exc):
+    """No exception in exc's context chain is a failed send to the child.
+
+    Its traceback holds the send's pickle buffer, which the garbage
+    collector would finalise while still exported (BufferError).
+    """
+    while exc is not None:
+        assert not isinstance(exc, BrokenPipeError), repr(exc)
+        exc = exc.__context__
 
 
 def _report(name, consumer, monkeypatch):
@@ -104,6 +116,7 @@ def test_a_check_failure_reaches_the_caller(exc, consumer, monkeypatch):
         scenario_workup(small("s1"))
     assert str(ei.value) == str(exc)
     assert vars(ei.value) == vars(exc)
+    assert_no_failed_send(ei.value)
     assert_no_child()
 
 
@@ -113,8 +126,9 @@ def test_a_child_that_dies_is_reported_and_reaped(monkeypatch):
         yield
 
     monkeypatch.setattr(diagnostics._StencilPass, "evaluate", evaluate)
-    with pytest.raises(RuntimeError, match="exited without a result"):
+    with pytest.raises(RuntimeError, match="exited without a result") as ei:
         _report("s1", diagnostics._forked, monkeypatch)
+    assert_no_failed_send(ei.value)
     assert_no_child()
 
 
@@ -201,33 +215,37 @@ def rcond_placement(request, monkeypatch):
     return choices
 
 
-def _workup_and_trajectory(name, consumer, monkeypatch):
-    """scenario_workup(small(name)) through consumer; returns its outcome and the map it stepped.
+def _workup_and_rcond(name, consumer, monkeypatch):
+    """scenario_workup(small(name)) through consumer; returns its outcome and the rcond it judged.
 
-    The outcome is the report, or the exception the workup raised.
+    The outcome is the report, or the exception the workup raised.  The
+    rcond is the whole series that the workup hands check_conditioning.
     """
-    trajs = []
+    series = []
 
-    def consume(*args):
-        trajs.append(consumer(*args))
-        return trajs[-1]
+    def judge(rcond, ts):
+        series.append(rcond)
+        return check_conditioning(rcond, ts)
 
-    monkeypatch.setattr(diagnostics, "_window_consumer", lambda grid: consume)
+    monkeypatch.setattr(diagnostics, "_window_consumer", lambda grid: consumer)
+    monkeypatch.setattr(diagnostics, "check_conditioning", judge)
     try:
         outcome = scenario_workup(small(name))[0]
     except IllConditionedError as exc:
         outcome = exc
-    return outcome, trajs[0]
+    (rcond,) = series
+    assert rcond.shape == (small(name).grid.steps + 1,)
+    return outcome, rcond
 
 
 @pytest.mark.parametrize("name", ["s1", "gamma_drift"])
 def test_each_placement_of_the_rcond_work_gives_the_inline_results(name, rcond_placement,
                                                                    monkeypatch):
-    inline, inline_traj = _workup_and_trajectory(name, diagnostics._inline, monkeypatch)
-    forked, forked_traj = _workup_and_trajectory(name, diagnostics._forked, monkeypatch)
+    inline, inline_rcond = _workup_and_rcond(name, diagnostics._inline, monkeypatch)
+    forked, forked_rcond = _workup_and_rcond(name, diagnostics._forked, monkeypatch)
     assert_no_child()
     assert len(rcond_placement) == 8  # one choice a window
-    assert np.array_equal(inline_traj.rcond, forked_traj.rcond)
+    assert np.array_equal(inline_rcond, forked_rcond)
     assert_same(inline, forked)
 
 
@@ -235,17 +253,17 @@ def test_each_placement_of_the_rcond_work_refuses_as_inline(rcond_placement, mon
     # small("s1")'s rcond spans [0.1825, 0.2866], least at grid index 1705 (window 6):
     # the solve gate shuts at window 5 and the refusal names index 1705
     monkeypatch.setattr(diagnostics, "MIN_RCOND", 0.2)
-    inline, inline_traj = _workup_and_trajectory("s1", diagnostics._inline, monkeypatch)
-    forked, forked_traj = _workup_and_trajectory("s1", diagnostics._forked, monkeypatch)
+    inline, inline_rcond = _workup_and_rcond("s1", diagnostics._inline, monkeypatch)
+    forked, forked_rcond = _workup_and_rcond("s1", diagnostics._forked, monkeypatch)
     assert_no_child()
-    worst = int(np.argmin(inline_traj.rcond))
+    worst = int(np.argmin(inline_rcond))
     assert worst == 1705
     # the child computed the worst window whenever it computed any
     assert rcond_placement[worst // MAP_WINDOW] == any(rcond_placement)
-    assert np.array_equal(inline_traj.rcond, forked_traj.rcond)
+    assert np.array_equal(inline_rcond, forked_rcond)
     assert isinstance(inline, IllConditionedError) and isinstance(forked, IllConditionedError)
     assert (forked.t, forked.rcond) == (inline.t, inline.rcond) == (
-        inline_traj.grid.points[worst], inline_traj.rcond[worst])
+        small("s1").grid.points[worst], inline_rcond[worst])
     assert str(forked) == str(inline)
 
 

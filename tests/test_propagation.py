@@ -21,7 +21,7 @@ from dysonmap import (
     propagate_state,
     propagation,
 )
-from dysonmap.diagnostics import check_conditioning
+from dysonmap.diagnostics import _rcond_series, check_conditioning
 
 from conftest import ladder_generator, rk4_reference
 
@@ -146,5 +146,5 @@ def test_near_singular_map_refused():
     grid = TimeGrid(0.0, 0.1, 20)
     traj = propagate_dyson(H, FockOperator(np.diag(diag)), grid, guard=2)
     with pytest.raises(IllConditionedError):
-        check_conditioning(traj)
+        check_conditioning(_rcond_series(traj.etas), grid.points)
 
